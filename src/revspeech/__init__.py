@@ -11,6 +11,7 @@ from .enhance import (
     EnhanceConfig,
     NoiseProfile,
     denoise,
+    estimate_and_denoise,
     estimate_noise,
     spectral_subtract,
     wiener_filter,
@@ -49,6 +50,7 @@ __all__ = [
     "build_report",
     "classify_segment",
     "denoise",
+    "estimate_and_denoise",
     "estimate_noise",
     "extract",
     "load_model",

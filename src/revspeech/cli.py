@@ -154,8 +154,7 @@ def _load_vocabulary(model_paths) -> recognizer.Vocabulary:
 
 def _cmd_enhance(args, cfg: ToolConfig) -> int:
     buf = audio.read_wav(args.input)
-    profile = enhance.estimate_noise(buf, cfg.enhance)
-    cleaned = enhance.denoise(buf, profile, cfg.enhance)
+    cleaned, profile = enhance.estimate_and_denoise(buf, cfg.enhance)
     audio.write_wav(cleaned, args.output)
     if args.noise_out:
         _write_noise_profile(profile, args.noise_out)

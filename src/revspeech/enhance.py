@@ -2,16 +2,17 @@
 
 Both methods estimate a noise magnitude spectrum from low-energy frames,
 attenuate per-bin magnitudes, keep the noisy phase, and reconstruct by
-overlap-add with window-power compensation.
+overlap-add with window-power compensation. estimate_and_denoise does both
+from one STFT.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import AudioBuffer, segment
+from .audio import AudioBuffer, FrameSequence
 from .errors import ConfigError
-from .features import hamming_coefficients, _is_power_of_two, _next_power_of_two
+from .features import FrameSpec, hamming_coefficients
 
 METHODS = ("spectral_subtraction", "wiener")
 
@@ -39,24 +40,13 @@ class EnhanceConfig:
             raise ConfigError("alpha must be >= 1")
         if not 0 <= self.beta < 1:
             raise ConfigError("beta must be in [0, 1)")
-        if self.frame_ms <= 0:
-            raise ConfigError("frame_ms must be positive")
-        if not 0 <= self.overlap_fraction < 1:
-            raise ConfigError("overlap_fraction must be in [0, 1)")
         if self.vad_energy_ratio <= 1:
             raise ConfigError("vad_energy_ratio must be > 1")
-        if self.fft_size is not None and not _is_power_of_two(self.fft_size):
-            raise ConfigError("fft_size must be a power of two")
+        self.frame  # validates the framing fields
 
-    def resolve_fft_size(self, sample_rate_hz: int) -> int:
-        frame_len = int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
-        if self.fft_size is not None:
-            if self.fft_size < frame_len:
-                raise ConfigError(
-                    f"fft_size {self.fft_size} smaller than frame length {frame_len}"
-                )
-            return self.fft_size
-        return _next_power_of_two(frame_len)
+    @property
+    def frame(self) -> FrameSpec:
+        return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size)
 
 
 @dataclass
@@ -74,20 +64,12 @@ class NoiseProfile:
             raise ValueError("frames_used must be >= 1")
 
 
-def _analyze(buf: AudioBuffer, cfg: EnhanceConfig):
-    """Windowed complex spectra plus the pieces needed for resynthesis."""
-    fft_size = cfg.resolve_fft_size(buf.sample_rate_hz)
-    frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
-    window = hamming_coefficients(frames.frame_len, cfg.window_a)
-    spectra = np.fft.fft(frames.frames * window, n=fft_size, axis=1)
-    return spectra, frames, window, fft_size
-
-
 def _overlap_add(
-    processed: np.ndarray, frames, window: np.ndarray, out_len: int
+    processed: np.ndarray, frames: FrameSequence, window_a: float, out_len: int
 ) -> np.ndarray:
     """Inverse-transform each frame, window again, and normalize by window power."""
     frame_len = frames.frame_len
+    window = hamming_coefficients(frame_len, window_a)
     num_frames = processed.shape[0]
     synthesized = np.real(np.fft.ifft(processed, axis=1))[:, :frame_len] * window
 
@@ -102,14 +84,7 @@ def _overlap_add(
     return compensated[:out_len]
 
 
-def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
-    """Average the spectra of the quietest frames.
-
-    Frames with energy below vad_energy_ratio times the 10th-percentile
-    frame energy count as silence; if none qualify the single quietest
-    frame is used, so the estimate is always defined.
-    """
-    spectra, frames, _, _ = _analyze(buf, cfg)
+def _noise_profile(frames: FrameSequence, spectra: np.ndarray, cfg: EnhanceConfig):
     energies = np.mean(frames.frames**2, axis=1)
     threshold = cfg.vad_energy_ratio * np.percentile(energies, 10)
     selected = energies < threshold
@@ -120,6 +95,16 @@ def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
     return NoiseProfile(magnitude, int(np.count_nonzero(selected)))
 
 
+def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
+    """Average the spectra of the quietest frames.
+
+    Frames with energy below vad_energy_ratio times the 10th-percentile
+    frame energy count as silence; if none qualify the single quietest
+    frame is used, so the estimate is always defined.
+    """
+    return _noise_profile(*cfg.frame.stft(buf), cfg)
+
+
 def subtract_magnitudes(
     magnitudes: np.ndarray, noise: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
@@ -127,38 +112,14 @@ def subtract_magnitudes(
     return np.maximum(magnitudes - alpha * noise, beta * magnitudes)
 
 
-def _check_profile(noise: NoiseProfile, cfg: EnhanceConfig, sample_rate_hz: int) -> int:
-    fft_size = cfg.resolve_fft_size(sample_rate_hz)
-    if len(noise.mean_magnitude) != fft_size:
-        raise ConfigError(
-            f"noise profile has {len(noise.mean_magnitude)} bins, config expects {fft_size}"
-        )
-    return fft_size
-
-
-def spectral_subtract(
-    buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig
-) -> AudioBuffer:
-    """Subtract the noise magnitude per frame, keeping the noisy phase."""
-    _check_profile(noise, cfg, buf.sample_rate_hz)
-    spectra, frames, window, _ = _analyze(buf, cfg)
+def _subtracted(spectra: np.ndarray, noise: NoiseProfile, cfg: EnhanceConfig) -> np.ndarray:
     magnitudes = np.abs(spectra)
     enhanced = subtract_magnitudes(magnitudes, noise.mean_magnitude, cfg.alpha, cfg.beta)
     gain = np.where(magnitudes > 0, enhanced / np.where(magnitudes > 0, magnitudes, 1.0), 0.0)
-    out = _overlap_add(spectra * gain, frames, window, len(buf.samples))
-    return AudioBuffer(out, buf.sample_rate_hz)
+    return spectra * gain
 
 
-def wiener_filter(
-    buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig
-) -> AudioBuffer:
-    """Per-bin gain xi/(1+xi) with decision-directed a-priori SNR tracking.
-
-    Zero-noise bins take a capped a-posteriori SNR instead of dividing by
-    zero. The first frame seeds the recursion with the noisy magnitude.
-    """
-    _check_profile(noise, cfg, buf.sample_rate_hz)
-    spectra, frames, window, _ = _analyze(buf, cfg)
+def _wiener(spectra: np.ndarray, noise: NoiseProfile, cfg: EnhanceConfig) -> np.ndarray:
     magnitudes = np.abs(spectra)
     noise_power = noise.mean_magnitude**2
 
@@ -178,13 +139,48 @@ def wiener_filter(
         gain = prior / (1.0 + prior)
         processed[t] = spectra[t] * gain
         previous_enhanced = gain * magnitudes[t]
+    return processed
 
-    out = _overlap_add(processed, frames, window, len(buf.samples))
+
+def _denoise(buf: AudioBuffer, frames, spectra, noise: NoiseProfile, cfg: EnhanceConfig):
+    # the shaper's magnitude and gain arrays are freed before resynthesis
+    shaped = (_wiener if cfg.method == "wiener" else _subtracted)(spectra, noise, cfg)
+    out = _overlap_add(shaped, frames, cfg.window_a, len(buf.samples))
     return AudioBuffer(out, buf.sample_rate_hz)
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:
     """Dispatch on cfg.method."""
-    if cfg.method == "wiener":
-        return wiener_filter(buf, noise, cfg)
-    return spectral_subtract(buf, noise, cfg)
+    fft_size = cfg.frame.resolve_fft_size(buf.sample_rate_hz)
+    if len(noise.mean_magnitude) != fft_size:
+        raise ConfigError(
+            f"noise profile has {len(noise.mean_magnitude)} bins, config expects {fft_size}"
+        )
+    return _denoise(buf, *cfg.frame.stft(buf), noise, cfg)
+
+
+def spectral_subtract(
+    buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig
+) -> AudioBuffer:
+    """Subtract the noise magnitude per frame, keeping the noisy phase."""
+    return denoise(buf, noise, replace(cfg, method="spectral_subtraction"))
+
+
+def wiener_filter(
+    buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig
+) -> AudioBuffer:
+    """Per-bin gain xi/(1+xi) with decision-directed a-priori SNR tracking.
+
+    Zero-noise bins take a capped a-posteriori SNR instead of dividing by
+    zero. The first frame seeds the recursion with the noisy magnitude.
+    """
+    return denoise(buf, noise, replace(cfg, method="wiener"))
+
+
+def estimate_and_denoise(
+    buf: AudioBuffer, cfg: EnhanceConfig
+) -> tuple[AudioBuffer, NoiseProfile]:
+    """estimate_noise then denoise, from one STFT; returns (cleaned, profile)."""
+    frames, spectra = cfg.frame.stft(buf)
+    profile = _noise_profile(frames, spectra, cfg)
+    return _denoise(buf, frames, spectra, profile, cfg), profile

@@ -26,7 +26,11 @@ class FingerprintMismatchError(RevspeechError):
 
 
 class InsufficientDataError(RevspeechError):
-    """Training data cannot support the requested model size."""
+    """Input holds too little data: too few training frames, or no samples."""
+
+
+class VocabularyError(RevspeechError):
+    """Word models cannot form a vocabulary (too few, duplicate labels, mixed dims)."""
 
 
 class LexiconFormatError(RevspeechError):

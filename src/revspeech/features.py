@@ -1,14 +1,53 @@
-"""MFCC front end: pre-emphasis, windowing, spectrum, mel filterbank, cepstra, deltas."""
+"""MFCC front end: pre-emphasis, windowing, spectrum, mel filterbank, cepstra, deltas.
+
+Per-frame functions act on the last axis; extract runs them on the frame matrix.
+"""
 
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, segment
+from .audio import AudioBuffer, FrameSequence, segment
 from .errors import ConfigError
 
 ENERGY_FLOOR = 1e-10
+
+
+@dataclass(frozen=True)
+class FrameSpec:
+    """Framing, window and FFT-size rule, shared by enhance and features."""
+
+    frame_ms: float = 25.0
+    overlap_fraction: float = 0.5
+    window_a: float = 0.46
+    fft_size: int | None = None
+
+    def __post_init__(self):
+        if self.frame_ms <= 0:
+            raise ConfigError("frame_ms must be positive")
+        if not 0 <= self.overlap_fraction < 1:
+            raise ConfigError("overlap_fraction must be in [0, 1)")
+        size = self.fft_size
+        if size is not None and (size < 1 or size & (size - 1)):
+            raise ConfigError("fft_size must be a power of two")
+
+    def resolve_fft_size(self, sample_rate_hz: int) -> int:
+        frame_len = int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
+        if self.fft_size is None:
+            return 1 << max(frame_len - 1, 0).bit_length()
+        if self.fft_size < frame_len:
+            raise ConfigError(
+                f"fft_size {self.fft_size} smaller than frame length {frame_len}"
+            )
+        return self.fft_size
+
+    def stft(self, buf: AudioBuffer) -> tuple[FrameSequence, np.ndarray]:
+        """The frames and their windowed complex spectra, fft_size bins each."""
+        frames = segment(buf, self.frame_ms, self.overlap_fraction)
+        windowed = hamming_window(frames.frames, self.window_a)
+        fft_size = self.resolve_fft_size(buf.sample_rate_hz)
+        return frames, np.fft.fft(windowed, n=fft_size, axis=-1)
 
 
 @dataclass
@@ -33,31 +72,17 @@ class FeatureConfig:
     def __post_init__(self):
         if not 0 <= self.preemphasis_a < 1:
             raise ConfigError("preemphasis_a must be in [0, 1)")
-        if self.frame_ms <= 0:
-            raise ConfigError("frame_ms must be positive")
-        if not 0 <= self.overlap_fraction < 1:
-            raise ConfigError("overlap_fraction must be in [0, 1)")
+        self.frame  # validates the framing fields
         if not 0 < self.num_ceps <= self.num_filters:
             raise ConfigError("need 0 < num_ceps <= num_filters")
         if self.delta_window < 1:
             raise ConfigError("delta_window must be >= 1")
-        if self.fft_size is not None and not _is_power_of_two(self.fft_size):
-            raise ConfigError("fft_size must be a power of two")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
             raise ConfigError("low_freq_hz must be below high_freq_hz")
 
-    def frame_len(self, sample_rate_hz: int) -> int:
-        return int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
-
-    def resolve_fft_size(self, sample_rate_hz: int) -> int:
-        frame_len = self.frame_len(sample_rate_hz)
-        if self.fft_size is not None:
-            if self.fft_size < frame_len:
-                raise ConfigError(
-                    f"fft_size {self.fft_size} smaller than frame length {frame_len}"
-                )
-            return self.fft_size
-        return _next_power_of_two(frame_len)
+    @property
+    def frame(self) -> FrameSpec:
+        return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size)
 
     def resolve_high_freq(self, sample_rate_hz: int) -> float:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
@@ -112,17 +137,6 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _next_power_of_two(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
-
-
 def preemphasize(buf: AudioBuffer, a: float) -> AudioBuffer:
     """First-order high-pass y(n) = x(n) - a*x(n-1), with x(-1) = 0."""
     if not 0 <= a < 1:
@@ -147,17 +161,17 @@ def hamming_coefficients(n: int, a: float) -> np.ndarray:
 
 
 def hamming_window(frame: np.ndarray, a: float) -> np.ndarray:
-    """Apply the tapered window elementwise to one frame."""
+    """Apply the tapered window elementwise to each frame (last axis)."""
     frame = np.asarray(frame, dtype=np.float64)
-    return frame * hamming_coefficients(len(frame), a)
+    return frame * hamming_coefficients(frame.shape[-1], a)
 
 
 def dft_magnitude(frame: np.ndarray, fft_size: int) -> np.ndarray:
     """Magnitudes |X(k)| for k = 0..fft_size-1, zero-padding the frame."""
     frame = np.asarray(frame, dtype=np.float64)
-    if len(frame) > fft_size:
+    if frame.shape[-1] > fft_size:
         raise ValueError("frame longer than fft_size")
-    return np.abs(np.fft.fft(frame, n=fft_size))
+    return np.abs(np.fft.fft(frame, n=fft_size, axis=-1))
 
 
 def hz_to_mel(f: float) -> float:
@@ -198,17 +212,17 @@ def mel_filterbank(
 ) -> np.ndarray:
     """Per-filter energies s(m) = sum_k w_m(k) * |X(k)|^2 over the half spectrum."""
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    fft_size = cfg.resolve_fft_size(sample_rate_hz)
+    fft_size = cfg.frame.resolve_fft_size(sample_rate_hz)
     needed = fft_size // 2 + 1
-    if len(magnitudes) < needed:
+    if magnitudes.shape[-1] < needed:
         raise ConfigError(
-            f"spectrum has {len(magnitudes)} bins, filterbank needs {needed}"
+            f"spectrum has {magnitudes.shape[-1]} bins, filterbank needs {needed}"
         )
     high = cfg.resolve_high_freq(sample_rate_hz)
     weights = mel_filter_weights(
         cfg.num_filters, fft_size, sample_rate_hz, cfg.low_freq_hz, high
     )
-    return weights @ (magnitudes[:needed] ** 2)
+    return (magnitudes[..., :needed] ** 2) @ weights.T
 
 
 def _dct_basis(num_ceps: int, num_filters: int) -> np.ndarray:
@@ -223,7 +237,7 @@ def mfcc(energies: np.ndarray, num_ceps: int) -> np.ndarray:
     if np.any(energies < 0):
         raise ValueError("filterbank energies must be nonnegative")
     logs = np.log10(np.maximum(energies, ENERGY_FLOOR))
-    return _dct_basis(num_ceps, len(energies)) @ logs
+    return logs @ _dct_basis(num_ceps, energies.shape[-1]).T
 
 
 def delta_features(ceps: np.ndarray, window: int) -> np.ndarray:
@@ -248,23 +262,15 @@ def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
     Rows are frames; columns are num_ceps cepstra followed by their deltas
     and delta-deltas (39 at defaults).
     """
-    high = cfg.resolve_high_freq(buf.sample_rate_hz)
-    fft_size = cfg.resolve_fft_size(buf.sample_rate_hz)
-
+    sr = buf.sample_rate_hz
     emphasized = preemphasize(buf, cfg.preemphasis_a)
     frames = segment(emphasized, cfg.frame_ms, cfg.overlap_fraction)
-    window = hamming_coefficients(frames.frame_len, cfg.window_a)
-    spectra = np.abs(np.fft.fft(frames.frames * window, n=fft_size, axis=1))
-
-    weights = mel_filter_weights(
-        cfg.num_filters, fft_size, buf.sample_rate_hz, cfg.low_freq_hz, high
+    magnitudes = dft_magnitude(
+        hamming_window(frames.frames, cfg.window_a), cfg.frame.resolve_fft_size(sr)
     )
-    energies = (spectra[:, : fft_size // 2 + 1] ** 2) @ weights.T
-    ceps = np.log10(np.maximum(energies, ENERGY_FLOOR)) @ _dct_basis(
-        cfg.num_ceps, cfg.num_filters
-    ).T
+    ceps = mfcc(mel_filterbank(magnitudes, cfg, sr), cfg.num_ceps)
     velocity = delta_features(ceps, cfg.delta_window)
     acceleration = delta_features(velocity, cfg.delta_window)
 
     rows = np.hstack([ceps, velocity, acceleration])
-    return FeatureMatrix(rows, rows.shape[0], cfg.fingerprint(buf.sample_rate_hz))
+    return FeatureMatrix(rows, rows.shape[0], cfg.fingerprint(sr))

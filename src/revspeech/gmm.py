@@ -96,11 +96,11 @@ def component_density(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> 
     return float(np.exp(log_component_densities(x, mean, variance)[0, 0]))
 
 
-def _frame_log_likelihoods(model: GmmModel, rows: np.ndarray) -> np.ndarray:
-    joint = log_component_densities(rows, model.means, model.variances) + np.log(
+def log_joint_densities(model: GmmModel, rows: np.ndarray) -> np.ndarray:
+    """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components)."""
+    return log_component_densities(rows, model.means, model.variances) + np.log(
         model.weights
     )
-    return logsumexp(joint, axis=1)
 
 
 def log_likelihood(model: GmmModel, features: FeatureMatrix) -> float:
@@ -109,14 +109,12 @@ def log_likelihood(model: GmmModel, features: FeatureMatrix) -> float:
         raise ValueError(
             f"feature dim {features.dim} does not match model dim {model.dim}"
         )
-    return float(np.sum(_frame_log_likelihoods(model, features.rows)))
+    return float(np.sum(logsumexp(log_joint_densities(model, features.rows), axis=1)))
 
 
 def responsibilities(model: GmmModel, rows: np.ndarray) -> np.ndarray:
     """Posterior component memberships per frame; rows sum to 1."""
-    joint = log_component_densities(rows, model.means, model.variances) + np.log(
-        model.weights
-    )
+    joint = log_joint_densities(model, rows)
     return np.exp(joint - logsumexp(joint, axis=1)[:, None])
 
 
@@ -197,9 +195,7 @@ def train(
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        joint = log_component_densities(x, model.means, model.variances) + np.log(
-            model.weights
-        )
+        joint = log_joint_densities(model, x)
         frame_ll = logsumexp(joint, axis=1)
         total = float(np.sum(frame_ll))
         trace.append(total)

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioBuffer, reverse, segment
-from .enhance import EnhanceConfig, denoise, estimate_noise
-from .errors import FingerprintMismatchError
+from .enhance import EnhanceConfig, estimate_and_denoise
+from .errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 from .features import FeatureConfig, FeatureMatrix, extract
-from .gmm import GmmModel, _frame_log_likelihoods
+from .gmm import GmmModel, log_likelihood
 
 DIRECTIONS = ("forward", "reverse")
 
@@ -38,10 +38,10 @@ class Vocabulary:
 
     def __post_init__(self):
         if len(self.entries) < 2:
-            raise ValueError("vocabulary needs at least 2 labels")
+            raise VocabularyError("vocabulary needs at least 2 labels")
         dims = {model.dim for model in self.entries.values()}
         if len(dims) != 1:
-            raise ValueError("vocabulary models disagree on feature dimension")
+            raise VocabularyError("vocabulary models disagree on feature dimension")
         prints = {model.feature_fingerprint for model in self.entries.values()}
         if prints != {self.feature_fingerprint}:
             raise FingerprintMismatchError(
@@ -53,10 +53,10 @@ class Vocabulary:
         entries = {}
         for model in models:
             if model.label in entries:
-                raise ValueError(f"duplicate label {model.label!r}")
+                raise VocabularyError(f"duplicate label {model.label!r}")
             entries[model.label] = model
         if not models:
-            raise ValueError("vocabulary needs at least 2 labels")
+            raise VocabularyError("vocabulary needs at least 2 labels")
         return cls(entries, models[0].feature_fingerprint)
 
 
@@ -98,7 +98,7 @@ def classify_segment(
             f"vocabulary fingerprint {vocab.feature_fingerprint}"
         )
     scores = {
-        label: float(np.mean(_frame_log_likelihoods(model, features.rows)))
+        label: log_likelihood(model, features) / features.num_frames
         for label, model in vocab.entries.items()
     }
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
@@ -189,12 +189,13 @@ def transcribe(
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
+    if len(buf.samples) == 0:
+        raise InsufficientDataError("recording has no samples to transcribe")
     enhance_cfg = enhance_cfg or EnhanceConfig()
     feature_cfg = feature_cfg or FeatureConfig()
 
     work = reverse(buf) if direction == "reverse" else buf
-    profile = estimate_noise(work, enhance_cfg)
-    cleaned = denoise(work, profile, enhance_cfg)
+    cleaned, _ = estimate_and_denoise(work, enhance_cfg)
 
     sr = cleaned.sample_rate_hz
     segments = []

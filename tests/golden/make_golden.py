@@ -13,7 +13,7 @@ writes, next to this script:
 
 Run it only when a change is meant to alter these outputs; a pure refactor
 must leave ``git diff tests/golden`` empty. ``tests/test_golden.py`` rebuilds
-the same files in a scratch directory and compares them with these.
+the same files in a temporary directory and compares them with these.
 """
 
 import os

@@ -297,6 +297,34 @@ class TestConfigAndErrors:
         )
         assert code == 2
 
+    def test_empty_data_chunk_is_data_error(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.wav"
+        # a well-formed 16-bit mono header whose data chunk holds no samples
+        empty.write_bytes(
+            b"RIFF" + (36).to_bytes(4, "little") + b"WAVEfmt "
+            + bytes.fromhex("10000000 0100 0100 803e0000 007d0000 0200 1000")
+            + b"data" + (0).to_bytes(4, "little")
+        )
+        assert read_wav(empty).samples.size == 0
+        argv = ["analyze", "--in", str(empty), *model_args(workspace),
+                "--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 2
+        assert "no samples" in capsys.readouterr().err
+
+    def test_single_model_is_data_error(self, workspace, tmp_path, capsys):
+        argv = ["analyze", "--in", str(workspace["session"]),
+                "--model", str(workspace["models"]["accept"]),
+                "--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 2
+        assert "at least 2 labels" in capsys.readouterr().err
+
+    def test_duplicate_label_is_data_error(self, workspace, capsys):
+        model = str(workspace["models"]["accept"])
+        argv = ["recognize", "--in", str(workspace["session"]),
+                "--model", model, "--model", model]
+        assert run(argv) == 2
+        assert "duplicate label" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()

@@ -8,6 +8,8 @@ from revspeech import (
     AudioBuffer,
     EnhanceConfig,
     NoiseProfile,
+    denoise,
+    estimate_and_denoise,
     estimate_noise,
     spectral_subtract,
     wiener_filter,
@@ -24,7 +26,7 @@ def rms(x):
 
 def expected_noise_magnitude(rng, sigma, cfg, sample_rate=SR, trials=3000):
     """Mean windowed-FFT magnitude over independent noise frames."""
-    fft_size = cfg.resolve_fft_size(sample_rate)
+    fft_size = cfg.frame.resolve_fft_size(sample_rate)
     frame_len = int(cfg.frame_ms * sample_rate / 1000 + 0.5)
     window = hamming_coefficients(frame_len, cfg.window_a)
     frames = sigma * rng.standard_normal((trials, frame_len)) * window
@@ -194,10 +196,9 @@ class TestWienerFilter:
 class TestAnalysisChain:
     def test_windowed_spectra_conjugate_symmetric(self):
         rng = np.random.default_rng(12)
-        from revspeech.enhance import _analyze
-
         buf = AudioBuffer(white_noise(rng, 0.5), SR)
-        spectra, _, _, fft_size = _analyze(buf, EnhanceConfig())
+        _, spectra = EnhanceConfig().frame.stft(buf)
+        fft_size = spectra.shape[1]
         flipped = np.conj(spectra[:, (fft_size - np.arange(fft_size)) % fft_size])
         np.testing.assert_allclose(spectra, flipped, atol=1e-9)
 
@@ -212,3 +213,41 @@ class TestAnalysisChain:
             EnhanceConfig(fft_size=500)
         with pytest.raises(ConfigError):
             EnhanceConfig(vad_energy_ratio=1.0)
+
+
+class TestSharedStft:
+    @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
+    def test_single_stft_entry_point_equals_separate_calls(self, method):
+        rng = np.random.default_rng(17)
+        samples = white_noise(rng, 1.0, sigma=0.02)
+        samples[4000:9000] += tone(700.0, 5000 / SR)
+        buf = AudioBuffer(samples, SR)
+        cfg = EnhanceConfig(method=method)
+        cleaned, profile = estimate_and_denoise(buf, cfg)
+        separate_profile = estimate_noise(buf, cfg)
+        np.testing.assert_array_equal(profile.mean_magnitude, separate_profile.mean_magnitude)
+        assert profile.frames_used == separate_profile.frames_used
+        np.testing.assert_array_equal(
+            cleaned.samples, denoise(buf, separate_profile, cfg).samples
+        )
+
+    def test_cli_enhance_computes_one_stft(self, tmp_path, monkeypatch):
+        from revspeech import write_wav
+        from revspeech.cli import run
+        from revspeech.features import FrameSpec
+
+        rng = np.random.default_rng(18)
+        source = tmp_path / "noisy.wav"
+        write_wav(AudioBuffer(white_noise(rng, 0.5, sigma=0.05), SR), source)
+        original = FrameSpec.stft
+        calls = []
+
+        def counting(self, buf):
+            calls.append(len(buf.samples))
+            return original(self, buf)
+
+        monkeypatch.setattr(FrameSpec, "stft", counting)
+        argv = ["enhance", "--in", str(source), "--out", str(tmp_path / "clean.wav"),
+                "--noise-out", str(tmp_path / "noise.txt")]
+        assert run(argv) == 0
+        assert calls == [SR // 2]

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from revspeech import AudioBuffer, FeatureConfig, extract
+from revspeech import AudioBuffer, FeatureConfig, extract, reverse
+from revspeech import features
 from revspeech.errors import ConfigError
 from revspeech.features import (
+    FrameSpec,
     delta_features,
     dft_magnitude,
     hamming_coefficients,
@@ -291,3 +293,131 @@ class TestExtract:
         cfg = FeatureConfig()
         assert cfg.fingerprint(16000) != cfg.fingerprint(8000)
         assert cfg.fingerprint(16000) != FeatureConfig(num_ceps=12).fingerprint(16000)
+
+
+class TestFrameSpec:
+    def test_configs_share_one_spec(self):
+        from revspeech import EnhanceConfig
+
+        spec = FrameSpec(frame_ms=20.0, overlap_fraction=0.25, window_a=0.5, fft_size=1024)
+        fields = dict(frame_ms=20.0, overlap_fraction=0.25, window_a=0.5, fft_size=1024)
+        assert FeatureConfig(**fields).frame == spec
+        assert EnhanceConfig(**fields).frame == spec
+
+    def test_fft_size_rule(self):
+        assert FrameSpec().resolve_fft_size(16000) == 512  # 400-sample frame
+        assert FrameSpec().resolve_fft_size(8000) == 256
+        assert FrameSpec(fft_size=1024).resolve_fft_size(16000) == 1024
+        with pytest.raises(ConfigError):
+            FrameSpec(fft_size=256).resolve_fft_size(16000)
+
+    @pytest.mark.parametrize(
+        "fields", [dict(frame_ms=0.0), dict(overlap_fraction=1.0), dict(fft_size=500)]
+    )
+    def test_validation_applies_to_both_configs(self, fields):
+        from revspeech import EnhanceConfig
+
+        for make in (FrameSpec, FeatureConfig, EnhanceConfig):
+            with pytest.raises(ConfigError):
+                make(**fields)
+
+    def test_stft_rows_are_windowed_frame_dfts(self):
+        rng = np.random.default_rng(13)
+        buf = AudioBuffer(rng.standard_normal(3000), 16000)
+        frames, spectra = FrameSpec().stft(buf)
+        assert spectra.shape == (frames.frames.shape[0], 512)
+        for i in (0, 7, frames.frames.shape[0] - 1):
+            windowed = hamming_window(frames.frames[i], 0.46)
+            np.testing.assert_allclose(
+                np.abs(spectra[i]), dft_magnitude(windowed, 512), rtol=1e-12, atol=1e-12
+            )
+
+
+class TestPerFrameFunctionsOnMatrices:
+    """Each per-frame function maps a matrix row by row, as extract uses it."""
+
+    def test_rows_match_single_frames(self):
+        rng = np.random.default_rng(14)
+        frames = rng.standard_normal((5, 400))
+        cfg = FeatureConfig()
+        windowed = hamming_window(frames, 0.46)
+        mags = dft_magnitude(windowed, 512)
+        energies = mel_filterbank(mags, cfg, 16000)
+        ceps = mfcc(energies, 13)
+        assert ceps.shape == (5, 13)
+        for i in range(5):
+            np.testing.assert_array_equal(windowed[i], hamming_window(frames[i], 0.46))
+            np.testing.assert_array_equal(mags[i], dft_magnitude(windowed[i], 512))
+            np.testing.assert_allclose(
+                energies[i], mel_filterbank(mags[i], cfg, 16000), rtol=1e-12
+            )
+            np.testing.assert_allclose(ceps[i], mfcc(energies[i], 13), rtol=1e-12)
+
+
+class TestExtractComposition:
+    def test_extract_runs_through_the_public_per_frame_functions(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=6000), 16000)
+        cfg = FeatureConfig()
+        expected = extract(buf, cfg).rows
+        calls = []
+
+        def spy(name):
+            original = getattr(features, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                calls.append((name, out.shape))
+                return out
+
+            monkeypatch.setattr(features, name, wrapper)
+
+        for name in ("hamming_window", "dft_magnitude", "mel_filterbank", "mfcc"):
+            spy(name)
+        rows = extract(buf, cfg).rows
+        np.testing.assert_array_equal(rows, expected)
+        num_frames = rows.shape[0]
+        assert calls == [
+            ("hamming_window", (num_frames, 400)),
+            ("dft_magnitude", (num_frames, 512)),
+            ("mel_filterbank", (num_frames, 26)),
+            ("mfcc", (num_frames, 13)),
+        ]
+
+
+class TestReversalOracle:
+    """Time reversal mirrors the features, up to pre-emphasis.
+
+    On a length on the frame grid the reversed buffer's frames are the
+    forward frames reversed, in reverse order. The window is symmetric and
+    |DFT| ignores reversal, so without pre-emphasis the cepstra come back
+    mirrored in time, the deltas negated and the delta-deltas unchanged.
+    Pre-emphasis is a causal filter, so at the default 0.97 they do not.
+    """
+
+    SR = 16000
+    NUM_CEPS = 13
+
+    def mirrored(self, preemphasis_a):
+        cfg = FeatureConfig(preemphasis_a=preemphasis_a)
+        rng = np.random.default_rng(16)
+        frame_len, hop = 400, 200
+        samples = 0.1 * rng.standard_normal(frame_len + 78 * hop)  # 1 s, on the grid
+        buf = AudioBuffer(samples, self.SR)
+        fwd = extract(buf, cfg).rows
+        rev = extract(reverse(buf), cfg).rows[::-1]
+        assert fwd.shape == rev.shape == (79, 39)
+        # columns: cepstra, deltas, delta-deltas
+        blocks = [slice(k * self.NUM_CEPS, (k + 1) * self.NUM_CEPS) for k in range(3)]
+        return [m[:, b] for b in blocks for m in (fwd, rev)]
+
+    def test_mirror_without_preemphasis(self):
+        ceps, rceps, vel, rvel, acc, racc = self.mirrored(0.0)
+        np.testing.assert_allclose(rceps, ceps, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rvel, -vel, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(racc, acc, rtol=0, atol=1e-13)
+
+    def test_default_preemphasis_breaks_the_mirror(self):
+        ceps, rceps, *_ = self.mirrored(0.97)
+        median = float(np.median(np.abs(rceps - ceps)))
+        assert 0.03 < median < 0.3

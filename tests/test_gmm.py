@@ -10,6 +10,7 @@ from revspeech.errors import InsufficientDataError, ModelFormatError
 from revspeech.gmm import (
     component_density,
     log_component_densities,
+    log_joint_densities,
     logsumexp,
     responsibilities,
 )
@@ -211,6 +212,22 @@ class TestTrain:
         model, _ = train(matrix(rows), 3, seed=3)
         resp = responsibilities(model, rows)
         np.testing.assert_allclose(resp.sum(axis=1), np.ones(50), atol=1e-12)
+
+    def test_joint_density_serves_likelihood_and_responsibilities(self):
+        rng = np.random.default_rng(19)
+        rows = rng.standard_normal((40, 3))
+        model, _ = train(matrix(rows), 3, seed=2)
+        joint = log_joint_densities(model, rows)
+        np.testing.assert_array_equal(
+            joint,
+            log_component_densities(rows, model.means, model.variances)
+            + np.log(model.weights),
+        )
+        frame_ll = logsumexp(joint, axis=1)
+        np.testing.assert_array_equal(
+            responsibilities(model, rows), np.exp(joint - frame_ll[:, None])
+        )
+        assert log_likelihood(model, matrix(rows)) == float(np.sum(frame_ll))
 
     def test_insufficient_data_rejected(self):
         rows = np.zeros((5, 2))

@@ -17,7 +17,7 @@ from revspeech import (
     segment_utterances,
     transcribe,
 )
-from revspeech.errors import FingerprintMismatchError
+from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
 
@@ -36,7 +36,7 @@ def make_model(label, mean_value, fingerprint="fp"):
 
 class TestVocabulary:
     def test_requires_two_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VocabularyError):
             Vocabulary.from_models([make_model("only", 0.0)])
 
     def test_rejects_mixed_fingerprints(self):
@@ -46,7 +46,7 @@ class TestVocabulary:
             )
 
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VocabularyError):
             Vocabulary.from_models([make_model("a", 0.0), make_model("a", 1.0)])
 
 
@@ -219,6 +219,26 @@ class TestTranscribe:
         assert [
             (s.start_s, s.end_s, s.label, s.score, s.margin) for s in first.segments
         ] == [(s.start_s, s.end_s, s.label, s.score, s.margin) for s in second.segments]
+
+    def test_empty_recording_rejected(self, fixture_vocabulary):
+        with pytest.raises(InsufficientDataError):
+            transcribe(AudioBuffer(np.zeros(0), SR), fixture_vocabulary, "forward")
+
+    def test_one_stft_per_direction(self, fixture_vocabulary, fixture_session, monkeypatch):
+        from revspeech.features import FrameSpec
+
+        buf, _ = fixture_session
+        original = FrameSpec.stft
+        lengths = []
+
+        def counting(self, work):
+            lengths.append(len(work.samples))
+            return original(self, work)
+
+        monkeypatch.setattr(FrameSpec, "stft", counting)
+        for direction in ("forward", "reverse"):
+            transcribe(buf, fixture_vocabulary, direction)
+        assert lengths == [len(buf.samples)] * 2
 
     def test_invalid_direction_rejected(self, fixture_vocabulary):
         with pytest.raises(ValueError):
