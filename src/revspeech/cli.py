@@ -16,7 +16,7 @@ import numpy as np
 
 from . import audio, enhance, features, gmm, recognizer, srsdoc
 from .config import ToolConfig, config_fingerprint, dump_config, load_config
-from .errors import ConfigError, RevspeechError
+from .errors import ConfigError, InsufficientDataError, RevspeechError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,12 +148,19 @@ def _transcript_text(transcript: recognizer.Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_audio(path) -> audio.AudioBuffer:
+    buf = audio.read_wav(path)
+    if len(buf.samples) == 0:
+        raise InsufficientDataError(f"{path}: recording has no samples")
+    return buf
+
+
 def _load_vocabulary(model_paths) -> recognizer.Vocabulary:
     return recognizer.Vocabulary.from_models([gmm.load_model(p) for p in model_paths])
 
 
 def _cmd_enhance(args, cfg: ToolConfig) -> int:
-    buf = audio.read_wav(args.input)
+    buf = _read_audio(args.input)
     cleaned, profile = enhance.estimate_and_denoise(buf, cfg.enhance)
     audio.write_wav(cleaned, args.output)
     if args.noise_out:
@@ -162,21 +169,25 @@ def _cmd_enhance(args, cfg: ToolConfig) -> int:
 
 
 def _cmd_reverse(args, cfg: ToolConfig) -> int:
-    audio.write_wav(audio.reverse(audio.read_wav(args.input)), args.output)
+    audio.write_wav(audio.reverse(_read_audio(args.input)), args.output)
     return EXIT_OK
 
 
 def _cmd_features(args, cfg: ToolConfig) -> int:
-    matrix = features.extract(audio.read_wav(args.input), cfg.features)
+    matrix = features.extract(_read_audio(args.input), cfg.features)
     Path(args.output).write_text(_features_text(matrix, args.format), encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_train(args, cfg: ToolConfig) -> int:
+    if args.components < 1:
+        raise ConfigError(f"--components must be >= 1, got {args.components}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     stacks = []
     fingerprints = set()
     for path in args.inputs:
-        matrix = features.extract(audio.read_wav(path), cfg.features)
+        matrix = features.extract(_read_audio(path), cfg.features)
         fingerprints.add(matrix.config_fingerprint)
         stacks.append(matrix.rows)
     if len(fingerprints) != 1:
@@ -201,7 +212,7 @@ def _cmd_train(args, cfg: ToolConfig) -> int:
 def _cmd_recognize(args, cfg: ToolConfig) -> int:
     vocab = _load_vocabulary(args.models)
     transcript = recognizer.transcribe(
-        audio.read_wav(args.input), vocab, args.direction,
+        _read_audio(args.input), vocab, args.direction,
         cfg.enhance, cfg.features, cfg.endpoint,
     )
     text = _transcript_text(transcript)
@@ -212,7 +223,7 @@ def _cmd_recognize(args, cfg: ToolConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: ToolConfig) -> int:
-    buf = audio.read_wav(args.input)
+    buf = _read_audio(args.input)
     vocab = _load_vocabulary(args.models)
     lexicon = (
         srsdoc.Lexicon.from_file(cfg.lexicon_path)

@@ -9,12 +9,16 @@ Config files are flat key-value text with section prefixes:
     report.lexicon = lexicon.csv
     seed = 7
 
-Precedence everywhere is: built-in defaults, then config file, then
-command-line flags.
+Keys are the config dataclasses' fields: one table built from them drives
+parsing and dumping. None is written "auto" (derive it at use time), or
+"none" for report.lexicon. Non-finite floats are rejected. Precedence
+everywhere is: built-in defaults, then config file, then command-line flags.
 """
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args
 
 from .enhance import EnhanceConfig
 from .errors import ConfigError
@@ -27,63 +31,47 @@ class ToolConfig:
     enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     endpoint: EndpointConfig = field(default_factory=EndpointConfig)
-    lexicon_path: str | None = None
+    lexicon_path: str | None = field(
+        default=None, metadata={"key": "report.lexicon", "none": "none"}
+    )
     seed: int = 0
 
 
-_SECTIONS = {
-    "enhance": (EnhanceConfig, "enhance"),
-    "features": (FeatureConfig, "features"),
-    "endpoint": (EndpointConfig, "endpoint"),
-}
+def _keys(cls, section: str | None = None):
+    """(key, entry) for each field of cls, descending into section dataclasses."""
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            yield from _keys(f.type, f.name)
+            continue
+        args = get_args(f.type)
+        kind = next((a for a in args if a is not type(None)), f.type)
+        none_word = f.metadata.get("none", "auto") if type(None) in args else None
+        key = f"{section}.{f.name}" if section else f.metadata.get("key", f.name)
+        yield key, (section, f.name, kind, none_word)
 
 
-def _parse_value(raw: str, kind, key: str):
-    raw = raw.strip()
-    if kind == "optional_int":
-        if raw == "auto":
-            return None
-        kind = int
-    if kind == "optional_float":
-        if raw == "auto":
-            return None
-        kind = float
+# key -> (ToolConfig section or None, field name, type, word for None or None)
+_KEYS = dict(_keys(ToolConfig))
+
+
+def _parse_value(key: str, raw: str):
+    _, _, kind, none_word = _KEYS[key]
+    if none_word is not None and raw == none_word:
+        return None
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    return raw
-
-
-def _field_kind(dataclass_type, name: str, key: str):
-    for f in fields(dataclass_type):
-        if f.name == name:
-            if f.type in (int, "int"):
-                return int
-            if f.type in (float, "float"):
-                return float
-            if f.type == int | None or f.type == "int | None":
-                return "optional_int"
-            if f.type == float | None or f.type == "float | None":
-                return "optional_float"
-            return str
-    raise ConfigError(f"unknown configuration key {key!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, base: ToolConfig | None = None) -> ToolConfig:
     """Apply key-value overrides from a config document onto a base config."""
     base = base or ToolConfig()
-    sections = {
-        "enhance": vars(base.enhance).copy(),
-        "features": vars(base.features).copy(),
-        "endpoint": vars(base.endpoint).copy(),
-    }
-    lexicon_path = base.lexicon_path
-    seed = base.seed
-
+    # every section is rebuilt, so the result shares no object with base
+    changes = {section: {} for section, *_ in _KEYS.values()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,26 +79,14 @@ def parse_config(text: str, base: ToolConfig | None = None) -> ToolConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "seed":
-            seed = _parse_value(value, int, key)
-        elif key == "report.lexicon":
-            lexicon_path = None if value == "none" else value
-        elif "." in key:
-            section, name = key.split(".", 1)
-            if section not in sections:
-                raise ConfigError(f"line {lineno}: unknown section {section!r}")
-            kind = _field_kind(_SECTIONS[section][0], name, key)
-            sections[section][name] = _parse_value(value, kind, key)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-
-    return ToolConfig(
-        enhance=EnhanceConfig(**sections["enhance"]),
-        features=FeatureConfig(**sections["features"]),
-        endpoint=EndpointConfig(**sections["endpoint"]),
-        lexicon_path=lexicon_path,
-        seed=seed,
-    )
+        section, name, *_ = _KEYS[key]
+        changes[section][name] = _parse_value(key, value)
+    top = changes.pop(None)
+    for section, values in changes.items():
+        top[section] = replace(getattr(base, section), **values)
+    return replace(base, **top)
 
 
 def load_config(path, base: ToolConfig | None = None) -> ToolConfig:
@@ -118,28 +94,18 @@ def load_config(path, base: ToolConfig | None = None) -> ToolConfig:
         return parse_config(fh.read(), base)
 
 
-def _format_value(value) -> str:
+def _format_value(value, none_word: str | None) -> str:
     if value is None:
-        return "auto"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return none_word
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dump_config(cfg: ToolConfig) -> str:
     """Render the effective configuration; parse_config inverts it exactly."""
     lines = []
-    for section_name, obj in (
-        ("enhance", cfg.enhance),
-        ("features", cfg.features),
-        ("endpoint", cfg.endpoint),
-    ):
-        for f in fields(obj):
-            lines.append(f"{section_name}.{f.name} = {_format_value(getattr(obj, f.name))}")
-    lines.append(
-        f"report.lexicon = {cfg.lexicon_path if cfg.lexicon_path is not None else 'none'}"
-    )
-    lines.append(f"seed = {cfg.seed}")
+    for key, (section, name, _, none_word) in _KEYS.items():
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        lines.append(f"{key} = {_format_value(value, none_word)}")
     return "\n".join(lines) + "\n"
 
 

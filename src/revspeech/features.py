@@ -4,7 +4,7 @@ Per-frame functions act on the last axis; extract runs them on the frame matrix.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,23 +95,12 @@ class FeatureConfig:
         return high
 
     def fingerprint(self, sample_rate_hz: int) -> str:
-        """Short hash binding features (and models) to this config and rate."""
-        text = "|".join(
-            repr(v)
-            for v in (
-                self.preemphasis_a,
-                self.frame_ms,
-                self.overlap_fraction,
-                self.window_a,
-                self.fft_size,
-                self.num_filters,
-                self.num_ceps,
-                self.delta_window,
-                self.low_freq_hz,
-                self.high_freq_hz,
-                sample_rate_hz,
-            )
-        )
+        """Short hash of every field, in declaration order, and the sample rate.
+
+        Features and models carry it, binding them to this config and rate.
+        """
+        values = [getattr(self, f.name) for f in fields(self)] + [sample_rate_hz]
+        text = "|".join(repr(v) for v in values)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

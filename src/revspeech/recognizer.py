@@ -12,8 +12,13 @@ import numpy as np
 
 from .audio import AudioBuffer, reverse, segment
 from .enhance import EnhanceConfig, estimate_and_denoise
-from .errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
-from .features import FeatureConfig, FeatureMatrix, extract
+from .errors import (
+    ConfigError,
+    FingerprintMismatchError,
+    InsufficientDataError,
+    VocabularyError,
+)
+from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract
 from .gmm import GmmModel, log_likelihood
 
 DIRECTIONS = ("forward", "reverse")
@@ -29,6 +34,15 @@ class EndpointConfig:
     energy_ratio: float = 3.0
     merge_gap_ms: float = 200.0
     min_utterance_ms: float = 250.0
+
+    def __post_init__(self):
+        FrameSpec(self.frame_ms, self.overlap_fraction)  # validates the framing fields
+        if self.smooth_frames < 1:
+            raise ConfigError("smooth_frames must be >= 1")
+        if self.energy_ratio <= 0:
+            raise ConfigError("energy_ratio must be positive")
+        if self.merge_gap_ms < 0 or self.min_utterance_ms < 0:
+            raise ConfigError("merge_gap_ms and min_utterance_ms must be >= 0")
 
 
 @dataclass

@@ -7,7 +7,7 @@ for human review, never silently dropped.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import LexiconFormatError, ReportFormatError
 from .recognizer import SegmentHypothesis, Transcript
@@ -114,9 +114,13 @@ class SrsReport:
     source_file: str
     requirements: list[Requirement]
     pairs: list[ReversalPair]
-    flagged: list[ReversalPair]
     tool_config_fingerprint: str
     timestamp: str = ""
+
+    @property
+    def flagged(self) -> list[ReversalPair]:
+        """The incongruent pairs, in pair order: the contradictions to review."""
+        return [self.pairs[i] for i in _flagged_indices(self.pairs)]
 
 
 def _mirror(seg: SegmentHypothesis, duration: float) -> tuple[float, float]:
@@ -181,7 +185,7 @@ def categorize(pair: ReversalPair, lexicon: Lexicon) -> str:
 def build_report(
     fwd: Transcript, rev: Transcript, lexicon: Lexicon, meta: dict
 ) -> SrsReport:
-    """Assemble requirements, categorized pairs, and the flagged subset.
+    """Assemble requirements and categorized pairs; incongruent ones are flagged.
 
     meta supplies source_file, tool_config_fingerprint, and timestamp, so
     identical inputs always produce an identical report.
@@ -190,7 +194,6 @@ def build_report(
     for pair in pairs:
         if pair.reverse_segment is not None:
             pair.category = categorize(pair, lexicon)
-    flagged = [p for p in pairs if p.category == CATEGORY_INCONGRUENT]
 
     requirements = [
         Requirement(
@@ -207,32 +210,13 @@ def build_report(
         source_file=meta.get("source_file", ""),
         requirements=requirements,
         pairs=pairs,
-        flagged=flagged,
         tool_config_fingerprint=meta.get("tool_config_fingerprint", ""),
         timestamp=meta.get("timestamp", ""),
     )
 
 
-def _segment_dict(seg: SegmentHypothesis) -> dict:
-    return {
-        "start_s": seg.start_s,
-        "end_s": seg.end_s,
-        "label": seg.label,
-        "score": seg.score,
-        "margin": seg.margin,
-        "direction": seg.direction,
-    }
-
-
-def _segment_from_dict(data: dict) -> SegmentHypothesis:
-    return SegmentHypothesis(
-        data["start_s"],
-        data["end_s"],
-        data["label"],
-        data["score"],
-        data["margin"],
-        data["direction"],
-    )
+def _flagged_indices(pairs: list[ReversalPair]) -> list[int]:
+    return [i for i, p in enumerate(pairs) if p.category == CATEGORY_INCONGRUENT]
 
 
 def _span(seg: SegmentHypothesis) -> str:
@@ -247,33 +231,19 @@ def render(report: SrsReport, fmt: str = "markdown") -> str:
             "source_file": report.source_file,
             "timestamp": report.timestamp,
             "tool_config_fingerprint": report.tool_config_fingerprint,
-            "requirements": [
-                {
-                    "id": r.id,
-                    "text": r.text,
-                    "labels": r.labels,
-                    "start_s": r.start_s,
-                    "end_s": r.end_s,
-                    "score": r.score,
-                }
-                for r in report.requirements
-            ],
+            "requirements": [asdict(r) for r in report.requirements],
             "pairs": [
                 {
-                    "forward": _segment_dict(p.forward_segment),
+                    "forward": asdict(p.forward_segment),
                     "reverse": None
                     if p.reverse_segment is None
-                    else _segment_dict(p.reverse_segment),
+                    else asdict(p.reverse_segment),
                     "category": p.category,
                     "note": p.note,
                 }
                 for p in report.pairs
             ],
-            "flagged": [
-                i
-                for i, p in enumerate(report.pairs)
-                if any(p is flagged for flagged in report.flagged)
-            ],
+            "flagged": _flagged_indices(report.pairs),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -313,14 +283,14 @@ def render(report: SrsReport, fmt: str = "markdown") -> str:
                 f"'{rev.label}' ({_span(rev)} in reversed time): {p.category}{detail}"
             )
     lines += ["", "## Flagged Inconsistencies", ""]
-    if not report.flagged:
+    flagged = report.flagged
+    if not flagged:
         lines.append("None detected.")
-    else:
-        for p in report.flagged:
-            lines.append(
-                f"- forward '{p.forward_segment.label}' ({_span(p.forward_segment)}) "
-                f"contradicted by reverse '{p.reverse_segment.label}'"
-            )
+    for p in flagged:
+        lines.append(
+            f"- forward '{p.forward_segment.label}' ({_span(p.forward_segment)}) "
+            f"contradicted by reverse '{p.reverse_segment.label}'"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -330,29 +300,30 @@ def parse_report(text: str) -> SrsReport:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"not valid structured text: {exc}") from exc
-    if payload.get("format") != REPORT_FORMAT_VERSION:
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != REPORT_FORMAT_VERSION:
         raise ReportFormatError(
-            f"expected format {REPORT_FORMAT_VERSION!r}, got {payload.get('format')!r}"
+            f"expected format {REPORT_FORMAT_VERSION!r}, got {found!r}"
         )
     try:
-        requirements = [Requirement(**r) for r in payload["requirements"]]
-        pairs = [
-            ReversalPair(
-                _segment_from_dict(p["forward"]),
-                None if p["reverse"] is None else _segment_from_dict(p["reverse"]),
-                p["category"],
-                p["note"],
-            )
-            for p in payload["pairs"]
-        ]
-        flagged = [pairs[i] for i in payload["flagged"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        report = SrsReport(
+            source_file=payload["source_file"],
+            requirements=[Requirement(**r) for r in payload["requirements"]],
+            pairs=[
+                ReversalPair(
+                    SegmentHypothesis(**p["forward"]),
+                    None if p["reverse"] is None else SegmentHypothesis(**p["reverse"]),
+                    p["category"],
+                    p["note"],
+                )
+                for p in payload["pairs"]
+            ],
+            tool_config_fingerprint=payload["tool_config_fingerprint"],
+            timestamp=payload["timestamp"],
+        )
+        flagged = payload["flagged"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ReportFormatError(f"malformed report document: {exc}") from exc
-    return SrsReport(
-        source_file=payload["source_file"],
-        requirements=requirements,
-        pairs=pairs,
-        flagged=flagged,
-        tool_config_fingerprint=payload["tool_config_fingerprint"],
-        timestamp=payload["timestamp"],
-    )
+    if flagged != _flagged_indices(report.pairs):
+        raise ReportFormatError("flagged list disagrees with the pair categories")
+    return report

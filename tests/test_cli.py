@@ -306,10 +306,54 @@ class TestConfigAndErrors:
             + b"data" + (0).to_bytes(4, "little")
         )
         assert read_wav(empty).samples.size == 0
-        argv = ["analyze", "--in", str(empty), *model_args(workspace),
-                "--out-dir", str(tmp_path / "out")]
+        commands = {
+            "enhance": ["--out", str(tmp_path / "o.wav")],
+            "reverse": ["--out", str(tmp_path / "o.wav")],
+            "features": ["--out", str(tmp_path / "o.json")],
+            "train": ["--label", "x", "--out", str(tmp_path / "x.gmm")],
+            "recognize": model_args(workspace),
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }
+        for command, extra in commands.items():
+            assert run([command, "--in", str(empty), *extra]) == 2, command
+            err = capsys.readouterr().err
+            assert "error:" in err and "no samples" in err, command
+        assert list(tmp_path.iterdir()) == [empty]
+
+    @pytest.mark.parametrize("line", [
+        "enhance.alpha = nan",
+        "enhance.frame_ms = nan",
+        "features.frame_ms = inf",
+        "endpoint.frame_ms = 0",
+        "endpoint.smooth_frames = 0",
+        "endpoint.overlap_fraction = 1.5",
+        "endpoint.energy_ratio = -1",
+    ])
+    def test_invalid_config_value_is_data_error(self, workspace, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n")
+        argv = ["--config", str(cfg_path), "analyze", "--in", str(workspace["session"]),
+                *model_args(workspace), "--out-dir", str(tmp_path / "out")]
         assert run(argv) == 2
-        assert "no samples" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--seed", "-1"],
+        ["--components", "0"],
+        ["--components", "-3"],
+        ["--config", "seed.cfg"],  # a negative seed from a config file
+    ])
+    def test_bad_train_argument_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys, extra
+    ):
+        (tmp_path / "seed.cfg").write_text("seed = -1\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["train", "--in", str(workspace["takes"]["accept"][0]),
+                "--label", "x", "--out", "x.gmm", *extra]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.gmm").exists()
 
     def test_single_model_is_data_error(self, workspace, tmp_path, capsys):
         argv = ["analyze", "--in", str(workspace["session"]),

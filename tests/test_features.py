@@ -294,6 +294,16 @@ class TestExtract:
         assert cfg.fingerprint(16000) != cfg.fingerprint(8000)
         assert cfg.fingerprint(16000) != FeatureConfig(num_ceps=12).fingerprint(16000)
 
+    def test_fingerprint_values_are_stable(self):
+        # models on disk carry these hashes; a change here orphans them
+        custom = FeatureConfig(
+            preemphasis_a=0.5, frame_ms=20.0, overlap_fraction=0.25, window_a=0.5,
+            fft_size=1024, num_filters=30, num_ceps=12, delta_window=3,
+            low_freq_hz=100.0, high_freq_hz=3000.0,
+        )
+        assert FeatureConfig().fingerprint(16000) == "a97f12d4eaff640c"
+        assert custom.fingerprint(8000) == "0d6b657b907bf67f"
+
 
 class TestFrameSpec:
     def test_configs_share_one_spec(self):

@@ -1,5 +1,7 @@
 """Transcript pairing, categorization, and report rendering."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,13 @@ class TestBuildReport:
         for flagged in report.flagged:
             assert any(flagged is p for p in report.pairs)
 
+    def test_flagged_follows_the_pair_categories(self):
+        report = build_fixture_report(antonym=False)
+        assert report.flagged == []
+        report.pairs[1].category = CATEGORY_INCONGRUENT
+        assert report.flagged == [report.pairs[1]]
+        assert json.loads(render(report, "structured"))["flagged"] == [1]
+
     def test_categories_assigned_to_all_two_sided_pairs(self):
         report = build_fixture_report()
         for pair in report.pairs:
@@ -290,6 +299,26 @@ class TestRender:
             parse_report("not json at all")
         with pytest.raises(ReportFormatError):
             parse_report('{"format": "srs-v0"}')
+
+    @pytest.mark.parametrize("flagged", [[], [0, 1], [1], "all", None])
+    def test_parse_rejects_flagged_disagreeing_with_categories(self, flagged):
+        payload = json.loads(render(build_fixture_report(), "structured"))
+        assert payload["flagged"] != flagged
+        payload["flagged"] = flagged
+        with pytest.raises(ReportFormatError, match="flagged"):
+            parse_report(json.dumps(payload))
+
+    def test_parse_rejects_inconsistent_documents(self):
+        text = render(build_fixture_report(), "structured")
+        one_sided = json.loads(text)
+        one_sided["pairs"][0]["reverse"] = None  # keeps its two-sided category
+        extra_field = json.loads(text)
+        extra_field["pairs"][1]["forward"]["extra"] = 1
+        bad_docs = [json.dumps(one_sided), json.dumps(extra_field), "[]", '"srs-v1"',
+                    text.replace('"note"', '"nope"')]
+        for bad in bad_docs:
+            with pytest.raises(ReportFormatError):
+                parse_report(bad)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
