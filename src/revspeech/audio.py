@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedWavError, WavFormatError
+from .errors import ConfigError, UnsupportedWavError, WavFormatError
 
 INT16_FULL_SCALE = 32768
 
@@ -176,7 +176,9 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
 
     frame_len = int(frame_ms * buf.sample_rate_hz / 1000 + 0.5)
     if frame_len < 1:
-        raise ValueError("frame shorter than one sample at this rate")
+        raise ConfigError(
+            f"frame_ms {frame_ms} is shorter than one sample at {buf.sample_rate_hz} Hz"
+        )
     # extreme overlap on tiny frames can round the hop to zero; keep it total
     hop = max(frame_len - int(overlap_fraction * frame_len + 0.5), 1)
 

@@ -3,6 +3,7 @@
 Per-frame functions act on the last axis; extract runs them on the frame matrix.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, fields
 
@@ -175,6 +176,7 @@ def mel_to_hz(m: float) -> float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=32)
 def mel_filter_weights(
     num_filters: int, fft_size: int, sample_rate_hz: int, low_hz: float, high_hz: float
 ) -> np.ndarray:
@@ -182,6 +184,7 @@ def mel_filter_weights(
 
     Centers sit at equal mel spacing between the band edges; each filter
     rises from the previous center and falls to the next, with unit peak.
+    Built once per argument tuple; the shared result is read-only.
     """
     edges_mel = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
@@ -193,6 +196,7 @@ def mel_filter_weights(
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
+    weights.flags.writeable = False
     return weights
 
 

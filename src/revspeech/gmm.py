@@ -76,15 +76,24 @@ def logsumexp(values: np.ndarray, axis: int | None = None):
 def log_component_densities(
     x: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """Log Gaussian densities, shape (frames, components), diagonal covariance."""
+    """Log Gaussian densities, shape (frames, components), diagonal covariance.
+
+    The Mahalanobis term is expanded into matrix products with precisions
+    P = 1/variance: sum (x-mu)^2 P = x^2 . P - 2 x . (mu P) + sum mu^2 P.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dim = x.shape[1]
     if means.shape[1] != dim:
         raise ValueError(f"feature dim {dim} does not match model dim {means.shape[1]}")
+    precisions = 1.0 / variances
     log_norm = -0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1))
-    diff = x[:, None, :] - means[None, :, :]
-    mahal = np.sum(diff * diff / variances[None, :, :], axis=2)
-    return log_norm[None, :] - 0.5 * mahal
+    scaled_means = means * precisions
+    mahal = (
+        (x * x) @ precisions.T
+        - 2.0 * (x @ scaled_means.T)
+        + np.sum(means * scaled_means, axis=1)
+    )
+    return log_norm - 0.5 * mahal
 
 
 def component_density(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
@@ -136,9 +145,10 @@ def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
     centers = _kmeans_plusplus(x, k, rng)
+    sq_norms = np.sum(x * x, axis=1)[:, None]
     assignment = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
-        distances = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        distances = sq_norms - 2.0 * (x @ centers.T) + np.sum(centers * centers, axis=1)
         new_assignment = np.argmin(distances, axis=1)
         for j in range(k):
             mask = new_assignment == j
@@ -166,7 +176,8 @@ def train(
     """Fit a mixture by EM from a seeded k-means++ start.
 
     Deterministic for a given (data, num_components, seed). Raises
-    InsufficientDataError when fewer than 2*num_components frames exist.
+    InsufficientDataError when fewer than 2*num_components frames exist, or
+    fewer than max(2, num_components) distinct frames (silence, DC).
     """
     x = features.rows
     num_frames, dim = x.shape
@@ -175,6 +186,12 @@ def train(
     if num_frames < 2 * num_components:
         raise InsufficientDataError(
             f"{num_frames} frames cannot support {num_components} components"
+        )
+    distinct = len(np.unique(x, axis=0))
+    if distinct < max(2, num_components):
+        raise InsufficientDataError(
+            f"{distinct} distinct feature frames cannot support "
+            f"{num_components} components"
         )
 
     rng = np.random.default_rng(seed)
@@ -192,6 +209,7 @@ def train(
     weights /= weights.sum()
 
     model = GmmModel(label, dim, weights, means, variances, features.config_fingerprint)
+    x_sq = x * x
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
@@ -207,10 +225,8 @@ def train(
         counts = resp.sum(axis=0)
         safe_counts = np.maximum(counts, 1e-300)
         new_means = (resp.T @ x) / safe_counts[:, None]
-        new_variances = np.empty_like(model.variances)
-        for j in range(num_components):
-            diff = x - new_means[j]
-            new_variances[j] = (resp[:, j] @ (diff * diff)) / safe_counts[j]
+        # E[x^2] - mu^2 under each component's responsibilities
+        new_variances = (resp.T @ x_sq) / safe_counts[:, None] - new_means * new_means
         new_weights = np.maximum(counts / num_frames, WEIGHT_FLOOR)
 
         model.weights = new_weights / new_weights.sum()

@@ -7,7 +7,7 @@ for human review, never silently dropped.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import LexiconFormatError, ReportFormatError
 from .recognizer import SegmentHypothesis, Transcript
@@ -219,6 +219,11 @@ def _flagged_indices(pairs: list[ReversalPair]) -> list[int]:
     return [i for i, p in enumerate(pairs) if p.category == CATEGORY_INCONGRUENT]
 
 
+def _as_dict(obj) -> dict:
+    """Field name -> value, one level deep (dataclasses.asdict deep-copies)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _span(seg: SegmentHypothesis) -> str:
     return f"{seg.start_s:.3f}-{seg.end_s:.3f} s"
 
@@ -231,13 +236,13 @@ def render(report: SrsReport, fmt: str = "markdown") -> str:
             "source_file": report.source_file,
             "timestamp": report.timestamp,
             "tool_config_fingerprint": report.tool_config_fingerprint,
-            "requirements": [asdict(r) for r in report.requirements],
+            "requirements": [_as_dict(r) for r in report.requirements],
             "pairs": [
                 {
-                    "forward": asdict(p.forward_segment),
+                    "forward": _as_dict(p.forward_segment),
                     "reverse": None
                     if p.reverse_segment is None
-                    else asdict(p.reverse_segment),
+                    else _as_dict(p.reverse_segment),
                     "category": p.category,
                     "note": p.note,
                 }

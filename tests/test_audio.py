@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revspeech import AudioBuffer, read_wav, reverse, segment, write_wav
-from revspeech.errors import UnsupportedWavError, WavFormatError
+from revspeech.errors import ConfigError, UnsupportedWavError, WavFormatError
 
 QUANT_STEP = 1.0 / 32767
 
@@ -233,3 +233,5 @@ class TestSegment:
             segment(buf, 0.0, 0.5)
         with pytest.raises(ValueError):
             segment(buf, 10.0, 1.0)
+        with pytest.raises(ConfigError, match="shorter than one sample"):
+            segment(buf, 0.01, 0.5)

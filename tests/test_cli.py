@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_session, utterance
-from revspeech import parse_report, read_wav, write_wav
+from revspeech import AudioBuffer, parse_report, read_wav, write_wav
 from revspeech.cli import run
 from revspeech.gmm import load_model
 
@@ -146,8 +146,6 @@ class TestTrainCommand:
         assert first.read_bytes() == second.read_bytes()
 
     def test_mixed_sample_rates_rejected(self, workspace, tmp_path):
-        from revspeech import AudioBuffer
-
         other_rate = tmp_path / "slow.wav"
         write_wav(AudioBuffer(np.zeros(8000) + 0.01, 8000), other_rate)
         argv = ["train", "--label", "x", "--components", "2",
@@ -155,6 +153,17 @@ class TestTrainCommand:
                 "--in", str(workspace["takes"]["update"][0]),
                 "--in", str(other_rate)]
         assert run(argv) == 2
+
+    @pytest.mark.parametrize("components", ["1", "4"])
+    def test_silence_is_data_error(self, tmp_path, capsys, components):
+        silence = tmp_path / "silence.wav"
+        write_wav(AudioBuffer(np.zeros(16000), 16000), silence)
+        argv = ["train", "--label", "x", "--components", components,
+                "--in", str(silence), "--out", str(tmp_path / "x.gmm")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "distinct" in err
+        assert not (tmp_path / "x.gmm").exists()
 
     def test_different_seed_changes_model(self, workspace, tmp_path):
         first = tmp_path / "s1.gmm"
@@ -337,6 +346,27 @@ class TestConfigAndErrors:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("features", "features.frame_ms = 0.01"),
+        ("analyze", "enhance.frame_ms = 0.01"),
+        ("analyze", "endpoint.frame_ms = 0.01"),
+    ])
+    def test_frame_shorter_than_one_sample_is_data_error(
+        self, workspace, tmp_path, capsys, command, line
+    ):
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text(line + "\n")
+        extra = {
+            "features": ["--out", str(tmp_path / "f.json")],
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        argv = ["--config", str(cfg_path), command,
+                "--in", str(workspace["takes"]["login"][0]), *extra]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "shorter than one sample" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.cfg"]
 
     @pytest.mark.parametrize("extra", [
         ["--seed", "-1"],

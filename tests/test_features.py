@@ -172,6 +172,12 @@ class TestMelFilterbank:
         weights = mel_filter_weights(26, 512, self.SR, 0.0, self.SR / 2)
         assert np.max(weights.sum(axis=0)) <= 1 + 1e-9
 
+    def test_weights_built_once_and_read_only(self):
+        weights = mel_filter_weights(26, 512, self.SR, 0.0, self.SR / 2)
+        assert mel_filter_weights(26, 512, self.SR, 0.0, self.SR / 2) is weights
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+
     def test_too_few_bins_rejected(self):
         with pytest.raises(ConfigError):
             mel_filterbank(np.ones(100), self.CFG, self.SR)

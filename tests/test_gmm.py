@@ -1,13 +1,28 @@
 """Mixture density, EM training, and model persistence checks."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from revspeech import FeatureMatrix, GmmModel, load_model, log_likelihood, save_model, train
+from conftest import utterance
+from revspeech import (
+    FeatureConfig,
+    FeatureMatrix,
+    GmmModel,
+    extract,
+    load_model,
+    log_likelihood,
+    save_model,
+    train,
+)
 from revspeech.errors import InsufficientDataError, ModelFormatError
 from revspeech.gmm import (
+    _kmeans,
     component_density,
     log_component_densities,
     log_joint_densities,
@@ -35,6 +50,27 @@ def naive_mixture_loglik(model, rows):
             p += w * norm * math.exp(-0.5 * quad)
         total += math.log(p)
     return total
+
+
+def centred_log_densities(x, means, variances):
+    """The (frames, components, dim) broadcast form of the log densities."""
+    diff = x[:, None, :] - means[None, :, :]
+    mahal = np.sum(diff * diff / variances[None, :, :], axis=2)
+    log_norm = -0.5 * (x.shape[1] * np.log(2 * np.pi) + np.sum(np.log(variances), axis=1))
+    return log_norm[None, :] - 0.5 * mahal
+
+
+@pytest.fixture(scope="module")
+def mfcc_rows():
+    """Real 39-dim front-end output: c0 near -65 with variance near 400."""
+    rng = np.random.default_rng(3)
+    return np.vstack(
+        [
+            extract(utterance(word, rng), FeatureConfig()).rows
+            for word in ("accept", "reject", "update", "login")
+            for _ in range(3)
+        ]
+    )
 
 
 class TestComponentDensity:
@@ -76,6 +112,55 @@ class TestComponentDensity:
     def test_variance_floor_enforced(self):
         with pytest.raises(ValueError):
             component_density(np.zeros(1), np.zeros(1), np.array([1e-9]))
+
+
+class TestQuadraticForm:
+    def test_matches_centred_form_at_mfcc_scale(self, mfcc_rows):
+        rng = np.random.default_rng(11)
+        k, dim = 16, mfcc_rows.shape[1]
+        scale = np.full(dim, 10.0)
+        scale[0] = 70.0
+        means = rng.uniform(-1.0, 1.0, size=(k, dim)) * scale
+        variances = np.exp(rng.uniform(np.log(0.04), np.log(400.0), size=(k, dim)))
+        near = means[rng.integers(k, size=200)] + np.sqrt(0.04) * rng.standard_normal(
+            (200, dim)
+        )
+        for x in (mfcc_rows, near):
+            np.testing.assert_allclose(
+                log_component_densities(x, means, variances),
+                centred_log_densities(x, means, variances),
+                rtol=1e-10,
+            )
+
+    def test_m_step_variances_match_centred_form(self, mfcc_rows):
+        x = mfcc_rows
+        rows = matrix(x)
+        # max_iter=1 returns the model after one M-step, max_iter=2 after two
+        before, _ = train(rows, 4, seed=0, max_iter=1)
+        after, _ = train(rows, 4, seed=0, max_iter=2)
+        resp = responsibilities(before, x)
+        counts = resp.sum(axis=0)
+        means = (resp.T @ x) / counts[:, None]
+        centred = np.stack(
+            [resp[:, j] @ (x - means[j]) ** 2 / counts[j] for j in range(4)]
+        )
+        np.testing.assert_allclose(after.means, means, rtol=1e-12)
+        np.testing.assert_allclose(
+            after.variances, np.maximum(centred, 1e-6), rtol=1e-10
+        )
+
+    def test_kmeans_assignment_is_exact_argmin(self):
+        rng = np.random.default_rng(12)
+        truth = rng.uniform(20.0, 120.0, size=(5, 6))
+        labels = np.repeat(np.arange(5), 40)
+        x = truth[labels] + rng.standard_normal((200, 6))
+        centers, assignment = _kmeans(x, 5, np.random.default_rng(0))
+        exact = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        np.testing.assert_array_equal(assignment, np.argmin(exact, axis=1))
+        # each recovered cluster is one planted cluster
+        for j in range(5):
+            assert len(set(labels[assignment == j])) == 1
+        assert len(set(assignment)) == 5
 
 
 class TestLogsumexp:
@@ -234,6 +319,17 @@ class TestTrain:
         with pytest.raises(InsufficientDataError):
             train(matrix(rows), 3, seed=0)
 
+    @pytest.mark.parametrize("components, distinct", [(1, 1), (4, 1), (4, 3)])
+    def test_too_few_distinct_frames_rejected(self, components, distinct):
+        rows = np.arange(distinct * 3.0).reshape(distinct, 3)[np.arange(80) % distinct]
+        with pytest.raises(InsufficientDataError, match="distinct"):
+            train(matrix(rows), components, seed=0)
+
+    def test_two_distinct_frames_train_one_component(self):
+        rows = np.array([[0.0, 1.0], [2.0, 3.0]])[np.arange(40) % 2]
+        model, _ = train(matrix(rows), 1, seed=0)
+        np.testing.assert_allclose(model.means[0], [1.0, 2.0])
+
 
 class TestPersistence:
     def trained(self, tmp_path):
@@ -288,3 +384,39 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gmm_models(draw):
+    k = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 5))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    values = st.lists(_finite, min_size=k * dim, max_size=k * dim)
+    variances = st.lists(st.floats(1e-6, 1e300), min_size=k * dim, max_size=k * dim)
+    name = st.text("abcxyz019_-", min_size=1, max_size=12)
+    return GmmModel(
+        draw(name),
+        dim,
+        raw / raw.sum(),
+        np.reshape(draw(values), (k, dim)),
+        np.reshape(draw(variances), (k, dim)),
+        draw(name),
+    )
+
+
+@given(gmm_models())
+def test_save_load_round_trip_is_exact(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.gmm"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert (loaded.label, loaded.dim, loaded.feature_fingerprint) == (
+        model.label,
+        model.dim,
+        model.feature_fingerprint,
+    )
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
