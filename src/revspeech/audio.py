@@ -4,6 +4,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, UnsupportedWavError, WavFormatError
 
@@ -167,7 +168,8 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
     frame_len = round(frame_ms * rate / 1000) and
     hop = frame_len - round(overlap_fraction * frame_len). The trailing
     partial frame is zero-padded; a buffer shorter than one frame yields a
-    single zero-padded frame.
+    single zero-padded frame. The frames are a read-only strided view of one
+    padded copy of the samples, so overlapping frames share memory.
     """
     if frame_ms <= 0:
         raise ValueError("frame_ms must be positive")
@@ -184,8 +186,7 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
 
     n = len(buf.samples)
     num_frames = int(np.ceil(max(n - frame_len, 0) / hop)) + 1
-    starts = np.arange(num_frames) * hop
-    padded = np.zeros(starts[-1] + frame_len, dtype=np.float64)
+    padded = np.zeros((num_frames - 1) * hop + frame_len, dtype=np.float64)
     padded[:n] = buf.samples
-    frames = padded[starts[:, None] + np.arange(frame_len)[None, :]]
+    frames = sliding_window_view(padded, frame_len)[::hop]
     return FrameSequence(frames, frame_len, hop, buf.sample_rate_hz)

@@ -121,10 +121,27 @@ def log_likelihood(model: GmmModel, features: FeatureMatrix) -> float:
     return float(np.sum(logsumexp(log_joint_densities(model, features.rows), axis=1)))
 
 
+def _e_step(model: GmmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods."""
+    joint = log_joint_densities(model, rows)
+    frame_ll = logsumexp(joint, axis=1)
+    return np.exp(joint - frame_ll[:, None]), frame_ll
+
+
+def _m_step(resp: np.ndarray, x: np.ndarray, x_sq: np.ndarray):
+    """Floored weights, means and floored variances under memberships resp (n, k)."""
+    counts = resp.sum(axis=0)
+    safe_counts = np.maximum(counts, 1e-300)[:, None]
+    means = (resp.T @ x) / safe_counts
+    # E[x^2] - mu^2 under each component's responsibilities
+    variances = (resp.T @ x_sq) / safe_counts - means * means
+    weights = np.maximum(counts / len(x), WEIGHT_FLOOR)
+    return weights / weights.sum(), means, np.maximum(variances, VARIANCE_FLOOR)
+
+
 def responsibilities(model: GmmModel, rows: np.ndarray) -> np.ndarray:
     """Posterior component memberships per frame; rows sum to 1."""
-    joint = log_joint_densities(model, rows)
-    return np.exp(joint - logsumexp(joint, axis=1)[:, None])
+    return _e_step(model, rows)[0]
 
 
 def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,21 +161,24 @@ def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
+    """Lloyd iterations from a k-means++ start; every returned cluster is non-empty."""
     centers = _kmeans_plusplus(x, k, rng)
-    sq_norms = np.sum(x * x, axis=1)[:, None]
+    x_sq = x * x
+    sq_norms = np.sum(x_sq, axis=1)[:, None]
     assignment = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
         distances = sq_norms - 2.0 * (x @ centers.T) + np.sum(centers * centers, axis=1)
         new_assignment = np.argmin(distances, axis=1)
-        for j in range(k):
-            mask = new_assignment == j
-            if np.any(mask):
-                centers[j] = x[mask].mean(axis=0)
-            else:
-                # re-seed an empty cluster on the point farthest from its center
-                worst = np.argmax(np.min(distances, axis=1))
-                centers[j] = x[worst]
-                new_assignment[worst] = j
+        # re-seed each empty cluster on its own point, farthest from its center
+        # first, never taking the last member of another cluster
+        sizes = np.bincount(new_assignment, minlength=k)
+        farthest = iter(np.argsort(-np.min(distances, axis=1), kind="stable"))
+        for j in np.flatnonzero(sizes == 0):
+            i = next(i for i in farthest if sizes[new_assignment[i]] > 1)
+            sizes[new_assignment[i]] -= 1
+            sizes[j] = 1
+            new_assignment[i] = j
+        centers = _m_step(np.eye(k)[new_assignment], x, x_sq)[1]
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -195,43 +215,20 @@ def train(
         )
 
     rng = np.random.default_rng(seed)
-    means, assignment = _kmeans(x, num_components, rng)
-    weights = np.empty(num_components)
-    variances = np.empty((num_components, dim))
-    for j in range(num_components):
-        mask = assignment == j
-        weights[j] = np.count_nonzero(mask) / num_frames
-        if np.any(mask):
-            variances[j] = np.maximum(x[mask].var(axis=0), VARIANCE_FLOOR)
-        else:
-            variances[j] = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
-    weights = np.maximum(weights, WEIGHT_FLOOR)
-    weights /= weights.sum()
-
-    model = GmmModel(label, dim, weights, means, variances, features.config_fingerprint)
+    _, assignment = _kmeans(x, num_components, rng)
     x_sq = x * x
+    # EM starts from the M-step of the one-hot k-means memberships
+    start = _m_step(np.eye(num_components)[assignment], x, x_sq)
+    model = GmmModel(label, dim, *start, features.config_fingerprint)
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        joint = log_joint_densities(model, x)
-        frame_ll = logsumexp(joint, axis=1)
-        total = float(np.sum(frame_ll))
-        trace.append(total)
+        resp, frame_ll = _e_step(model, x)
+        trace.append(float(np.sum(frame_ll)))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-1]):
             converged = True
             break
-
-        resp = np.exp(joint - frame_ll[:, None])
-        counts = resp.sum(axis=0)
-        safe_counts = np.maximum(counts, 1e-300)
-        new_means = (resp.T @ x) / safe_counts[:, None]
-        # E[x^2] - mu^2 under each component's responsibilities
-        new_variances = (resp.T @ x_sq) / safe_counts[:, None] - new_means * new_means
-        new_weights = np.maximum(counts / num_frames, WEIGHT_FLOOR)
-
-        model.weights = new_weights / new_weights.sum()
-        model.means = new_means
-        model.variances = np.maximum(new_variances, VARIANCE_FLOOR)
+        model.weights, model.means, model.variances = _m_step(resp, x, x_sq)
 
     model.validate()
     report = TrainingReport(

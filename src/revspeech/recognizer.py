@@ -138,43 +138,31 @@ def segment_utterances(
     frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
     energies = np.mean(frames.frames**2, axis=1)
     kernel = np.ones(cfg.smooth_frames)
-    smoothed = np.convolve(energies, kernel, mode="same") / np.convolve(
-        np.ones_like(energies), kernel, mode="same"
+    offset = (cfg.smooth_frames - 1) // 2
+    # full convolutions cut to one centred value per frame; mode="same" would
+    # return smooth_frames values when there are fewer frames than that
+    window = slice(offset, offset + len(energies))
+    smoothed = (
+        np.convolve(energies, kernel)[window]
+        / np.convolve(np.ones_like(energies), kernel)[window]
     )
     threshold = cfg.energy_ratio * np.percentile(smoothed, 10)
-    active = smoothed > threshold
-    if not np.any(active):
-        return whole
 
     # contiguous active runs, trimmed back to frames that are loud on their own
-    runs = []
-    start = None
-    for i, flag in enumerate(active):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(active) - 1))
-
-    trimmed = []
-    for lo, hi in runs:
-        while lo <= hi and energies[lo] <= threshold:
-            lo += 1
-        while hi >= lo and energies[hi] <= threshold:
-            hi -= 1
-        if lo <= hi:
-            trimmed.append((lo, hi))
-    if not trimmed:
+    edges = np.diff((smoothed > threshold).astype(np.int8), prepend=0, append=0)
+    loud = np.flatnonzero(energies > threshold)
+    first = np.searchsorted(loud, np.flatnonzero(edges == 1))
+    stop = np.searchsorted(loud, np.flatnonzero(edges == -1) - 1, side="right")
+    kept_runs = first < stop
+    if not np.any(kept_runs):
         return whole
 
     sr = buf.sample_rate_hz
     hop, frame_len = frames.hop, frames.frame_len
-    regions = [
-        (float(lo * hop / sr), float(min(hi * hop + frame_len, len(buf.samples)) / sr))
-        for lo, hi in trimmed
-    ]
+    lo, hi = loud[first[kept_runs]], loud[stop[kept_runs] - 1]
+    starts_s = (lo * hop / sr).tolist()
+    ends_s = (np.minimum(hi * hop + frame_len, len(buf.samples)) / sr).tolist()
+    regions = list(zip(starts_s, ends_s))
 
     merged = [regions[0]]
     for start_s, end_s in regions[1:]:

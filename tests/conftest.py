@@ -18,6 +18,21 @@ from revspeech import (
 SR = 16000
 
 
+def pytest_configure(config):
+    """Property tests draw the same examples on every run.
+
+    No seed from the clock, no replay database, and no per-example deadline
+    to trip on a loaded machine. hypothesis is imported here, not at module
+    level, because the benchmark loads this module for its signal builders.
+    """
+    from hypothesis import settings
+
+    settings.register_profile(
+        "deterministic", derandomize=True, database=None, deadline=None
+    )
+    settings.load_profile("deterministic")
+
+
 def tone(freq_hz, duration_s, sr=SR, amplitude=0.3, phase=0.0):
     t = np.arange(int(duration_s * sr)) / sr
     return amplitude * np.sin(2 * np.pi * freq_hz * t + phase)

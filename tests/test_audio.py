@@ -1,9 +1,13 @@
 """WAV round trips, reversal, and segmentation contracts."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revspeech import AudioBuffer, read_wav, reverse, segment, write_wav
 from revspeech.errors import ConfigError, UnsupportedWavError, WavFormatError
@@ -227,6 +231,19 @@ class TestSegment:
         rebuilt = frames.frames.ravel()[: len(samples)]
         np.testing.assert_array_equal(rebuilt, samples)
 
+    def test_frames_are_a_read_only_view(self):
+        buf = AudioBuffer(np.arange(1000) / 1000.0, 1000)
+        frames = segment(buf, 100.0, 0.5).frames
+        # overlapping frames are windows on one padded buffer, not copies
+        assert not frames.flags.owndata
+        assert np.shares_memory(frames[0], frames[1])
+        assert frames[0, 50] == frames[1, 0] == 0.05
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1.0
+        # the caller's samples are copied, never aliased
+        assert not np.shares_memory(frames, buf.samples)
+
     def test_invalid_arguments(self):
         buf = AudioBuffer(np.zeros(100), 8000)
         with pytest.raises(ValueError):
@@ -235,3 +252,43 @@ class TestSegment:
             segment(buf, 10.0, 1.0)
         with pytest.raises(ConfigError, match="shorter than one sample"):
             segment(buf, 0.01, 0.5)
+
+
+@given(
+    st.lists(st.integers(-32768, 32767), min_size=1, max_size=2000),
+    st.integers(1, 192000),
+)
+def test_wav_round_trip_on_the_16_bit_grid(codes, rate):
+    buf = AudioBuffer(np.array(codes) / 32768, rate)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.wav"
+        write_wav(buf, path)
+        back = read_wav(path)
+    assert back.sample_rate_hz == rate
+    np.testing.assert_array_equal(back.samples, buf.samples)
+
+
+@given(
+    st.integers(1, 3000),
+    st.sampled_from([8000, 16000, 44100]),
+    st.floats(0.1, 60.0),
+    st.floats(0.0, 0.95),
+)
+def test_segment_covers_every_sample(n, rate, frame_ms, overlap):
+    samples = np.arange(1, n + 1, dtype=np.float64)
+    frames = segment(AudioBuffer(samples, rate), frame_ms, overlap)
+    frame_len, hop, count = frames.frame_len, frames.hop, frames.frames.shape[0]
+    assert frames.frames.shape == (count, frame_len)
+    # frame i starts at sample i*hop, so sample t sits at column t - i*hop of
+    # frame i = t // hop, or of the last frame once t // hop runs past it
+    t = np.arange(n)
+    i = np.minimum(t // hop, count - 1)
+    np.testing.assert_array_equal(frames.frames[i, t - i * hop], samples)
+    # the frames reach the last sample, and none starts past it but the first
+    assert (count - 1) * hop + frame_len >= n
+    assert count == 1 or (count - 1) * hop < n
+    # whatever lies beyond the buffer is zero padding
+    for i in range(count):
+        np.testing.assert_array_equal(
+            frames.frames[i], np.pad(samples, (0, frame_len))[i * hop : i * hop + frame_len]
+        )

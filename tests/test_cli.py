@@ -329,6 +329,21 @@ class TestConfigAndErrors:
             assert "error:" in err and "no samples" in err, command
         assert list(tmp_path.iterdir()) == [empty]
 
+    def test_recording_shorter_than_the_smoothing_window(self, workspace, tmp_path):
+        # 995 samples are 4 endpoint frames at the defaults, against 5 smoothing frames
+        rng = np.random.default_rng(19)
+        samples = 0.5 * rng.standard_normal(995) * np.linspace(0, 1, 995) ** 4
+        short = tmp_path / "short.wav"
+        write_wav(AudioBuffer(samples, 16000), short)
+        out = tmp_path / "short.txt"
+        argv = ["recognize", "--in", str(short), "--out", str(out), *model_args(workspace)]
+        assert run(argv) == 0
+        assert out.read_text().startswith("transcript direction=forward")
+        argv = ["analyze", "--in", str(short), "--lexicon", str(workspace["lexicon"]),
+                "--out-dir", str(tmp_path / "report"), *model_args(workspace)]
+        assert run(argv) == 0
+        assert parse_report((tmp_path / "report" / "report.json").read_text()).pairs
+
     @pytest.mark.parametrize("line", [
         "enhance.alpha = nan",
         "enhance.frame_ms = nan",

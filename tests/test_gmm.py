@@ -21,6 +21,7 @@ from revspeech import (
     train,
 )
 from revspeech.errors import InsufficientDataError, ModelFormatError
+from revspeech import gmm
 from revspeech.gmm import (
     _kmeans,
     component_density,
@@ -163,6 +164,30 @@ class TestQuadraticForm:
         assert len(set(assignment)) == 5
 
 
+class TestKmeans:
+    def test_two_clusters_emptied_at_once_reseed_on_distinct_points(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = np.vstack([rng.normal(0.0, 0.1, (30, 2)), rng.normal(10.0, 0.1, (30, 2))])
+        # the second and third start centers are nearest to no frame at all
+        start = np.array([[5.0, 5.0], [1e3, 1e3], [-1e3, 1e3]])
+        monkeypatch.setattr(gmm, "_kmeans_plusplus", lambda x, k, rng: start.copy())
+        centers, assignment = _kmeans(x, 3, rng, max_iter=1)
+        assert np.array_equal(np.bincount(assignment, minlength=3), [58, 1, 1])
+        assert not np.array_equal(centers[1], centers[2])
+        _, assignment = _kmeans(x, 3, rng)
+        assert np.all(np.bincount(assignment, minlength=3) > 0)
+
+    def test_reseed_never_takes_the_last_member_of_a_cluster(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = np.vstack([rng.normal(0.0, 0.1, (30, 2)), [[100.0, 0.0]]])
+        # the outlier, farthest of all from its center, is its cluster's only member
+        start = np.array([[0.0, 0.0], [50.0, 0.0], [-1e3, -1e3]])
+        monkeypatch.setattr(gmm, "_kmeans_plusplus", lambda x, k, rng: start.copy())
+        _, assignment = _kmeans(x, 3, rng, max_iter=1)
+        assert assignment[-1] == 1
+        assert np.array_equal(np.bincount(assignment, minlength=3), [29, 1, 1])
+
+
 class TestLogsumexp:
     def test_matches_naive_small_values(self):
         values = np.array([[0.1, 0.7, -0.3], [1.0, 1.0, 1.0]])
@@ -248,6 +273,20 @@ class TestTrain:
         )
         assert model.weights[0] == 1.0
         assert report.converged
+
+    def test_em_starts_from_centred_cluster_moments(self, mfcc_rows):
+        x = mfcc_rows
+        # max_iter=0 returns the start model; the same seed replays its k-means
+        start, report = train(matrix(x), 4, seed=3, max_iter=0)
+        _, assignment = _kmeans(x, 4, np.random.default_rng(3))
+        assert report.iterations == 0
+        for j in range(4):
+            members = x[assignment == j]
+            assert start.weights[j] == pytest.approx(len(members) / len(x), rel=1e-12)
+            np.testing.assert_allclose(start.means[j], members.mean(axis=0), rtol=1e-10)
+            np.testing.assert_allclose(
+                start.variances[j], np.maximum(members.var(axis=0), 1e-6), rtol=1e-10
+            )
 
     def test_two_separated_clusters_recovered(self):
         rng = np.random.default_rng(6)

@@ -17,9 +17,48 @@ from revspeech import (
     segment_utterances,
     transcribe,
 )
+from hypothesis import given
+from hypothesis import strategies as st
+
+from revspeech.audio import segment
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
+
+
+def rising_take(n=995, seed=19):
+    """Noise under a steep fade-in, shorter than the default smoothing window."""
+    rng = np.random.default_rng(seed)
+    return AudioBuffer(0.5 * rng.standard_normal(n) * np.linspace(0, 1, n) ** 4, SR)
+
+
+def scanned_regions(buf, cfg):
+    """segment_utterances by a per-frame scan, for buffers of >= smooth_frames frames."""
+    frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+    energies = np.mean(frames.frames**2, axis=1)
+    ones = np.ones(cfg.smooth_frames)
+    smoothed = np.convolve(energies, ones, mode="same") / np.convolve(
+        np.ones_like(energies), ones, mode="same"
+    )
+    threshold = cfg.energy_ratio * np.percentile(smoothed, 10)
+    regions, start = [], None
+    for i, active in enumerate(list(smoothed > threshold) + [False]):
+        if active and start is None:
+            start = i
+        elif not active and start is not None:
+            loud = [j for j in range(start, i) if energies[j] > threshold]
+            if loud:
+                end = min(loud[-1] * frames.hop + frames.frame_len, len(buf.samples))
+                regions.append((loud[0] * frames.hop / SR, end / SR))
+            start = None
+    merged = []
+    for region in regions:
+        if merged and region[0] - merged[-1][1] < cfg.merge_gap_ms / 1000.0:
+            merged[-1] = (merged[-1][0], region[1])
+        else:
+            merged.append(region)
+    kept = [r for r in merged if r[1] - r[0] >= cfg.min_utterance_ms / 1000.0]
+    return kept or [(0.0, buf.duration_s)]
 
 
 def make_model(label, mean_value, fingerprint="fp"):
@@ -165,6 +204,44 @@ class TestSegmentUtterances:
         regions = segment_utterances(AudioBuffer(samples, SR))
         assert len(regions) == 1
         assert abs(regions[0][0] - 1.0) <= FRAME_S
+
+
+    def test_fewer_frames_than_the_smoothing_window(self):
+        # 995 samples are 4 frames at the defaults, against 5 smoothing frames
+        buf = rising_take()
+        regions = segment_utterances(buf)
+        assert regions and all(0.0 <= lo < hi <= buf.duration_s for lo, hi in regions)
+        for n in range(1, 1400, 13):
+            regions = segment_utterances(rising_take(n, seed=n))
+            assert all(0.0 <= lo <= hi <= n / SR for lo, hi in regions)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4000, 24000),  # at least 10 frames, more than smooth_frames
+        st.sampled_from([0.0, 0.25, 0.5]),
+        st.integers(1, 9),
+        st.floats(0.5, 6.0),
+        st.floats(0.0, 400.0),
+        st.floats(0.0, 400.0),
+    )
+    def test_matches_a_per_frame_scan(
+        self, seed, n, overlap, smooth, ratio, merge_gap_ms, min_utterance_ms
+    ):
+        rng = np.random.default_rng(seed)
+        samples = 1e-3 * rng.standard_normal(n)
+        for _ in range(rng.integers(1, 6)):
+            lo = int(rng.integers(0, n))
+            hi = min(n, lo + int(rng.integers(50, 6000)))
+            samples[lo:hi] += 10 ** rng.uniform(-2.5, -0.5) * rng.standard_normal(hi - lo)
+        cfg = EndpointConfig(
+            overlap_fraction=overlap,
+            smooth_frames=smooth,
+            energy_ratio=ratio,
+            merge_gap_ms=merge_gap_ms,
+            min_utterance_ms=min_utterance_ms,
+        )
+        buf = AudioBuffer(samples, SR)
+        assert segment_utterances(buf, cfg) == scanned_regions(buf, cfg)
 
 
 class TestTranscribe:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revspeech import SegmentHypothesis, Transcript, build_report, parse_report, render
 from revspeech.errors import LexiconFormatError, ReportFormatError
@@ -168,6 +170,30 @@ class TestPairSegments:
         rev = rev_transcript(3.1, mirrored(3.1, 0.2, 0.8, "a"))
         with pytest.raises(ValueError):
             pair_segments(fwd, rev)
+
+
+def segment_lists(direction, min_size):
+    """Segments on a 10 s timeline: any order, overlapping or not."""
+    bounds = st.tuples(st.floats(0.0, 9.5), st.floats(0.01, 3.0))
+    return st.lists(bounds, min_size=min_size, max_size=12).map(
+        lambda spans: [
+            seg(start, min(start + length, 10.0), f"{direction[0]}{i}", direction=direction)
+            for i, (start, length) in enumerate(spans)
+        ]
+    )
+
+
+@given(segment_lists("forward", 1), segment_lists("reverse", 0))
+def test_pairing_accounts_for_every_segment(fwd_segs, rev_segs):
+    pairs = pair_segments(fwd_transcript(10.0, *fwd_segs), rev_transcript(10.0, *rev_segs))
+    # each reverse segment is in exactly one pair, in order
+    assert [p.reverse_segment for p in pairs if p.reverse_segment is not None] == rev_segs
+    # each forward segment is in some pair; unmatched exactly when no reverse chose it
+    chosen = [p.forward_segment for p in pairs if p.reverse_segment is not None]
+    unmatched = [p.forward_segment for p in pairs if p.reverse_segment is None]
+    assert all(p.category == CATEGORY_UNMATCHED for p in pairs if p.reverse_segment is None)
+    assert unmatched == [f for f in fwd_segs if not any(f is c for c in chosen)]
+    assert len(pairs) == len(rev_segs) + len(unmatched)
 
 
 class TestCategorize:
