@@ -27,7 +27,15 @@ from .recognizer import (
     segment_utterances,
     transcribe,
 )
-from .srsdoc import Lexicon, ReversalPair, SrsReport, build_report, parse_report, render
+from .srsdoc import (
+    Lexicon,
+    ReversalPair,
+    SrsReport,
+    analyze,
+    build_report,
+    parse_report,
+    render,
+)
 
 __version__ = "0.1.0"
 
@@ -47,6 +55,7 @@ __all__ = [
     "Transcript",
     "TrainingReport",
     "Vocabulary",
+    "analyze",
     "build_report",
     "classify_segment",
     "denoise",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, enhance, features, gmm, recognizer, srsdoc
-from .config import ToolConfig, config_fingerprint, dump_config, load_config
+from .config import ToolConfig, dump_config, load_config
 from .errors import ConfigError, InsufficientDataError, RevspeechError
 
 EXIT_OK = 0
@@ -223,39 +223,12 @@ def _cmd_recognize(args, cfg: ToolConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: ToolConfig) -> int:
-    buf = _read_audio(args.input)
-    vocab = _load_vocabulary(args.models)
-    lexicon = (
-        srsdoc.Lexicon.from_file(cfg.lexicon_path)
-        if cfg.lexicon_path
-        else srsdoc.Lexicon.default()
-    )
-
-    fwd = recognizer.transcribe(
-        buf, vocab, "forward", cfg.enhance, cfg.features, cfg.endpoint
-    )
-    rev = recognizer.transcribe(
-        buf, vocab, "reverse", cfg.enhance, cfg.features, cfg.endpoint
-    )
-    report = srsdoc.build_report(
-        fwd,
-        rev,
-        lexicon,
-        meta={
-            "source_file": args.input,
-            "tool_config_fingerprint": config_fingerprint(cfg),
-            "timestamp": args.timestamp,
-        },
-    )
-
+    buf, vocab = _read_audio(args.input), _load_vocabulary(args.models)
+    report = srsdoc.analyze(buf, vocab, cfg, args.input, args.timestamp)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.md").write_text(
-        srsdoc.render(report, "markdown"), encoding="utf-8"
-    )
-    (out_dir / "report.json").write_text(
-        srsdoc.render(report, "structured"), encoding="utf-8"
-    )
+    for name, fmt in (("report.md", "markdown"), ("report.json", "structured")):
+        (out_dir / name).write_text(srsdoc.render(report, fmt), encoding="utf-8")
     print(
         f"{len(report.requirements)} requirements, "
         f"{len(report.flagged)} flagged inconsistencies -> {out_dir}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args
 
 from .enhance import EnhanceConfig
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .features import FeatureConfig
 from .recognizer import EndpointConfig
 
@@ -90,8 +90,7 @@ def parse_config(text: str, base: ToolConfig | None = None) -> ToolConfig:
 
 
 def load_config(path, base: ToolConfig | None = None) -> ToolConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+    return parse_config(read_text(path, ConfigError), base)
 
 
 def _format_value(value, none_word: str | None) -> str:

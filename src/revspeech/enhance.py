@@ -1,9 +1,8 @@
 """Additive-noise removal over an STFT: spectral subtraction and Wiener filtering.
 
 Both methods estimate a noise magnitude spectrum from low-energy frames,
-attenuate per-bin magnitudes, keep the noisy phase, and reconstruct by
-overlap-add with window-power compensation. estimate_and_denoise does both
-from one STFT.
+attenuate per-bin magnitudes, keep the noisy phase, and reconstruct through
+FrameSpec.istft. estimate_and_denoise does both from one STFT.
 """
 
 from dataclasses import dataclass, replace
@@ -12,7 +11,7 @@ import numpy as np
 
 from .audio import AudioBuffer, FrameSequence
 from .errors import ConfigError
-from .features import FrameSpec, hamming_coefficients
+from .features import FrameSpec
 
 METHODS = ("spectral_subtraction", "wiener")
 
@@ -62,26 +61,6 @@ class NoiseProfile:
             raise ValueError("noise magnitudes must be nonnegative")
         if self.frames_used < 1:
             raise ValueError("frames_used must be >= 1")
-
-
-def _overlap_add(
-    processed: np.ndarray, frames: FrameSequence, window_a: float, out_len: int
-) -> np.ndarray:
-    """Inverse-transform each frame, window again, and normalize by window power."""
-    frame_len = frames.frame_len
-    window = hamming_coefficients(frame_len, window_a)
-    num_frames = processed.shape[0]
-    synthesized = np.real(np.fft.ifft(processed, axis=1))[:, :frame_len] * window
-
-    total = (num_frames - 1) * frames.hop + frame_len
-    acc = np.zeros(total)
-    power = np.zeros(total)
-    for i in range(num_frames):
-        start = i * frames.hop
-        acc[start : start + frame_len] += synthesized[i]
-        power[start : start + frame_len] += window * window
-    compensated = np.where(power >= 1e-8, acc / np.where(power >= 1e-8, power, 1.0), acc)
-    return compensated[:out_len]
 
 
 def _noise_profile(frames: FrameSequence, spectra: np.ndarray, cfg: EnhanceConfig):
@@ -145,8 +124,7 @@ def _wiener(spectra: np.ndarray, noise: NoiseProfile, cfg: EnhanceConfig) -> np.
 def _denoise(buf: AudioBuffer, frames, spectra, noise: NoiseProfile, cfg: EnhanceConfig):
     # the shaper's magnitude and gain arrays are freed before resynthesis
     shaped = (_wiener if cfg.method == "wiener" else _subtracted)(spectra, noise, cfg)
-    out = _overlap_add(shaped, frames, cfg.window_a, len(buf.samples))
-    return AudioBuffer(out, buf.sample_rate_hz)
+    return AudioBuffer(cfg.frame.istft(shaped, frames, len(buf.samples)), buf.sample_rate_hz)
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:

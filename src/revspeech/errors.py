@@ -1,4 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the text reader that raises them."""
+
+
+def read_text(path, error: type) -> str:
+    """The UTF-8 text of a file; raise error when it does not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 class RevspeechError(Exception):

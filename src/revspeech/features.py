@@ -50,6 +50,35 @@ class FrameSpec:
         fft_size = self.resolve_fft_size(buf.sample_rate_hz)
         return frames, np.fft.fft(windowed, n=fft_size, axis=-1)
 
+    def istft(self, spectra: np.ndarray, frames: FrameSequence, out_len: int) -> np.ndarray:
+        """Resynthesize out_len samples from stft's frames and (modified) spectra.
+
+        Each inverse DFT is cut to one frame, windowed again and overlap-added;
+        the sum is divided by the summed window power wherever that is >= 1e-8.
+        """
+        window = hamming_coefficients(frames.frame_len, self.window_a)
+        synthesized = np.real(np.fft.ifft(spectra, axis=-1))[:, : frames.frame_len] * window
+        acc = _overlap_add(synthesized, frames.hop)
+        power = _overlap_add(np.broadcast_to(window * window, synthesized.shape), frames.hop)
+        compensated = np.where(power >= 1e-8, acc / np.where(power >= 1e-8, power, 1.0), acc)
+        return compensated[:out_len]
+
+
+def _overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
+    """Sum rows placed hop samples apart, each sample adding its rows in row order.
+
+    Piece c (samples c*hop onward) of row i lands in hop-block i + c. Each
+    piece offset is one slice-add over all rows, latest offset first, so the
+    sums equal a row-by-row loop's bit for bit.
+    """
+    num_rows, row_len = rows.shape
+    pieces = -(-row_len // hop)
+    blocks = np.zeros((num_rows + pieces - 1, hop))
+    for c in reversed(range(pieces)):
+        width = min(hop, row_len - c * hop)
+        blocks[c : c + num_rows, :width] += rows[:, c * hop : c * hop + width]
+    return blocks.reshape(-1)[: (num_rows - 1) * hop + row_len]
+
 
 @dataclass
 class FeatureConfig:
@@ -78,6 +107,8 @@ class FeatureConfig:
             raise ConfigError("need 0 < num_ceps <= num_filters")
         if self.delta_window < 1:
             raise ConfigError("delta_window must be >= 1")
+        if self.low_freq_hz < 0:
+            raise ConfigError("low_freq_hz must be >= 0")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
             raise ConfigError("low_freq_hz must be below high_freq_hz")
 
@@ -132,11 +163,8 @@ def preemphasize(buf: AudioBuffer, a: float) -> AudioBuffer:
     if not 0 <= a < 1:
         raise ValueError("pre-emphasis coefficient must be in [0, 1)")
     x = buf.samples
-    if len(x) == 0:
-        return AudioBuffer(x.copy(), buf.sample_rate_hz)
-    y = np.empty_like(x)
-    y[0] = x[0]
-    y[1:] = x[1:] - a * x[:-1]
+    y = x.copy()
+    y[1:] -= a * x[:-1]
     return AudioBuffer(y, buf.sample_rate_hz)
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, ModelFormatError
+from .errors import InsufficientDataError, ModelFormatError, read_text
 from .features import FeatureMatrix
 
 MODEL_FORMAT_VERSION = "gmm-v1"
@@ -46,11 +46,7 @@ class GmmModel:
             raise ModelFormatError(f"mixture weights must be >= {WEIGHT_FLOOR}")
         if np.any(self.variances < VARIANCE_FLOOR):
             raise ModelFormatError(f"variances must be >= {VARIANCE_FLOOR}")
-        if not (
-            np.all(np.isfinite(self.weights))
-            and np.all(np.isfinite(self.means))
-            and np.all(np.isfinite(self.variances))
-        ):
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.variances)):
             raise ModelFormatError("model parameters must be finite")
 
 
@@ -62,11 +58,9 @@ class TrainingReport:
     seed: int = 0
 
 
-def logsumexp(values: np.ndarray, axis: int | None = None):
-    """log(sum(exp(values))) without overflow."""
+def logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(values))) along axis, without overflow."""
     values = np.asarray(values, dtype=np.float64)
-    if axis is None:
-        return float(logsumexp(values.ravel(), axis=0))
     peak = np.max(values, axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     out = np.log(np.sum(np.exp(values - peak), axis=axis, keepdims=True)) + peak
@@ -114,10 +108,6 @@ def log_joint_densities(model: GmmModel, rows: np.ndarray) -> np.ndarray:
 
 def log_likelihood(model: GmmModel, features: FeatureMatrix) -> float:
     """Total log p(x|model) summed over frames."""
-    if features.dim != model.dim:
-        raise ValueError(
-            f"feature dim {features.dim} does not match model dim {model.dim}"
-        )
     return float(np.sum(logsumexp(log_joint_densities(model, features.rows), axis=1)))
 
 
@@ -275,8 +265,7 @@ def _parse_floats(text: str, expected: int, what: str) -> np.ndarray:
 
 def load_model(path) -> GmmModel:
     """Read a model document, validating version and every invariant."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line for line in read_text(path, ModelFormatError).split("\n") if line.strip()]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: expected version line '{MODEL_FORMAT_VERSION}'"

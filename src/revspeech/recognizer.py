@@ -69,9 +69,7 @@ class Vocabulary:
             if model.label in entries:
                 raise VocabularyError(f"duplicate label {model.label!r}")
             entries[model.label] = model
-        if not models:
-            raise VocabularyError("vocabulary needs at least 2 labels")
-        return cls(entries, models[0].feature_fingerprint)
+        return cls(entries, models[0].feature_fingerprint if models else "")
 
 
 @dataclass
@@ -131,10 +129,7 @@ def segment_utterances(
     returned as a single region.
     """
     cfg = cfg or EndpointConfig()
-    whole = [(0.0, buf.duration_s)] if len(buf.samples) else [(0.0, 0.0)]
-    if len(buf.samples) == 0:
-        return whole
-
+    whole = [(0.0, buf.duration_s)]
     frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
     energies = np.mean(frames.frames**2, axis=1)
     kernel = np.ones(cfg.smooth_frames)

@@ -1,4 +1,4 @@
-"""Pair forward and reverse transcripts into a requirements report.
+"""A requirements report from a recording (analyze) or its two transcripts (build_report).
 
 Each reverse segment is mapped into forward time and matched to the forward
 segment it overlaps most. Label pairs are tagged congruent, incongruent, or
@@ -9,8 +9,10 @@ for human review, never silently dropped.
 import json
 from dataclasses import dataclass, fields
 
-from .errors import LexiconFormatError, ReportFormatError
-from .recognizer import SegmentHypothesis, Transcript
+from .audio import AudioBuffer
+from .config import ToolConfig, config_fingerprint
+from .errors import LexiconFormatError, ReportFormatError, read_text
+from .recognizer import SegmentHypothesis, Transcript, Vocabulary, transcribe
 
 REPORT_FORMAT_VERSION = "srs-v1"
 
@@ -67,13 +69,15 @@ class Lexicon:
                 raise LexiconFormatError(
                     f"line {lineno}: expected 'word, relation, word', got {raw!r}"
                 )
-            lexicon.add(parts[0], parts[1], parts[2])
+            try:
+                lexicon.add(*parts)
+            except LexiconFormatError as exc:
+                raise LexiconFormatError(f"line {lineno}: {exc}") from None
         return lexicon
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(path, LexiconFormatError))
 
     @classmethod
     def default(cls) -> "Lexicon":
@@ -123,10 +127,6 @@ class SrsReport:
         return [self.pairs[i] for i in _flagged_indices(self.pairs)]
 
 
-def _mirror(seg: SegmentHypothesis, duration: float) -> tuple[float, float]:
-    return duration - seg.end_s, duration - seg.start_s
-
-
 def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
     """Match every reverse segment to the forward segment of maximal overlap.
 
@@ -145,7 +145,7 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
     pairs = []
     used = set()
     for rseg in rev.segments:
-        lo, hi = _mirror(rseg, duration)
+        lo, hi = duration - rseg.end_s, duration - rseg.start_s
         best_idx, best_overlap, best_gap = None, -1.0, float("inf")
         for idx, fseg in enumerate(fwd.segments):
             overlap = max(0.0, min(fseg.end_s, hi) - max(fseg.start_s, lo))
@@ -213,6 +213,26 @@ def build_report(
         tool_config_fingerprint=meta.get("tool_config_fingerprint", ""),
         timestamp=meta.get("timestamp", ""),
     )
+
+
+def analyze(
+    buf: AudioBuffer, vocab: Vocabulary, cfg: ToolConfig, source_file: str, timestamp=""
+) -> SrsReport:
+    """Transcribe buf forward and time-reversed and report on the pair.
+
+    The lexicon is cfg.lexicon_path, or the default table when that is None.
+    """
+    lexicon = Lexicon.from_file(cfg.lexicon_path) if cfg.lexicon_path else Lexicon.default()
+    fwd, rev = (
+        transcribe(buf, vocab, direction, cfg.enhance, cfg.features, cfg.endpoint)
+        for direction in ("forward", "reverse")
+    )
+    meta = {
+        "source_file": source_file,
+        "tool_config_fingerprint": config_fingerprint(cfg),
+        "timestamp": timestamp,
+    }
+    return build_report(fwd, rev, lexicon, meta)
 
 
 def _flagged_indices(pairs: list[ReversalPair]) -> list[int]:

@@ -9,8 +9,7 @@ from revspeech import (
     FeatureConfig,
     FeatureMatrix,
     Vocabulary,
-    denoise,
-    estimate_noise,
+    estimate_and_denoise,
     extract,
     train,
 )
@@ -109,7 +108,7 @@ def word_features(buf, enhance_cfg, feature_cfg) -> FeatureMatrix:
     """Enhance, endpoint, and extract the loudest region: transcribe's front end."""
     from revspeech import segment_utterances
 
-    cleaned = denoise(buf, estimate_noise(buf, enhance_cfg), enhance_cfg)
+    cleaned, _ = estimate_and_denoise(buf, enhance_cfg)
     start_s, end_s = segment_utterances(buf)[0]
     sr = cleaned.sample_rate_hz
     piece = AudioBuffer(cleaned.samples[int(start_s * sr) : int(end_s * sr)], sr)

@@ -1,13 +1,24 @@
 """End-to-end subcommand behavior and exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import build_session, utterance
-from revspeech import AudioBuffer, parse_report, read_wav, write_wav
+from revspeech import (
+    AudioBuffer,
+    Vocabulary,
+    analyze,
+    parse_report,
+    read_wav,
+    render,
+    write_wav,
+)
 from revspeech.cli import run
+from revspeech.config import ToolConfig
 from revspeech.gmm import load_model
 
 WORDS = ("accept", "reject", "update", "login")
@@ -242,6 +253,21 @@ class TestAnalyzeCommand:
         assert report.timestamp == "2026-08-08T12:00:00Z"
 
 
+def test_library_analyze_renders_what_the_command_writes(tmp_path):
+    """On the golden session, the command's files are render(analyze(...)) exactly."""
+    path = Path(__file__).resolve().parent / "golden" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.build_outputs(tmp_path)
+
+    models = [load_model(tmp_path / f"{word}.gmm") for word in make_golden.WORDS]
+    buf = read_wav(tmp_path / "session.wav")
+    report = analyze(buf, Vocabulary.from_models(models), ToolConfig(), "session.wav")
+    for name, fmt in (("report.md", "markdown"), ("report.json", "structured")):
+        assert render(report, fmt).encode("utf-8") == (tmp_path / name).read_bytes()
+
+
 class TestConfigAndErrors:
     def test_config_file_changes_behavior(self, workspace, tmp_path):
         cfg_path = tmp_path / "tool.cfg"
@@ -306,6 +332,19 @@ class TestConfigAndErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("reader", ["--config", "--lexicon", "--model"])
+    def test_text_input_that_is_not_utf8_is_data_error(
+        self, workspace, tmp_path, capsys, reader
+    ):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfea\x00=\x001\x00\n\x00")
+        argv = ["analyze", "--in", str(workspace["session"]), *model_args(workspace),
+                "--out-dir", str(tmp_path / "out"), reader, str(bad)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_data_chunk_is_data_error(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.wav"
         # a well-formed 16-bit mono header whose data chunk holds no samples
@@ -352,6 +391,7 @@ class TestConfigAndErrors:
         "endpoint.smooth_frames = 0",
         "endpoint.overlap_fraction = 1.5",
         "endpoint.energy_ratio = -1",
+        "features.low_freq_hz = -100",
     ])
     def test_invalid_config_value_is_data_error(self, workspace, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"

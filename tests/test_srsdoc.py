@@ -68,6 +68,11 @@ class TestLexicon:
         with pytest.raises(LexiconFormatError):
             Lexicon.from_text("accept, sibling-of, reject\n")
 
+    def test_unknown_relation_names_its_line(self):
+        text = "# relations\naccept, antonym-of, reject\nup, opposite-of, down\n"
+        with pytest.raises(LexiconFormatError, match="^line 3: unknown relation 'opposite-of'$"):
+            Lexicon.from_text(text)
+
 
 class TestPairSegments:
     def test_identity_pairing(self):
