@@ -9,6 +9,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, UnsupportedWavError, WavFormatError
 
 INT16_FULL_SCALE = 32768
+# frames per block for whole-recording passes: about 25 s at 16 kHz with the
+# default 25 ms frames at 50% overlap; bounds each pass's transient memory
+BLOCK_FRAMES = 2048
 
 
 @dataclass
@@ -190,3 +193,20 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
     padded[:n] = buf.samples
     frames = sliding_window_view(padded, frame_len)[::hop]
     return FrameSequence(frames, frame_len, hop, buf.sample_rate_hz)
+
+
+def frame_blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_FRAMES items covering range(count)."""
+    return [slice(lo, min(lo + BLOCK_FRAMES, count)) for lo in range(0, count, BLOCK_FRAMES)]
+
+
+def frame_energies(frames: FrameSequence) -> np.ndarray:
+    """Mean square of each frame, squaring one block of frames at a time.
+
+    Each row's mean is taken on its own, so the result does not depend on
+    the block size.
+    """
+    energies = np.empty(len(frames.frames))
+    for part in frame_blocks(len(energies)):
+        energies[part] = np.mean(frames.frames[part] ** 2, axis=1)
+    return energies

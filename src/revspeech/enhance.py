@@ -2,14 +2,17 @@
 
 Both methods estimate a noise magnitude spectrum from low-energy frames,
 attenuate per-bin magnitudes, keep the noisy phase, and reconstruct through
-FrameSpec.istft. estimate_and_denoise does both from one STFT.
+FrameSpec.istft. Every pass over the recording takes BLOCK_FRAMES frames at a
+time, so its transient memory is one block's, whatever the recording's length.
+estimate_and_denoise does both from one framing.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSequence
+from .audio import AudioBuffer, FrameSequence, frame_blocks, frame_energies
 from .errors import ConfigError
 from .features import FrameSpec
 
@@ -50,7 +53,11 @@ class EnhanceConfig:
 
 @dataclass
 class NoiseProfile:
-    """Per-bin mean magnitude of the noise spectrum (full fft_size bins)."""
+    """Per-bin mean magnitude of the noise spectrum (full fft_size bins).
+
+    Real frames have conjugate-symmetric spectra, so bins above fft_size // 2
+    mirror those below; the shapers read the first fft_size // 2 + 1.
+    """
 
     mean_magnitude: np.ndarray
     frames_used: int
@@ -63,15 +70,17 @@ class NoiseProfile:
             raise ValueError("frames_used must be >= 1")
 
 
-def _noise_profile(frames: FrameSequence, spectra: np.ndarray, cfg: EnhanceConfig):
-    energies = np.mean(frames.frames**2, axis=1)
+def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig) -> NoiseProfile:
+    energies = frame_energies(frames)
     threshold = cfg.vad_energy_ratio * np.percentile(energies, 10)
-    selected = energies < threshold
-    if not np.any(selected):
-        selected = np.zeros(len(energies), dtype=bool)
-        selected[np.argmin(energies)] = True
-    magnitude = np.mean(np.abs(spectra[selected]), axis=0)
-    return NoiseProfile(magnitude, int(np.count_nonzero(selected)))
+    selected = np.flatnonzero(energies < threshold)
+    if len(selected) == 0:
+        selected = np.array([np.argmin(energies)])
+    half = sum(
+        np.abs(cfg.frame.spectra(frames, selected[part])).sum(axis=0)
+        for part in frame_blocks(len(selected))
+    ) / len(selected)
+    return NoiseProfile(np.concatenate([half, half[-2:0:-1]]), len(selected))
 
 
 def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
@@ -81,7 +90,7 @@ def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
     frame energy count as silence; if none qualify the single quietest
     frame is used, so the estimate is always defined.
     """
-    return _noise_profile(*cfg.frame.stft(buf), cfg)
+    return _noise_profile(cfg.frame.segment(buf), cfg)
 
 
 def subtract_magnitudes(
@@ -91,40 +100,46 @@ def subtract_magnitudes(
     return np.maximum(magnitudes - alpha * noise, beta * magnitudes)
 
 
-def _subtracted(spectra: np.ndarray, noise: NoiseProfile, cfg: EnhanceConfig) -> np.ndarray:
-    magnitudes = np.abs(spectra)
-    enhanced = subtract_magnitudes(magnitudes, noise.mean_magnitude, cfg.alpha, cfg.beta)
-    gain = np.where(magnitudes > 0, enhanced / np.where(magnitudes > 0, magnitudes, 1.0), 0.0)
-    return spectra * gain
+def _subtracted(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig):
+    for spectra in blocks:
+        magnitudes = np.abs(spectra)
+        enhanced = subtract_magnitudes(magnitudes, noise, cfg.alpha, cfg.beta)
+        positive = magnitudes > 0
+        spectra *= np.where(positive, enhanced / np.where(positive, magnitudes, 1.0), 0.0)
+        yield spectra
 
 
-def _wiener(spectra: np.ndarray, noise: NoiseProfile, cfg: EnhanceConfig) -> np.ndarray:
-    magnitudes = np.abs(spectra)
-    noise_power = noise.mean_magnitude**2
+def _wiener(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig):
+    noise_power = noise**2
 
     def snr(power: np.ndarray) -> np.ndarray:
         out = np.full_like(power, POSTERIOR_SNR_CAP)
         np.divide(power, noise_power, out=out, where=noise_power > 0)
         return np.minimum(out, POSTERIOR_SNR_CAP)
 
-    processed = np.empty_like(spectra)
-    previous_enhanced = magnitudes[0]
-    for t in range(spectra.shape[0]):
-        posterior = snr(magnitudes[t] ** 2)
-        prior = DD_SMOOTHING * snr(previous_enhanced**2) + (1 - DD_SMOOTHING) * np.maximum(
-            posterior - 1.0, 0.0
-        )
-        prior = np.maximum(prior, PRIOR_SNR_FLOOR)
-        gain = prior / (1.0 + prior)
-        processed[t] = spectra[t] * gain
-        previous_enhanced = gain * magnitudes[t]
-    return processed
+    previous_enhanced = None  # carried across blocks, so splits do not matter
+    for spectra in blocks:
+        magnitudes = np.abs(spectra)
+        if previous_enhanced is None:
+            previous_enhanced = magnitudes[0]
+        for t in range(spectra.shape[0]):
+            posterior = snr(magnitudes[t] ** 2)
+            prior = DD_SMOOTHING * snr(previous_enhanced**2) + (1 - DD_SMOOTHING) * np.maximum(
+                posterior - 1.0, 0.0
+            )
+            prior = np.maximum(prior, PRIOR_SNR_FLOOR)
+            gain = prior / (1.0 + prior)
+            spectra[t] *= gain
+            previous_enhanced = gain * magnitudes[t]
+        yield spectra
 
 
-def _denoise(buf: AudioBuffer, frames, spectra, noise: NoiseProfile, cfg: EnhanceConfig):
-    # the shaper's magnitude and gain arrays are freed before resynthesis
-    shaped = (_wiener if cfg.method == "wiener" else _subtracted)(spectra, noise, cfg)
-    return AudioBuffer(cfg.frame.istft(shaped, frames, len(buf.samples)), buf.sample_rate_hz)
+def _denoise(buf: AudioBuffer, frames: FrameSequence, noise: NoiseProfile, cfg: EnhanceConfig):
+    spec = cfg.frame
+    half = noise.mean_magnitude[: len(noise.mean_magnitude) // 2 + 1]
+    blocks = (spec.spectra(frames, part) for part in frame_blocks(len(frames.frames)))
+    shaped = (_wiener if cfg.method == "wiener" else _subtracted)(blocks, half, cfg)
+    return AudioBuffer(spec.istft(shaped, frames, len(buf.samples)), buf.sample_rate_hz)
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:
@@ -134,7 +149,7 @@ def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioB
         raise ConfigError(
             f"noise profile has {len(noise.mean_magnitude)} bins, config expects {fft_size}"
         )
-    return _denoise(buf, *cfg.frame.stft(buf), noise, cfg)
+    return _denoise(buf, cfg.frame.segment(buf), noise, cfg)
 
 
 def spectral_subtract(
@@ -158,7 +173,7 @@ def wiener_filter(
 def estimate_and_denoise(
     buf: AudioBuffer, cfg: EnhanceConfig
 ) -> tuple[AudioBuffer, NoiseProfile]:
-    """estimate_noise then denoise, from one STFT; returns (cleaned, profile)."""
-    frames, spectra = cfg.frame.stft(buf)
-    profile = _noise_profile(frames, spectra, cfg)
-    return _denoise(buf, frames, spectra, profile, cfg), profile
+    """estimate_noise then denoise, from one framing; returns (cleaned, profile)."""
+    frames = cfg.frame.segment(buf)
+    profile = _noise_profile(frames, cfg)
+    return _denoise(buf, frames, profile, cfg), profile

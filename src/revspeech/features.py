@@ -5,6 +5,7 @@ Per-frame functions act on the last axis; extract runs them on the frame matrix.
 
 import functools
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,41 +44,87 @@ class FrameSpec:
             )
         return self.fft_size
 
-    def stft(self, buf: AudioBuffer) -> tuple[FrameSequence, np.ndarray]:
-        """The frames and their windowed complex spectra, fft_size bins each."""
-        frames = segment(buf, self.frame_ms, self.overlap_fraction)
-        windowed = hamming_window(frames.frames, self.window_a)
-        fft_size = self.resolve_fft_size(buf.sample_rate_hz)
-        return frames, np.fft.fft(windowed, n=fft_size, axis=-1)
+    def segment(self, buf: AudioBuffer) -> FrameSequence:
+        """The buffer cut into this spec's frames."""
+        return segment(buf, self.frame_ms, self.overlap_fraction)
 
-    def istft(self, spectra: np.ndarray, frames: FrameSequence, out_len: int) -> np.ndarray:
-        """Resynthesize out_len samples from stft's frames and (modified) spectra.
+    def spectra(self, frames: FrameSequence, rows=slice(None)) -> np.ndarray:
+        """Windowed half spectra (fft_size // 2 + 1 bins) of frames.frames[rows].
 
-        Each inverse DFT is cut to one frame, windowed again and overlap-added;
-        the sum is divided by the summed window power wherever that is >= 1e-8.
+        This is the one analysis transform; rows picks a block of frames.
         """
-        window = hamming_coefficients(frames.frame_len, self.window_a)
-        synthesized = np.real(np.fft.ifft(spectra, axis=-1))[:, : frames.frame_len] * window
-        acc = _overlap_add(synthesized, frames.hop)
-        power = _overlap_add(np.broadcast_to(window * window, synthesized.shape), frames.hop)
-        compensated = np.where(power >= 1e-8, acc / np.where(power >= 1e-8, power, 1.0), acc)
-        return compensated[:out_len]
+        fft_size = self.resolve_fft_size(frames.sample_rate_hz)
+        windowed = hamming_window(frames.frames[rows], self.window_a)
+        return np.fft.rfft(windowed, n=fft_size, axis=-1)
+
+    def stft(self, buf: AudioBuffer) -> tuple[FrameSequence, np.ndarray]:
+        """The frames and the half spectra of all of them."""
+        frames = self.segment(buf)
+        return frames, self.spectra(frames)
+
+    def istft(
+        self, blocks: Iterable[np.ndarray], frames: FrameSequence, out_len: int
+    ) -> np.ndarray:
+        """Resynthesize out_len samples from blocks of (modified) half spectra.
+
+        blocks yields the spectra of consecutive frames, in frame order; the
+        whole matrix as one block is the simplest case. Each inverse DFT is
+        cut to one frame, windowed again and overlap-added into the output,
+        so every sample sums its frames in frame order whatever the blocks.
+        Samples are divided by the summed window power wherever that is
+        >= 1e-8. At a fixed hop that power repeats every hop samples except
+        within one frame of either end, so it is never stored at full length.
+        """
+        frame_len, hop, num_frames = frames.frame_len, frames.hop, len(frames.frames)
+        fft_size = self.resolve_fft_size(frames.sample_rate_hz)
+        window = hamming_coefficients(frame_len, self.window_a)
+        pieces = -(-frame_len // hop)
+        # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
+        out = np.zeros((num_frames + pieces - 1, hop))
+        squared = np.zeros(pieces * hop)
+        squared[:frame_len] = window * window
+        squared = squared.reshape(pieces, hop)
+
+        def power(j: int) -> np.ndarray:
+            """Window power of row j: its frames' pieces, added in frame order."""
+            total = np.zeros(hop)
+            for c in range(min(j, pieces - 1), max(j - num_frames, -1), -1):
+                total += squared[c]
+            return total
+
+        interior = power(pieces - 1)
+
+        def normalize(lo: int, hi: int) -> None:
+            """Divide rows lo..hi-1, which hold all their frames, by their power."""
+            mid_lo = min(max(lo, pieces - 1), hi)
+            mid_hi = max(min(hi, num_frames), mid_lo)
+            mid = out[mid_lo:mid_hi]
+            np.divide(mid, interior, out=mid, where=interior >= 1e-8)
+            for j in (*range(lo, mid_lo), *range(mid_hi, hi)):
+                edge = power(j)
+                np.divide(out[j], edge, out=out[j], where=edge >= 1e-8)
+
+        done = 0
+        for spectra in blocks:
+            synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, :frame_len] * window
+            _overlap_add(out[done:], synthesized, hop)
+            normalize(done, done + len(synthesized))
+            done += len(synthesized)
+        normalize(done, len(out))
+        return out.reshape(-1)[:out_len]
 
 
-def _overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
-    """Sum rows placed hop samples apart, each sample adding its rows in row order.
+def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int) -> None:
+    """Add rows placed hop samples apart into acc, a matrix of hop-long rows.
 
-    Piece c (samples c*hop onward) of row i lands in hop-block i + c. Each
-    piece offset is one slice-add over all rows, latest offset first, so the
-    sums equal a row-by-row loop's bit for bit.
+    Piece c (samples c*hop onward) of row i lands in acc row i + c. Each
+    piece offset is one slice-add over all rows, latest offset first, so
+    every acc row adds its pieces in row order, as a row-by-row loop would.
     """
     num_rows, row_len = rows.shape
-    pieces = -(-row_len // hop)
-    blocks = np.zeros((num_rows + pieces - 1, hop))
-    for c in reversed(range(pieces)):
+    for c in reversed(range(-(-row_len // hop))):
         width = min(hop, row_len - c * hop)
-        blocks[c : c + num_rows, :width] += rows[:, c * hop : c * hop + width]
-    return blocks.reshape(-1)[: (num_rows - 1) * hop + row_len]
+        acc[c : c + num_rows, :width] += rows[:, c * hop : c * hop + width]
 
 
 @dataclass
@@ -285,11 +332,8 @@ def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
     """
     sr = buf.sample_rate_hz
     emphasized = preemphasize(buf, cfg.preemphasis_a)
-    frames = segment(emphasized, cfg.frame_ms, cfg.overlap_fraction)
-    magnitudes = dft_magnitude(
-        hamming_window(frames.frames, cfg.window_a), cfg.frame.resolve_fft_size(sr)
-    )
-    ceps = mfcc(mel_filterbank(magnitudes, cfg, sr), cfg.num_ceps)
+    _, spectra = cfg.frame.stft(emphasized)
+    ceps = mfcc(mel_filterbank(np.abs(spectra), cfg, sr), cfg.num_ceps)
     velocity = delta_features(ceps, cfg.delta_window)
     acceleration = delta_features(velocity, cfg.delta_window)
 

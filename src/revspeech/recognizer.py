@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, reverse, segment
+from .audio import AudioBuffer, frame_energies, reverse, segment
 from .enhance import EnhanceConfig, estimate_and_denoise
 from .errors import (
     ConfigError,
@@ -127,11 +127,21 @@ def segment_utterances(
     Regions separated by less than merge_gap_ms merge; regions shorter than
     min_utterance_ms drop. When nothing qualifies the whole buffer is
     returned as a single region.
+
+    Raises:
+        InsufficientDataError: every frame has the same energy, as in digital
+            silence, a constant signal, or a buffer shorter than one frame;
+            no region stands out from the rest.
     """
     cfg = cfg or EndpointConfig()
     whole = [(0.0, buf.duration_s)]
     frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
-    energies = np.mean(frames.frames**2, axis=1)
+    energies = frame_energies(frames)
+    if energies.min() == energies.max():
+        raise InsufficientDataError(
+            f"all {len(energies)} endpoint frames of the recording have the same "
+            "energy; there is no speech to find"
+        )
     kernel = np.ones(cfg.smooth_frames)
     offset = (cfg.smooth_frames - 1) // 2
     # full convolutions cut to one centred value per frame; mode="same" would
@@ -192,13 +202,14 @@ def transcribe(
     feature_cfg = feature_cfg or FeatureConfig()
 
     work = reverse(buf) if direction == "reverse" else buf
+    # endpoint on the raw signal: enhancement flattens the silence/speech
+    # energy contrast the percentile threshold relies on
+    regions = segment_utterances(work, endpoint_cfg)
     cleaned, _ = estimate_and_denoise(work, enhance_cfg)
 
     sr = cleaned.sample_rate_hz
     segments = []
-    # endpoint on the raw signal: enhancement flattens the silence/speech
-    # energy contrast the percentile threshold relies on
-    for start_s, end_s in segment_utterances(work, endpoint_cfg):
+    for start_s, end_s in regions:
         lo = int(start_s * sr + 0.5)
         hi = int(end_s * sr + 0.5)
         piece = AudioBuffer(cleaned.samples[lo:hi], sr)

@@ -160,3 +160,43 @@ def fixture_vocabulary():
 def fixture_session():
     rng = np.random.default_rng(202)
     return build_session(rng)
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Count FrameSpec framings and the frames analyzed and resynthesized.
+
+    Counts are keyed by the length of the framed buffer, so a whole
+    recording's enhancement stays apart from the short pieces extract frames.
+    """
+    import collections
+
+    from revspeech.features import FrameSpec
+
+    counts = collections.defaultdict(lambda: {"framings": 0, "analyzed": 0, "synthesized": 0})
+    lengths = {}
+    segment, spectra, istft = FrameSpec.segment, FrameSpec.spectra, FrameSpec.istft
+
+    def counting_segment(self, buf):
+        frames = segment(self, buf)
+        lengths[id(frames)] = len(buf.samples)
+        counts[len(buf.samples)]["framings"] += 1
+        return frames
+
+    def counting_spectra(self, frames, rows=slice(None)):
+        out = spectra(self, frames, rows)
+        counts[lengths[id(frames)]]["analyzed"] += len(out)
+        return out
+
+    def counting_istft(self, blocks, frames, out_len):
+        def counted():
+            for block in blocks:
+                counts[lengths[id(frames)]]["synthesized"] += len(block)
+                yield block
+
+        return istft(self, counted(), frames, out_len)
+
+    monkeypatch.setattr(FrameSpec, "segment", counting_segment)
+    monkeypatch.setattr(FrameSpec, "spectra", counting_spectra)
+    monkeypatch.setattr(FrameSpec, "istft", counting_istft)
+    return counts

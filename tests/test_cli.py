@@ -368,6 +368,16 @@ class TestConfigAndErrors:
             assert "error:" in err and "no samples" in err, command
         assert list(tmp_path.iterdir()) == [empty]
 
+    def test_digital_silence_is_data_error(self, workspace, tmp_path, capsys):
+        silent = tmp_path / "silent.wav"
+        write_wav(AudioBuffer(np.zeros(16000), 16000), silent)
+        argv = ["analyze", "--in", str(silent), *model_args(workspace),
+                "--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "same energy" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_recording_shorter_than_the_smoothing_window(self, workspace, tmp_path):
         # 995 samples are 4 endpoint frames at the defaults, against 5 smoothing frames
         rng = np.random.default_rng(19)

@@ -1,7 +1,11 @@
 """Noise estimation and enhancement contracts on synthetic signals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import SR, segmental_snr, tone, white_noise
 from revspeech import (
@@ -14,7 +18,8 @@ from revspeech import (
     spectral_subtract,
     wiener_filter,
 )
-from revspeech.audio import segment
+from revspeech import audio
+from revspeech.audio import frame_energies, segment
 from revspeech.enhance import subtract_magnitudes
 from revspeech.errors import ConfigError
 from revspeech.features import hamming_coefficients
@@ -195,12 +200,17 @@ class TestWienerFilter:
 
 class TestAnalysisChain:
     def test_windowed_spectra_conjugate_symmetric(self):
+        # real frames have conjugate-symmetric DFTs, so stft keeps only the
+        # first fft_size // 2 + 1 bins and loses nothing
         rng = np.random.default_rng(12)
         buf = AudioBuffer(white_noise(rng, 0.5), SR)
-        _, spectra = EnhanceConfig().frame.stft(buf)
-        fft_size = spectra.shape[1]
-        flipped = np.conj(spectra[:, (fft_size - np.arange(fft_size)) % fft_size])
-        np.testing.assert_allclose(spectra, flipped, atol=1e-9)
+        spec = EnhanceConfig().frame
+        frames, spectra = spec.stft(buf)
+        full = np.fft.fft(frames.frames * hamming_coefficients(frames.frame_len, 0.46), n=512)
+        flipped = np.conj(full[:, (512 - np.arange(512)) % 512])
+        np.testing.assert_allclose(full, flipped, atol=1e-9)
+        assert spectra.shape == (len(frames.frames), 257)
+        np.testing.assert_allclose(spectra, full[:, :257], rtol=0, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -217,37 +227,98 @@ class TestAnalysisChain:
 
 class TestSharedStft:
     @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
-    def test_single_stft_entry_point_equals_separate_calls(self, method):
+    def test_single_stft_entry_point_equals_separate_calls(self, method, transform_counts):
+        # each path transforms every frame once to denoise and the noise
+        # frames once more for the profile; estimate_and_denoise frames once
         rng = np.random.default_rng(17)
         samples = white_noise(rng, 1.0, sigma=0.02)
         samples[4000:9000] += tone(700.0, 5000 / SR)
         buf = AudioBuffer(samples, SR)
         cfg = EnhanceConfig(method=method)
+        num_frames = len(segment(buf, cfg.frame_ms, cfg.overlap_fraction).frames)
         cleaned, profile = estimate_and_denoise(buf, cfg)
+        shared = dict(transform_counts.pop(SR))
         separate_profile = estimate_noise(buf, cfg)
+        separate = denoise(buf, separate_profile, cfg)
         np.testing.assert_array_equal(profile.mean_magnitude, separate_profile.mean_magnitude)
         assert profile.frames_used == separate_profile.frames_used
-        np.testing.assert_array_equal(
-            cleaned.samples, denoise(buf, separate_profile, cfg).samples
-        )
+        np.testing.assert_array_equal(cleaned.samples, separate.samples)
+        analyzed = num_frames + profile.frames_used
+        assert shared == {"framings": 1, "analyzed": analyzed, "synthesized": num_frames}
+        assert transform_counts[SR] == {
+            "framings": 2, "analyzed": analyzed, "synthesized": num_frames
+        }
 
-    def test_cli_enhance_computes_one_stft(self, tmp_path, monkeypatch):
+    def test_cli_enhance_computes_one_stft(self, tmp_path, transform_counts):
         from revspeech import write_wav
         from revspeech.cli import run
-        from revspeech.features import FrameSpec
 
         rng = np.random.default_rng(18)
         source = tmp_path / "noisy.wav"
         write_wav(AudioBuffer(white_noise(rng, 0.5, sigma=0.05), SR), source)
-        original = FrameSpec.stft
-        calls = []
-
-        def counting(self, buf):
-            calls.append(len(buf.samples))
-            return original(self, buf)
-
-        monkeypatch.setattr(FrameSpec, "stft", counting)
         argv = ["enhance", "--in", str(source), "--out", str(tmp_path / "clean.wav"),
                 "--noise-out", str(tmp_path / "noise.txt")]
         assert run(argv) == 0
-        assert calls == [SR // 2]
+        frames_used = int((tmp_path / "noise.txt").read_text().splitlines()[1].split(":")[1])
+        num_frames = 39  # 8000 samples in 400-sample frames at a 200-sample hop
+        assert dict(transform_counts) == {
+            SR // 2: {"framings": 1, "analyzed": num_frames + frames_used,
+                      "synthesized": num_frames}
+        }
+
+
+class TestBlocks:
+    """Enhancement takes BLOCK_FRAMES frames at a time; the result must not care."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_samples=st.integers(1, 4000),
+        block=st.integers(1, 7),
+        method=st.sampled_from(["spectral_subtraction", "wiener"]),
+        overlap=st.floats(0.0, 0.9),
+    )
+    @example(seed=0, num_samples=4000, block=1, method="wiener", overlap=0.75)
+    def test_blocked_enhancement_matches_one_block(
+        self, seed, num_samples, block, method, overlap
+    ):
+        rng = np.random.default_rng(seed)
+        samples = 0.01 * rng.standard_normal(num_samples)
+        burst = samples[int(rng.integers(0, num_samples)) :][:1500]
+        burst += 0.3 * rng.standard_normal(len(burst))
+        buf = AudioBuffer(samples, 8000)
+        cfg = EnhanceConfig(method=method, overlap_fraction=overlap)
+
+        def run():
+            frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+            return frame_energies(frames), *estimate_and_denoise(buf, cfg)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audio, "BLOCK_FRAMES", 10**9)
+            whole_energies, whole, whole_profile = run()
+            patch.setattr(audio, "BLOCK_FRAMES", block)
+            energies, cleaned, profile = run()
+        np.testing.assert_array_equal(energies, whole_energies)
+        assert profile.frames_used == whole_profile.frames_used
+        peak = np.max(np.abs(samples))
+        np.testing.assert_allclose(cleaned.samples, whole.samples, rtol=0, atol=1e-12 * peak)
+
+    def test_memory_grows_by_a_few_bytes_per_input_byte(self):
+        # beyond a fixed cost per block, enhancement keeps the padded framing
+        # copy and the output: about 2 bytes per input byte; holding the
+        # whole recording's spectra would cost about 19
+        cfg = EnhanceConfig()
+
+        def traced_peak(duration_s):
+            rng = np.random.default_rng(20)
+            buf = AudioBuffer(white_noise(rng, duration_s, sigma=0.01), SR)
+            buf.samples[SR : 2 * SR] += tone(500.0, 1.0)
+            tracemalloc.start()
+            try:
+                estimate_and_denoise(buf, cfg)
+                return tracemalloc.get_traced_memory()[1], buf.samples.nbytes
+            finally:
+                tracemalloc.stop()
+
+        short_peak, short_bytes = traced_peak(60.0)
+        long_peak, long_bytes = traced_peak(180.0)
+        assert (long_peak - short_peak) / (long_bytes - short_bytes) < 4.0

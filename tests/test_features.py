@@ -343,23 +343,24 @@ class TestFrameSpec:
         rng = np.random.default_rng(13)
         buf = AudioBuffer(rng.standard_normal(3000), 16000)
         frames, spectra = FrameSpec().stft(buf)
-        assert spectra.shape == (frames.frames.shape[0], 512)
+        assert spectra.shape == (frames.frames.shape[0], 257)
         for i in (0, 7, frames.frames.shape[0] - 1):
             windowed = hamming_window(frames.frames[i], 0.46)
             np.testing.assert_allclose(
-                np.abs(spectra[i]), dft_magnitude(windowed, 512), rtol=1e-12, atol=1e-12
+                np.abs(spectra[i]), dft_magnitude(windowed, 512)[:257], rtol=1e-12, atol=1e-12
             )
 
 
 def per_frame_overlap_add(spectra, frames, window_a, out_len):
     """Reference synthesis: one frame at a time, window-power normalized."""
     frame_len, hop = frames.frame_len, frames.hop
+    fft_size = 2 * (spectra.shape[1] - 1)
     window = hamming_coefficients(frame_len, window_a)
     total = (len(spectra) - 1) * hop + frame_len
     acc, power = np.zeros(total), np.zeros(total)
     for i, spectrum in enumerate(spectra):
         start = i * hop
-        acc[start : start + frame_len] += np.real(np.fft.ifft(spectrum))[:frame_len] * window
+        acc[start : start + frame_len] += np.fft.irfft(spectrum, n=fft_size)[:frame_len] * window
         power[start : start + frame_len] += window * window
     safe = np.where(power >= 1e-8, power, 1.0)
     return np.where(power >= 1e-8, acc / safe, acc)[:out_len]
@@ -371,22 +372,27 @@ def per_frame_overlap_add(spectra, frames, window_a, out_len):
     overlap=st.floats(0.0, 0.95),
     window_a=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 7),
 )
-@example(num_samples=150, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=0)  # under one frame
-@example(num_samples=4000, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=1)  # 4 per sample
-def test_istft_matches_a_per_frame_overlap_add(num_samples, frame_ms, overlap, window_a, seed):
+# under one frame, then 4 frames per sample
+@example(num_samples=150, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=0, block=1)
+@example(num_samples=4000, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=1, block=3)
+def test_istft_matches_a_per_frame_overlap_add(
+    num_samples, frame_ms, overlap, window_a, seed, block
+):
     # the sum at each sample adds its frames in frame order, as the loop does,
     # so the two agree bit for bit at every overlap, not only at one or two
-    # frames per sample; a random gain stands in for enhancement's shaping
+    # frames per sample, and however the frames are split into blocks; a
+    # random gain stands in for enhancement's shaping
     rng = np.random.default_rng(seed)
     spec = FrameSpec(frame_ms, overlap, window_a)
     buf = AudioBuffer(rng.uniform(-1.0, 1.0, num_samples), 8000)
     frames, spectra = spec.stft(buf)
     shaped = spectra * rng.uniform(0.0, 1.0, spectra.shape)
-    np.testing.assert_array_equal(
-        spec.istft(shaped, frames, num_samples),
-        per_frame_overlap_add(shaped, frames, window_a, num_samples),
-    )
+    expected = per_frame_overlap_add(shaped, frames, window_a, num_samples)
+    np.testing.assert_array_equal(spec.istft([shaped], frames, num_samples), expected)
+    blocks = [shaped[lo : lo + block] for lo in range(0, len(shaped), block)]
+    np.testing.assert_array_equal(spec.istft(blocks, frames, num_samples), expected)
 
 
 class TestPerFrameFunctionsOnMatrices:
@@ -433,9 +439,9 @@ class TestExtractComposition:
         rows = extract(buf, cfg).rows
         np.testing.assert_array_equal(rows, expected)
         num_frames = rows.shape[0]
+        # the spectrum is FrameSpec.stft's half spectrum, not dft_magnitude's
         assert calls == [
             ("hamming_window", (num_frames, 400)),
-            ("dft_magnitude", (num_frames, 512)),
             ("mel_filterbank", (num_frames, 26)),
             ("mfcc", (num_frames, 13)),
         ]

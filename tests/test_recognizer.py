@@ -13,6 +13,7 @@ from revspeech import (
     GmmModel,
     Vocabulary,
     classify_segment,
+    estimate_noise,
     reverse,
     segment_utterances,
     transcribe,
@@ -163,9 +164,19 @@ class TestSegmentUtterances:
         assert abs(start - 0.7) <= FRAME_S
         assert abs(end - 1.2) <= FRAME_S
 
-    def test_digital_silence_falls_back_to_whole_buffer(self):
-        buf = AudioBuffer(np.zeros(SR), SR)
-        assert segment_utterances(buf) == [(0.0, 1.0)]
+    def test_digital_silence_is_rejected(self):
+        with pytest.raises(InsufficientDataError, match="same energy"):
+            segment_utterances(AudioBuffer(np.zeros(SR), SR))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.full(SR, 0.25), np.array([0.3]), 0.1 * np.random.default_rng(38).standard_normal(399)],
+        ids=["dc_second", "one_sample", "under_one_frame"],
+    )
+    def test_equal_frame_energies_are_rejected(self, samples):
+        # no frame is louder than another, so no region can stand out
+        with pytest.raises(InsufficientDataError):
+            segment_utterances(AudioBuffer(samples, SR))
 
     def test_two_tones_give_two_regions(self):
         rng = np.random.default_rng(34)
@@ -212,6 +223,10 @@ class TestSegmentUtterances:
         regions = segment_utterances(buf)
         assert regions and all(0.0 <= lo < hi <= buf.duration_s for lo, hi in regions)
         for n in range(1, 1400, 13):
+            if n < 400:  # one zero-padded frame: nothing to compare it with
+                with pytest.raises(InsufficientDataError):
+                    segment_utterances(rising_take(n, seed=n))
+                continue
             regions = segment_utterances(rising_take(n, seed=n))
             assert all(0.0 <= lo <= hi <= n / SR for lo, hi in regions)
 
@@ -280,14 +295,10 @@ class TestTranscribe:
             assert abs(lo - start) <= 2 * FRAME_S
             assert abs(hi - end) <= 2 * FRAME_S
 
-    def test_silence_yields_single_low_score_segment(self, fixture_vocabulary):
+    def test_silence_is_rejected(self, fixture_vocabulary):
         buf = AudioBuffer(np.zeros(SR), SR)
-        transcript = transcribe(buf, fixture_vocabulary, "forward")
-        assert len(transcript.segments) == 1
-        seg = transcript.segments[0]
-        assert (seg.start_s, seg.end_s) == (0.0, 1.0)
-        assert seg.label in fixture_vocabulary.entries
-        assert np.isfinite(seg.score)
+        with pytest.raises(InsufficientDataError):
+            transcribe(buf, fixture_vocabulary, "forward")
 
     def test_deterministic(self, fixture_vocabulary, fixture_session):
         buf, _ = fixture_session
@@ -301,21 +312,21 @@ class TestTranscribe:
         with pytest.raises(InsufficientDataError):
             transcribe(AudioBuffer(np.zeros(0), SR), fixture_vocabulary, "forward")
 
-    def test_one_stft_per_direction(self, fixture_vocabulary, fixture_session, monkeypatch):
-        from revspeech.features import FrameSpec
-
+    def test_one_stft_per_direction(self, fixture_vocabulary, fixture_session, transform_counts):
+        # enhancement frames each direction once, transforms every frame once
+        # to denoise and the noise frames once more for the profile
         buf, _ = fixture_session
-        original = FrameSpec.stft
-        lengths = []
-
-        def counting(self, work):
-            lengths.append(len(work.samples))
-            return original(self, work)
-
-        monkeypatch.setattr(FrameSpec, "stft", counting)
+        cfg = EnhanceConfig()
+        num_frames = len(segment(buf, cfg.frame_ms, cfg.overlap_fraction).frames)
         for direction in ("forward", "reverse"):
+            work = reverse(buf) if direction == "reverse" else buf
+            frames_used = estimate_noise(work, cfg).frames_used
+            transform_counts.clear()
             transcribe(buf, fixture_vocabulary, direction)
-        assert lengths == [len(buf.samples)] * 2
+            assert transform_counts[len(buf.samples)] == {
+                "framings": 1, "analyzed": num_frames + frames_used,
+                "synthesized": num_frames,
+            }
 
     def test_invalid_direction_rejected(self, fixture_vocabulary):
         with pytest.raises(ValueError):
