@@ -12,6 +12,8 @@ INT16_FULL_SCALE = 32768
 # frames per block for whole-recording passes: about 25 s at 16 kHz with the
 # default 25 ms frames at 50% overlap; bounds each pass's transient memory
 BLOCK_FRAMES = 2048
+# samples per block when writing: 512 KB of float64
+BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass
@@ -37,18 +39,59 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate_hz
 
 
-@dataclass
 class FrameSequence:
-    """Fixed-length windows cut from a buffer; frame i starts at sample i*hop."""
+    """Fixed-length windows cut from samples; frame i starts at sample i*hop.
 
-    frames: np.ndarray
-    frame_len: int
-    hop: int
-    sample_rate_hz: int
+    The frames that fit inside the samples are a read-only strided view of
+    them, so overlapping frames share memory and nothing is copied. The one
+    frame that may run past the last sample (or the only frame, when there
+    are fewer samples than one frame) comes from a zero-padded copy of the
+    tail. frames[rows] gives the frames of a slice, an index or an index
+    array as rows of frame_len samples.
+    """
 
-    def __post_init__(self):
-        if not 0 < self.hop <= self.frame_len:
+    def __init__(self, samples: np.ndarray, frame_len: int, hop: int, sample_rate_hz: int):
+        if not 0 < hop <= frame_len:
             raise ValueError("hop must satisfy 0 < hop <= frame_len")
+        self.samples = samples
+        self.frame_len = frame_len
+        self.hop = hop
+        self.sample_rate_hz = sample_rate_hz
+        n = len(samples)
+        self._count = -(-max(n - frame_len, 0) // hop) + 1
+        inside = max((n - frame_len) // hop + 1, 0)
+        if inside:
+            self._inside = sliding_window_view(samples, frame_len)[::hop]
+        else:
+            self._inside = np.empty((0, frame_len))
+        # count - inside is 0 or 1: only the last frame can run past the end
+        self._tail = np.zeros((self._count - inside, frame_len))
+        if self._count > inside:
+            rest = samples[inside * hop :]
+            self._tail[0, : len(rest)] = rest
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, rows) -> np.ndarray:
+        inside = len(self._inside)
+        if isinstance(rows, slice):
+            start, stop, step = rows.indices(self._count)
+            if step == 1 and stop <= inside:
+                return self._inside[start:stop]
+        index = np.arange(self._count)[rows]
+        out = np.empty(index.shape + (self.frame_len,))
+        within = index < inside
+        out[within] = self._inside[index[within]]
+        out[~within] = self._tail[index[~within] - inside]
+        return out
+
+    def covering(self, lo: int, hi: int) -> slice:
+        """The frames that hold at least one of the samples lo .. hi - 1."""
+        if hi <= lo:
+            return slice(0, 0)
+        first = max((lo - self.frame_len) // self.hop + 1, 0)
+        return slice(first, min((hi - 1) // self.hop + 1, self._count))
 
 
 def read_wav(path) -> AudioBuffer:
@@ -63,7 +106,7 @@ def read_wav(path) -> AudioBuffer:
             or more than two channels.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
 
     if len(blob) < 12 or blob[0:4] != b"RIFF":
         raise WavFormatError(f"{path}: not a RIFF file")
@@ -79,7 +122,7 @@ def read_wav(path) -> AudioBuffer:
     data = None
     offset = 12
     while offset + 8 <= len(blob):
-        chunk_id = blob[offset : offset + 4]
+        chunk_id = bytes(blob[offset : offset + 4])
         (chunk_size,) = struct.unpack_from("<I", blob, offset + 4)
         body = blob[offset + 8 : offset + 8 + chunk_size]
         if len(body) != chunk_size:
@@ -119,7 +162,9 @@ def read_wav(path) -> AudioBuffer:
     if len(data) % block_align != 0:
         raise WavFormatError(f"{path}: data length is not a whole number of frames")
 
-    raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / INT16_FULL_SCALE
+    # chunks are memoryview slices of the file, so the only copy is this one
+    raw = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    raw /= INT16_FULL_SCALE
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
     return AudioBuffer(raw, sample_rate)
@@ -134,15 +179,19 @@ def write_wav(buf: AudioBuffer, path) -> None:
     """
     if len(buf.samples) == 0:
         raise ValueError("cannot write an empty buffer")
-    scaled = buf.samples * INT16_FULL_SCALE
-    quantized = np.trunc(scaled + np.copysign(0.5, scaled))
-    quantized = np.clip(quantized, -32768, 32767).astype("<i2")
+    payload = np.empty(len(buf.samples), dtype="<i2")
+    for lo in range(0, len(payload), BLOCK_SAMPLES):
+        # scale, round, clip and convert one block in place
+        scaled = buf.samples[lo : lo + BLOCK_SAMPLES] * INT16_FULL_SCALE
+        scaled += np.copysign(0.5, scaled)
+        np.trunc(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=scaled)
+        payload[lo : lo + len(scaled)] = scaled
 
-    payload = quantized.tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + payload.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -153,7 +202,7 @@ def write_wav(buf: AudioBuffer, path) -> None:
         2,
         16,
         b"data",
-        len(payload),
+        payload.nbytes,
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -171,8 +220,8 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
     frame_len = round(frame_ms * rate / 1000) and
     hop = frame_len - round(overlap_fraction * frame_len). The trailing
     partial frame is zero-padded; a buffer shorter than one frame yields a
-    single zero-padded frame. The frames are a read-only strided view of one
-    padded copy of the samples, so overlapping frames share memory.
+    single zero-padded frame. The frames are a read-only strided view of the
+    buffer's own samples, plus that one padded frame (see FrameSequence).
     """
     if frame_ms <= 0:
         raise ValueError("frame_ms must be positive")
@@ -186,18 +235,12 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
         )
     # extreme overlap on tiny frames can round the hop to zero; keep it total
     hop = max(frame_len - int(overlap_fraction * frame_len + 0.5), 1)
-
-    n = len(buf.samples)
-    num_frames = int(np.ceil(max(n - frame_len, 0) / hop)) + 1
-    padded = np.zeros((num_frames - 1) * hop + frame_len, dtype=np.float64)
-    padded[:n] = buf.samples
-    frames = sliding_window_view(padded, frame_len)[::hop]
-    return FrameSequence(frames, frame_len, hop, buf.sample_rate_hz)
+    return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
 
 
-def frame_blocks(count: int) -> list[slice]:
-    """Consecutive slices of at most BLOCK_FRAMES items covering range(count)."""
-    return [slice(lo, min(lo + BLOCK_FRAMES, count)) for lo in range(0, count, BLOCK_FRAMES)]
+def frame_blocks(start: int, stop: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_FRAMES items covering range(start, stop)."""
+    return [slice(lo, min(lo + BLOCK_FRAMES, stop)) for lo in range(start, stop, BLOCK_FRAMES)]
 
 
 def frame_energies(frames: FrameSequence) -> np.ndarray:
@@ -206,7 +249,7 @@ def frame_energies(frames: FrameSequence) -> np.ndarray:
     Each row's mean is taken on its own, so the result does not depend on
     the block size.
     """
-    energies = np.empty(len(frames.frames))
-    for part in frame_blocks(len(energies)):
-        energies[part] = np.mean(frames.frames[part] ** 2, axis=1)
+    energies = np.empty(len(frames))
+    for part in frame_blocks(0, len(energies)):
+        energies[part] = np.mean(frames[part] ** 2, axis=1)
     return energies

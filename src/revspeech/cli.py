@@ -169,7 +169,9 @@ def _cmd_enhance(args, cfg: ToolConfig) -> int:
 
 
 def _cmd_reverse(args, cfg: ToolConfig) -> int:
-    audio.write_wav(audio.reverse(_read_audio(args.input)), args.output)
+    buf = _read_audio(args.input)
+    # a reversed view: the input is the only float array held
+    audio.write_wav(audio.AudioBuffer(buf.samples[::-1], buf.sample_rate_hz), args.output)
     return EXIT_OK
 
 

@@ -4,11 +4,15 @@ Both methods estimate a noise magnitude spectrum from low-energy frames,
 attenuate per-bin magnitudes, keep the noisy phase, and reconstruct through
 FrameSpec.istft. Every pass over the recording takes BLOCK_FRAMES frames at a
 time, so its transient memory is one block's, whatever the recording's length.
-estimate_and_denoise does both from one framing.
+Denoising works on sample spans: overlap-add is local, so a span's cleaned
+samples need only the frames that cover it (and, for the Wiener recursion,
+the frames before them). The whole buffer is the one-span case.
+estimate_and_denoise and denoise_spans estimate and denoise from one framing.
 """
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,7 +82,7 @@ def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig) -> NoiseProfile:
         selected = np.array([np.argmin(energies)])
     half = sum(
         np.abs(cfg.frame.spectra(frames, selected[part])).sum(axis=0)
-        for part in frame_blocks(len(selected))
+        for part in frame_blocks(0, len(selected))
     ) / len(selected)
     return NoiseProfile(np.concatenate([half, half[-2:0:-1]]), len(selected))
 
@@ -134,12 +138,75 @@ def _wiener(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig)
         yield spectra
 
 
-def _denoise(buf: AudioBuffer, frames: FrameSequence, noise: NoiseProfile, cfg: EnhanceConfig):
+def _wiener_ranges(frames: FrameSequence, noise: np.ndarray, cfg: EnhanceConfig, ranges):
+    """For each range of frames in turn, an iterator of its Wiener-shaped spectra.
+
+    One walk analyzes every frame from the first to the last that a range
+    needs, once and in order, since the recursion carries state from frame
+    to frame. A walked block is kept only while a later range still needs
+    some of its frames, so sorted, disjoint ranges keep a block or two.
+    """
+    stop = max((r.stop for r in ranges), default=0)
+    walk = _wiener(
+        (cfg.frame.spectra(frames, part) for part in frame_blocks(0, stop)), noise, cfg
+    )
+    kept = []  # (first frame, shaped spectra) of walked blocks, in frame order
+    walked = 0
+
+    def shaped(rows: slice, needed: int):
+        """Blocks of the spectra of rows; frames from needed on stay kept."""
+        nonlocal walked
+        i = 0
+        while rows.start < rows.stop:
+            if i == len(kept):
+                kept.append((walked, next(walk)))
+                walked += len(kept[-1][1])
+            first, block = kept[i]
+            if first + len(block) > needed:
+                i += 1
+            else:
+                del kept[i]
+            lo, hi = max(rows.start - first, 0), min(rows.stop - first, len(block))
+            if lo < hi:
+                yield block[lo:hi]
+            if first + len(block) >= rows.stop:
+                return
+
+    # the first frame any later range needs, for each range
+    starts = [r.start if r.start < r.stop else stop for r in ranges[1:]] + [stop]
+    needed = list(accumulate(reversed(starts), min))[::-1]
+    for rows, keep_from in zip(ranges, needed):
+        yield shaped(rows, keep_from)
+
+
+def _denoise(
+    frames: FrameSequence, noise: NoiseProfile, cfg: EnhanceConfig, spans
+) -> Iterator[np.ndarray]:
+    """Cleaned samples lo .. hi - 1 of each span, one span at a time.
+
+    Only the frames that cover a span are resynthesized. Spectral
+    subtraction shapes each frame on its own, so it analyzes just those
+    frames, once per span; Wiener shapes them from one walk over the frames
+    up to the last span (_wiener_ranges).
+    """
     spec = cfg.frame
     half = noise.mean_magnitude[: len(noise.mean_magnitude) // 2 + 1]
-    blocks = (spec.spectra(frames, part) for part in frame_blocks(len(frames.frames)))
-    shaped = (_wiener if cfg.method == "wiener" else _subtracted)(blocks, half, cfg)
-    return AudioBuffer(spec.istft(shaped, frames, len(buf.samples)), buf.sample_rate_hz)
+    num_samples = len(frames.samples)
+    spans = [(max(lo, 0), min(hi, num_samples)) for lo, hi in spans]
+    ranges = [frames.covering(lo, hi) for lo, hi in spans]
+    if cfg.method == "wiener":
+        sources = _wiener_ranges(frames, half, cfg, ranges)
+    else:
+        sources = (
+            _subtracted(
+                (spec.spectra(frames, part) for part in frame_blocks(rows.start, rows.stop)),
+                half,
+                cfg,
+            )
+            for rows in ranges
+        )
+    for (lo, hi), shaped in zip(spans, sources):
+        yield spec.istft(shaped, frames, lo, hi)
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:
@@ -149,7 +216,8 @@ def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioB
         raise ConfigError(
             f"noise profile has {len(noise.mean_magnitude)} bins, config expects {fft_size}"
         )
-    return _denoise(buf, cfg.frame.segment(buf), noise, cfg)
+    (cleaned,) = _denoise(cfg.frame.segment(buf), noise, cfg, [(0, len(buf.samples))])
+    return AudioBuffer(cleaned, buf.sample_rate_hz)
 
 
 def spectral_subtract(
@@ -176,4 +244,19 @@ def estimate_and_denoise(
     """estimate_noise then denoise, from one framing; returns (cleaned, profile)."""
     frames = cfg.frame.segment(buf)
     profile = _noise_profile(frames, cfg)
-    return _denoise(buf, frames, profile, cfg), profile
+    (cleaned,) = _denoise(frames, profile, cfg, [(0, len(buf.samples))])
+    return AudioBuffer(cleaned, buf.sample_rate_hz), profile
+
+
+def denoise_spans(
+    buf: AudioBuffer, cfg: EnhanceConfig, spans: Sequence[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """The cleaned samples lo .. hi - 1 of each span, one span at a time.
+
+    The noise profile comes from the whole buffer at the call; each span's
+    samples then equal estimate_and_denoise(buf, cfg)[0].samples[lo:hi]
+    exactly, but the silence between spans is never resynthesized and no
+    full-length output is held.
+    """
+    frames = cfg.frame.segment(buf)
+    return _denoise(frames, _noise_profile(frames, cfg), cfg, spans)

@@ -1,6 +1,6 @@
 """MFCC front end: pre-emphasis, windowing, spectrum, mel filterbank, cepstra, deltas.
 
-Per-frame functions act on the last axis; extract runs them on the frame matrix.
+Per-frame functions act on the last axis; extract runs them on blocks of frames.
 """
 
 import functools
@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSequence, segment
+from .audio import AudioBuffer, FrameSequence, frame_blocks, segment
 from .errors import ConfigError
 
 ENERGY_FLOOR = 1e-10
@@ -49,38 +49,43 @@ class FrameSpec:
         return segment(buf, self.frame_ms, self.overlap_fraction)
 
     def spectra(self, frames: FrameSequence, rows=slice(None)) -> np.ndarray:
-        """Windowed half spectra (fft_size // 2 + 1 bins) of frames.frames[rows].
+        """Windowed half spectra (fft_size // 2 + 1 bins) of frames[rows].
 
         This is the one analysis transform; rows picks a block of frames.
         """
         fft_size = self.resolve_fft_size(frames.sample_rate_hz)
-        windowed = hamming_window(frames.frames[rows], self.window_a)
+        windowed = hamming_window(frames[rows], self.window_a)
         return np.fft.rfft(windowed, n=fft_size, axis=-1)
 
-    def stft(self, buf: AudioBuffer) -> tuple[FrameSequence, np.ndarray]:
-        """The frames and the half spectra of all of them."""
-        frames = self.segment(buf)
-        return frames, self.spectra(frames)
-
     def istft(
-        self, blocks: Iterable[np.ndarray], frames: FrameSequence, out_len: int
+        self, blocks: Iterable[np.ndarray], frames: FrameSequence, lo: int, hi: int
     ) -> np.ndarray:
-        """Resynthesize out_len samples from blocks of (modified) half spectra.
+        """Resynthesize samples lo .. hi - 1 from blocks of (modified) half spectra.
 
-        blocks yields the spectra of consecutive frames, in frame order; the
-        whole matrix as one block is the simplest case. Each inverse DFT is
-        cut to one frame, windowed again and overlap-added into the output,
-        so every sample sums its frames in frame order whatever the blocks.
-        Samples are divided by the summed window power wherever that is
-        >= 1e-8. At a fixed hop that power repeats every hop samples except
-        within one frame of either end, so it is never stored at full length.
+        blocks yields the spectra of the frames that cover the range
+        (frames.covering(lo, hi)), consecutive and in frame order; the whole
+        buffer is the range (0, len(frames.samples)). Each inverse DFT is cut
+        to one frame, windowed again and overlap-added into the output, so
+        every sample sums its frames in frame order whatever the blocks and
+        whatever the range: a range's samples equal the same samples of the
+        whole buffer's output. Samples are divided by the summed window power
+        wherever that is >= 1e-8. At a fixed hop that power repeats every hop
+        samples except within one frame of either end of the buffer, so it is
+        built per row from absolute row indices, never at full length.
         """
-        frame_len, hop, num_frames = frames.frame_len, frames.hop, len(frames.frames)
+        frame_len, hop, num_frames = frames.frame_len, frames.hop, len(frames)
         fft_size = self.resolve_fft_size(frames.sample_rate_hz)
         window = hamming_coefficients(frame_len, self.window_a)
         pieces = -(-frame_len // hop)
         # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
-        out = np.zeros((num_frames + pieces - 1, hop))
+        row_lo, row_hi = lo // hop, max(-(-hi // hop), lo // hop)
+        out = np.zeros((row_hi - row_lo, hop))
+        done = frames.covering(lo, hi).start
+        for spectra in blocks:
+            synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, :frame_len] * window
+            _overlap_add(out, synthesized, hop, done - row_lo)
+            done += len(synthesized)
+
         squared = np.zeros(pieces * hop)
         squared[:frame_len] = window * window
         squared = squared.reshape(pieces, hop)
@@ -92,39 +97,33 @@ class FrameSpec:
                 total += squared[c]
             return total
 
+        # rows pieces - 1 .. num_frames - 1 hold a full set of frames
         interior = power(pieces - 1)
-
-        def normalize(lo: int, hi: int) -> None:
-            """Divide rows lo..hi-1, which hold all their frames, by their power."""
-            mid_lo = min(max(lo, pieces - 1), hi)
-            mid_hi = max(min(hi, num_frames), mid_lo)
-            mid = out[mid_lo:mid_hi]
-            np.divide(mid, interior, out=mid, where=interior >= 1e-8)
-            for j in (*range(lo, mid_lo), *range(mid_hi, hi)):
-                edge = power(j)
-                np.divide(out[j], edge, out=out[j], where=edge >= 1e-8)
-
-        done = 0
-        for spectra in blocks:
-            synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, :frame_len] * window
-            _overlap_add(out[done:], synthesized, hop)
-            normalize(done, done + len(synthesized))
-            done += len(synthesized)
-        normalize(done, len(out))
-        return out.reshape(-1)[:out_len]
+        mid_lo = min(max(row_lo, pieces - 1), row_hi)
+        mid_hi = max(min(row_hi, num_frames), mid_lo)
+        mid = out[mid_lo - row_lo : mid_hi - row_lo]
+        np.divide(mid, interior, out=mid, where=interior >= 1e-8)
+        for j in (*range(row_lo, mid_lo), *range(mid_hi, row_hi)):
+            edge, row = power(j), out[j - row_lo]
+            np.divide(row, edge, out=row, where=edge >= 1e-8)
+        return out.reshape(-1)[lo - row_lo * hop : hi - row_lo * hop]
 
 
-def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int) -> None:
+def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int, offset: int) -> None:
     """Add rows placed hop samples apart into acc, a matrix of hop-long rows.
 
-    Piece c (samples c*hop onward) of row i lands in acc row i + c. Each
-    piece offset is one slice-add over all rows, latest offset first, so
-    every acc row adds its pieces in row order, as a row-by-row loop would.
+    Piece c (samples c*hop onward) of row i lands in acc row offset + i + c;
+    pieces that land outside acc are dropped. Each piece offset is one
+    slice-add over all rows, latest offset first, so every acc row adds its
+    pieces in row order, as a row-by-row loop would.
     """
     num_rows, row_len = rows.shape
     for c in reversed(range(-(-row_len // hop))):
         width = min(hop, row_len - c * hop)
-        acc[c : c + num_rows, :width] += rows[:, c * hop : c * hop + width]
+        first, stop = max(-offset - c, 0), min(len(acc) - offset - c, num_rows)
+        if first < stop:
+            target = acc[offset + c + first : offset + c + stop, :width]
+            target += rows[first:stop, c * hop : c * hop + width]
 
 
 @dataclass
@@ -327,13 +326,17 @@ def delta_features(ceps: np.ndarray, window: int) -> np.ndarray:
 def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
     """Full pipeline: pre-emphasis, framing, window, spectrum, mel, DCT, deltas.
 
-    Rows are frames; columns are num_ceps cepstra followed by their deltas
-    and delta-deltas (39 at defaults).
+    Spectra, mel energies and cepstra are computed BLOCK_FRAMES frames at a
+    time, so besides the pre-emphasized copy only the cepstra and the rows
+    grow with the input. Rows are frames; columns are num_ceps cepstra
+    followed by their deltas and delta-deltas (39 at defaults).
     """
     sr = buf.sample_rate_hz
-    emphasized = preemphasize(buf, cfg.preemphasis_a)
-    _, spectra = cfg.frame.stft(emphasized)
-    ceps = mfcc(mel_filterbank(np.abs(spectra), cfg, sr), cfg.num_ceps)
+    frames = cfg.frame.segment(preemphasize(buf, cfg.preemphasis_a))
+    ceps = np.empty((len(frames), cfg.num_ceps))
+    for part in frame_blocks(0, len(frames)):
+        magnitudes = np.abs(cfg.frame.spectra(frames, part))
+        ceps[part] = mfcc(mel_filterbank(magnitudes, cfg, sr), cfg.num_ceps)
     velocity = delta_features(ceps, cfg.delta_window)
     acceleration = delta_features(velocity, cfg.delta_window)
 

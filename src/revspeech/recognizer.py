@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_energies, reverse, segment
-from .enhance import EnhanceConfig, estimate_and_denoise
+from .audio import AudioBuffer, frame_energies, segment
+from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
     FingerprintMismatchError,
@@ -188,11 +188,13 @@ def transcribe(
     feature_cfg: FeatureConfig | None = None,
     endpoint_cfg: EndpointConfig | None = None,
 ) -> Transcript:
-    """Enhance, endpoint, and classify a recording in the given direction.
+    """Endpoint, enhance, and classify a recording in the given direction.
 
-    direction="reverse" time-reverses the buffer first; segment times then
-    refer to the reversed timeline (forward time is duration minus the
-    mirrored bounds).
+    direction="reverse" reads the buffer backwards (a view, not a copy);
+    segment times then refer to the reversed timeline (forward time is
+    duration minus the mirrored bounds). The noise profile comes from the
+    whole recording, but only the endpointed regions are denoised, one at a
+    time, so the input samples are the only full-length array held.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -201,19 +203,16 @@ def transcribe(
     enhance_cfg = enhance_cfg or EnhanceConfig()
     feature_cfg = feature_cfg or FeatureConfig()
 
-    work = reverse(buf) if direction == "reverse" else buf
+    sr = buf.sample_rate_hz
+    work = AudioBuffer(buf.samples[::-1] if direction == "reverse" else buf.samples, sr)
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
     regions = segment_utterances(work, endpoint_cfg)
-    cleaned, _ = estimate_and_denoise(work, enhance_cfg)
+    spans = [(int(start_s * sr + 0.5), int(end_s * sr + 0.5)) for start_s, end_s in regions]
 
-    sr = cleaned.sample_rate_hz
     segments = []
-    for start_s, end_s in regions:
-        lo = int(start_s * sr + 0.5)
-        hi = int(end_s * sr + 0.5)
-        piece = AudioBuffer(cleaned.samples[lo:hi], sr)
-        feats = extract(piece, feature_cfg)
+    for (start_s, end_s), cleaned in zip(regions, denoise_spans(work, enhance_cfg, spans)):
+        feats = extract(AudioBuffer(cleaned, sr), feature_cfg)
         label, score, margin = classify_segment(feats, vocab)
         segments.append(SegmentHypothesis(start_s, end_s, label, score, margin, direction))
 

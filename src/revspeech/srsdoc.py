@@ -7,7 +7,9 @@ for human review, never silently dropped.
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 from .audio import AudioBuffer
 from .config import ToolConfig, config_fingerprint
@@ -132,8 +134,14 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
 
     Reverse times are mirrored into forward time first. A reverse segment
     with no overlap pairs with the nearest forward segment and says so in
-    its note. Forward segments no reverse segment chose become unmatched
-    pairs, so the report accounts for every segment on both sides.
+    its note; ties go to the nearer gap, then to the lower forward index.
+    Forward segments no reverse segment chose become unmatched pairs, so the
+    report accounts for every segment on both sides.
+
+    Forward segments are sorted by start and, separately, by end, so each
+    reverse segment looks at the few that can overlap it (bisected by start
+    and by the running maximum of end) and at the nearest ones on either
+    side, not at all of them.
     """
     if abs(fwd.source_duration_s - rev.source_duration_s) > 1e-3:
         raise ValueError(
@@ -141,24 +149,48 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
             f"{rev.source_duration_s}"
         )
     duration = fwd.source_duration_s
+    segments = fwd.segments
+    by_start = sorted(range(len(segments)), key=lambda i: segments[i].start_s)
+    by_end = sorted(range(len(segments)), key=lambda i: segments[i].end_s)
+    starts = [segments[i].start_s for i in by_start]
+    ends = [segments[i].end_s for i in by_end]
+    reach = list(accumulate((segments[i].end_s for i in by_start), max))
 
     pairs = []
     used = set()
     for rseg in rev.segments:
+        if not segments:
+            break  # no forward segments at all; nothing to pair against
         lo, hi = duration - rseg.end_s, duration - rseg.start_s
-        best_idx, best_overlap, best_gap = None, -1.0, float("inf")
-        for idx, fseg in enumerate(fwd.segments):
+
+        def key(idx: int) -> tuple[float, float, int]:
+            fseg = segments[idx]
             overlap = max(0.0, min(fseg.end_s, hi) - max(fseg.start_s, lo))
             gap = max(fseg.start_s - hi, lo - fseg.end_s, 0.0)
-            if overlap > best_overlap or (overlap == best_overlap and gap < best_gap):
-                best_idx, best_overlap, best_gap = idx, overlap, gap
-        if best_idx is None:
-            continue  # no forward segments at all; nothing to pair against
-        note = "" if best_overlap > 0 else "no temporal overlap; paired with nearest"
-        used.add(best_idx)
-        pairs.append(ReversalPair(fwd.segments[best_idx], rseg, None, note))
+            return -overlap, gap, idx
 
-    for idx, fseg in enumerate(fwd.segments):
+        # every segment that can overlap starts before hi and ends after lo
+        after = bisect_left(starts, hi)
+        candidates = by_start[bisect_right(reach, lo) : after]
+        # the nearest that end by lo (latest end first) and that start from
+        # hi on (earliest start first), each with every tie in gap
+        for nearest in (
+            (by_end[j] for j in range(bisect_right(ends, lo) - 1, -1, -1)),
+            (by_start[j] for j in range(after, len(by_start))),
+        ):
+            tied = None
+            for idx in nearest:
+                gap = key(idx)[1]
+                if tied is not None and gap != tied:
+                    break
+                tied = gap
+                candidates.append(idx)
+        best_idx = min(candidates, key=key)
+        note = "" if key(best_idx)[0] < 0 else "no temporal overlap; paired with nearest"
+        used.add(best_idx)
+        pairs.append(ReversalPair(segments[best_idx], rseg, None, note))
+
+    for idx, fseg in enumerate(segments):
         if idx not in used:
             pairs.append(
                 ReversalPair(fseg, None, CATEGORY_UNMATCHED, "no reverse counterpart")

@@ -188,13 +188,13 @@ def transform_counts(monkeypatch):
         counts[lengths[id(frames)]]["analyzed"] += len(out)
         return out
 
-    def counting_istft(self, blocks, frames, out_len):
+    def counting_istft(self, blocks, frames, lo, hi):
         def counted():
             for block in blocks:
                 counts[lengths[id(frames)]]["synthesized"] += len(block)
                 yield block
 
-        return istft(self, counted(), frames, out_len)
+        return istft(self, counted(), frames, lo, hi)
 
     monkeypatch.setattr(FrameSpec, "segment", counting_segment)
     monkeypatch.setattr(FrameSpec, "spectra", counting_spectra)

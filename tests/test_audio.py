@@ -187,19 +187,19 @@ class TestSegment:
         frames = segment(buf, 100.0, 0.5)
         assert frames.frame_len == 100
         assert frames.hop == 50
-        assert frames.frames.shape[0] == 19
+        assert len(frames) == 19
         for i in range(19):
             start = i * 50
             expected = np.zeros(100)
             chunk = buf.samples[start : start + 100]
             expected[: len(chunk)] = chunk
-            np.testing.assert_array_equal(frames.frames[i], expected)
+            np.testing.assert_array_equal(frames[i], expected)
 
     def test_zero_overlap_contiguous(self):
         buf = AudioBuffer(np.arange(30) / 30.0, 10)
         frames = segment(buf, 1000.0, 0.0)
         assert frames.hop == frames.frame_len == 10
-        np.testing.assert_array_equal(frames.frames.ravel(), buf.samples)
+        np.testing.assert_array_equal(frames[:].ravel(), buf.samples)
 
     def test_frame_len_arithmetic(self):
         buf = AudioBuffer(np.zeros(800), 16000)
@@ -208,9 +208,9 @@ class TestSegment:
     def test_short_buffer_zero_padded(self):
         buf = AudioBuffer([0.5, -0.5], 16000)
         frames = segment(buf, 25.0, 0.5)
-        assert frames.frames.shape == (1, 400)
-        np.testing.assert_array_equal(frames.frames[0, :2], [0.5, -0.5])
-        assert np.all(frames.frames[0, 2:] == 0)
+        assert frames[:].shape == (1, 400)
+        np.testing.assert_array_equal(frames[0][:2], [0.5, -0.5])
+        assert np.all(frames[0][2:] == 0)
 
     def test_frame_count_formula(self):
         rng = np.random.default_rng(5)
@@ -221,28 +221,52 @@ class TestSegment:
             overlap = float(rng.uniform(0, 0.9))
             frames = segment(buf, frame_ms, overlap)
             expected = int(np.ceil(max(n - frames.frame_len, 0) / frames.hop)) + 1
-            assert frames.frames.shape[0] == expected
+            assert len(frames) == expected
 
     def test_zero_overlap_concatenation_reproduces_input(self):
         rng = np.random.default_rng(6)
         samples = rng.uniform(-1, 1, size=1234)
         buf = AudioBuffer(samples, 16000)
         frames = segment(buf, 25.0, 0.0)
-        rebuilt = frames.frames.ravel()[: len(samples)]
+        rebuilt = frames[:].ravel()[: len(samples)]
         np.testing.assert_array_equal(rebuilt, samples)
 
     def test_frames_are_a_read_only_view(self):
         buf = AudioBuffer(np.arange(1000) / 1000.0, 1000)
-        frames = segment(buf, 100.0, 0.5).frames
-        # overlapping frames are windows on one padded buffer, not copies
+        frames = segment(buf, 100.0, 0.5)[:]
+        # overlapping frames are windows on the samples, not copies
         assert not frames.flags.owndata
         assert np.shares_memory(frames[0], frames[1])
         assert frames[0, 50] == frames[1, 0] == 0.05
         assert not frames.flags.writeable
         with pytest.raises(ValueError):
             frames[0, 0] = 1.0
-        # the caller's samples are copied, never aliased
-        assert not np.shares_memory(frames, buf.samples)
+        # the windows lie on the caller's samples, which they cannot change
+        assert np.shares_memory(frames, buf.samples)
+
+    @pytest.mark.parametrize("frame_ms, overlap", [(8.0, 0.625), (8.0, 0.5), (8.0, 0.0), (1.0, 0.0)])
+    def test_frames_equal_a_padded_copy(self, frame_ms, overlap):
+        # the frames that fit are views of the samples and the last one is
+        # padded on its own; every way of reading them equals the frames of
+        # one zero-padded copy of the whole buffer, from one sample to
+        # several frames, exact fits (no padded frame) included
+        for n in range(1, 60):
+            samples = np.arange(1, n + 1, dtype=np.float64)
+            frames = segment(AudioBuffer(samples, 1000), frame_ms, overlap)
+            frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
+            padded = np.zeros((count - 1) * hop + frame_len)
+            padded[:n] = samples
+            old = np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop]
+            assert old.shape == (count, frame_len)
+            np.testing.assert_array_equal(frames[:], old)
+            np.testing.assert_array_equal(frames[1:-1], old[1:-1])
+            np.testing.assert_array_equal(frames[::2], old[::2])
+            index = np.array([count - 1, 0, count - 1, count // 2])
+            np.testing.assert_array_equal(frames[index], old[index])
+            for i in (0, count // 2, count - 1, -1):
+                np.testing.assert_array_equal(frames[i], old[i])
+        exact = segment(AudioBuffer(np.ones(8 + 3 * 4), 1000), 8.0, 0.5)
+        assert len(exact) == 4 and np.shares_memory(exact[:], exact.samples)
 
     def test_invalid_arguments(self):
         buf = AudioBuffer(np.zeros(100), 8000)
@@ -277,18 +301,18 @@ def test_wav_round_trip_on_the_16_bit_grid(codes, rate):
 def test_segment_covers_every_sample(n, rate, frame_ms, overlap):
     samples = np.arange(1, n + 1, dtype=np.float64)
     frames = segment(AudioBuffer(samples, rate), frame_ms, overlap)
-    frame_len, hop, count = frames.frame_len, frames.hop, frames.frames.shape[0]
-    assert frames.frames.shape == (count, frame_len)
+    frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
+    assert frames[:].shape == (count, frame_len)
     # frame i starts at sample i*hop, so sample t sits at column t - i*hop of
     # frame i = t // hop, or of the last frame once t // hop runs past it
     t = np.arange(n)
     i = np.minimum(t // hop, count - 1)
-    np.testing.assert_array_equal(frames.frames[i, t - i * hop], samples)
+    np.testing.assert_array_equal(frames[i][t, t - i * hop], samples)
     # the frames reach the last sample, and none starts past it but the first
     assert (count - 1) * hop + frame_len >= n
     assert count == 1 or (count - 1) * hop < n
     # whatever lies beyond the buffer is zero padding
     for i in range(count):
         np.testing.assert_array_equal(
-            frames.frames[i], np.pad(samples, (0, frame_len))[i * hop : i * hop + frame_len]
+            frames[i], np.pad(samples, (0, frame_len))[i * hop : i * hop + frame_len]
         )

@@ -20,7 +20,7 @@ from revspeech import (
 )
 from revspeech import audio
 from revspeech.audio import frame_energies, segment
-from revspeech.enhance import subtract_magnitudes
+from revspeech.enhance import denoise_spans, subtract_magnitudes
 from revspeech.errors import ConfigError
 from revspeech.features import hamming_coefficients
 
@@ -69,7 +69,7 @@ class TestEstimateNoise:
         lead = AudioBuffer(noise[: SR * 2], SR)
         frames = segment(lead, cfg.frame_ms, cfg.overlap_fraction)
         window = hamming_coefficients(frames.frame_len, cfg.window_a)
-        oracle = np.abs(np.fft.fft(frames.frames * window, n=512, axis=1)).mean(axis=0)
+        oracle = np.abs(np.fft.fft(frames[:] * window, n=512, axis=1)).mean(axis=0)
 
         deviation = np.abs(profile.mean_magnitude - oracle) / oracle
         assert np.max(deviation) < 0.10
@@ -200,16 +200,17 @@ class TestWienerFilter:
 
 class TestAnalysisChain:
     def test_windowed_spectra_conjugate_symmetric(self):
-        # real frames have conjugate-symmetric DFTs, so stft keeps only the
+        # real frames have conjugate-symmetric DFTs, so spectra keeps only the
         # first fft_size // 2 + 1 bins and loses nothing
         rng = np.random.default_rng(12)
         buf = AudioBuffer(white_noise(rng, 0.5), SR)
         spec = EnhanceConfig().frame
-        frames, spectra = spec.stft(buf)
-        full = np.fft.fft(frames.frames * hamming_coefficients(frames.frame_len, 0.46), n=512)
+        frames = spec.segment(buf)
+        spectra = spec.spectra(frames)
+        full = np.fft.fft(frames[:] * hamming_coefficients(frames.frame_len, 0.46), n=512)
         flipped = np.conj(full[:, (512 - np.arange(512)) % 512])
         np.testing.assert_allclose(full, flipped, atol=1e-9)
-        assert spectra.shape == (len(frames.frames), 257)
+        assert spectra.shape == (len(frames), 257)
         np.testing.assert_allclose(spectra, full[:, :257], rtol=0, atol=1e-12)
 
     def test_config_validation(self):
@@ -235,7 +236,7 @@ class TestSharedStft:
         samples[4000:9000] += tone(700.0, 5000 / SR)
         buf = AudioBuffer(samples, SR)
         cfg = EnhanceConfig(method=method)
-        num_frames = len(segment(buf, cfg.frame_ms, cfg.overlap_fraction).frames)
+        num_frames = len(segment(buf, cfg.frame_ms, cfg.overlap_fraction))
         cleaned, profile = estimate_and_denoise(buf, cfg)
         shared = dict(transform_counts.pop(SR))
         separate_profile = estimate_noise(buf, cfg)
@@ -302,11 +303,9 @@ class TestBlocks:
         peak = np.max(np.abs(samples))
         np.testing.assert_allclose(cleaned.samples, whole.samples, rtol=0, atol=1e-12 * peak)
 
-    def test_memory_grows_by_a_few_bytes_per_input_byte(self):
-        # beyond a fixed cost per block, enhancement keeps the padded framing
-        # copy and the output: about 2 bytes per input byte; holding the
-        # whole recording's spectra would cost about 19
-        cfg = EnhanceConfig()
+    @staticmethod
+    def traced_growth(cfg, short_s, long_s):
+        """Extra traced peak of estimate_and_denoise per extra input byte."""
 
         def traced_peak(duration_s):
             rng = np.random.default_rng(20)
@@ -319,6 +318,73 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
 
-        short_peak, short_bytes = traced_peak(60.0)
-        long_peak, long_bytes = traced_peak(180.0)
-        assert (long_peak - short_peak) / (long_bytes - short_bytes) < 4.0
+        short_peak, short_bytes = traced_peak(short_s)
+        long_peak, long_bytes = traced_peak(long_s)
+        return (long_peak - short_peak) / (long_bytes - short_bytes)
+
+    def test_memory_grows_by_a_few_bytes_per_input_byte(self):
+        # beyond a fixed cost per block, enhancement keeps only the output:
+        # about 1 byte per input byte, since the frames are a view of the
+        # input; holding the whole recording's spectra would cost about 19
+        assert self.traced_growth(EnhanceConfig(), 60.0, 180.0) < 1.5
+
+    def test_wiener_keeps_no_walked_blocks(self):
+        # the Wiener walk drops each block once resynthesized; keeping them
+        # would hold the whole recording's spectra
+        cfg = EnhanceConfig(method="wiener")
+        assert self.traced_growth(cfg, 60.0, 180.0) < 1.5
+
+
+class TestSpans:
+    """denoise_spans gives each span's slice of the whole buffer's enhancement."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_samples=st.integers(1, 4000),
+        block=st.integers(1, 7),
+        method=st.sampled_from(["spectral_subtraction", "wiener"]),
+        overlap=st.floats(0.0, 0.9),
+        spans=st.lists(st.tuples(st.integers(0, 4000), st.integers(0, 4000)), max_size=6),
+    )
+    @example(seed=0, num_samples=4000, block=1, method="wiener", overlap=0.75,
+             spans=[(3000, 900), (100, 50), (120, 3000), (2000, 0), (4000, 1)])
+    @example(seed=1, num_samples=4000, block=2, method="spectral_subtraction", overlap=0.5,
+             spans=[(0, 800), (790, 800), (1600, 2400)])
+    def test_each_span_equals_the_whole_buffer_slice(
+        self, seed, num_samples, block, method, overlap, spans
+    ):
+        # any spans: unsorted, overlapping, empty, or sharing frames
+        rng = np.random.default_rng(seed)
+        samples = 0.01 * rng.standard_normal(num_samples)
+        burst = samples[int(rng.integers(0, num_samples)) :][:1500]
+        burst += 0.3 * rng.standard_normal(len(burst))
+        buf = AudioBuffer(samples, 8000)
+        cfg = EnhanceConfig(method=method, overlap_fraction=overlap)
+        bounds = []
+        for start, length in spans:
+            lo = start % (num_samples + 1)
+            bounds.append((lo, lo + length % (num_samples - lo + 1)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audio, "BLOCK_FRAMES", block)
+            whole, _ = estimate_and_denoise(buf, cfg)
+            pieces = list(denoise_spans(buf, cfg, bounds))
+        assert len(pieces) == len(bounds)
+        for (lo, hi), piece in zip(bounds, pieces):
+            np.testing.assert_array_equal(piece, whole.samples[lo:hi])
+
+    def test_wiener_walks_each_frame_once(self, transform_counts):
+        # the recursion runs once over the frames up to the last span, even
+        # when spans share frames or come out of order
+        rng = np.random.default_rng(21)
+        buf = AudioBuffer(white_noise(rng, 1.0, sigma=0.05), SR)
+        cfg = EnhanceConfig(method="wiener")
+        frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+        spans = [(5000, 6000), (1000, 2000), (1900, 2100), (7000, 7001)]
+        frames_used = estimate_noise(buf, cfg).frames_used
+        transform_counts.clear()
+        list(denoise_spans(buf, cfg, spans))
+        covering = [frames.covering(lo, hi) for lo, hi in spans]
+        assert transform_counts[SR] == {
+            "framings": 1, "analyzed": frames_used + max(r.stop for r in covering),
+            "synthesized": sum(r.stop - r.start for r in covering),
+        }

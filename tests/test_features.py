@@ -1,6 +1,7 @@
 """Cepstral front-end contracts, each checked against an independent oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revspeech import AudioBuffer, FeatureConfig, extract, reverse
-from revspeech import features
+from revspeech import audio, features
 from revspeech.errors import ConfigError
 from revspeech.features import (
     FrameSpec,
@@ -292,6 +293,45 @@ class TestExtract:
             atol=1e-8,
         )
 
+    def test_memory_grows_by_a_few_bytes_per_input_byte(self):
+        # spectra, mel energies and cepstra are built a block of frames at a
+        # time, so what grows is the pre-emphasized copy (1 byte per input
+        # byte) and the feature rows (about 0.2); the whole recording's
+        # spectra and magnitudes would add about 4
+        def traced_peak(duration_s):
+            rng = np.random.default_rng(22)
+            buf = AudioBuffer(0.1 * rng.standard_normal(int(duration_s * 16000)), 16000)
+            tracemalloc.start()
+            try:
+                extract(buf, FeatureConfig())
+                return tracemalloc.get_traced_memory()[1], buf.samples.nbytes
+            finally:
+                tracemalloc.stop()
+
+        short_peak, short_bytes = traced_peak(60.0)
+        long_peak, long_bytes = traced_peak(180.0)
+        assert (long_peak - short_peak) / (long_bytes - short_bytes) < 2.0
+
+    def test_blocks_do_not_move_features_of_a_short_take(self):
+        # a word-length piece is one block, so blocking leaves its features
+        # exactly as one whole-matrix pass computes them
+        rng = np.random.default_rng(23)
+        buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=16000), 16000)
+        cfg = FeatureConfig()
+        spectra = cfg.frame.spectra(cfg.frame.segment(preemphasize(buf, cfg.preemphasis_a)))
+        ceps = mfcc(mel_filterbank(np.abs(spectra), cfg, 16000), cfg.num_ceps)
+        np.testing.assert_array_equal(extract(buf, cfg).rows[:, : cfg.num_ceps], ceps)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_move_long_input_by_rounding_only(self, block, monkeypatch):
+        # smaller blocks split the matrix products, which may round apart
+        rng = np.random.default_rng(24)
+        buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=8000), 16000)
+        whole = extract(buf, FeatureConfig()).rows
+        monkeypatch.setattr(audio, "BLOCK_FRAMES", block)
+        blocked = extract(buf, FeatureConfig()).rows
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+
     def test_low_sample_rate_rejected(self):
         buf = AudioBuffer(np.zeros(4000), 8000)
         with pytest.raises(ConfigError):
@@ -342,10 +382,11 @@ class TestFrameSpec:
     def test_stft_rows_are_windowed_frame_dfts(self):
         rng = np.random.default_rng(13)
         buf = AudioBuffer(rng.standard_normal(3000), 16000)
-        frames, spectra = FrameSpec().stft(buf)
-        assert spectra.shape == (frames.frames.shape[0], 257)
-        for i in (0, 7, frames.frames.shape[0] - 1):
-            windowed = hamming_window(frames.frames[i], 0.46)
+        frames = FrameSpec().segment(buf)
+        spectra = FrameSpec().spectra(frames)
+        assert spectra.shape == (len(frames), 257)
+        for i in (0, 7, len(frames) - 1):
+            windowed = hamming_window(frames[i], 0.46)
             np.testing.assert_allclose(
                 np.abs(spectra[i]), dft_magnitude(windowed, 512)[:257], rtol=1e-12, atol=1e-12
             )
@@ -373,26 +414,44 @@ def per_frame_overlap_add(spectra, frames, window_a, out_len):
     window_a=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**32 - 1),
     block=st.integers(1, 7),
+    span=st.tuples(st.integers(0, 4000), st.integers(0, 4000)),
 )
 # under one frame, then 4 frames per sample
-@example(num_samples=150, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=0, block=1)
-@example(num_samples=4000, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=1, block=3)
+@example(num_samples=150, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=0, block=1,
+         span=(20, 7))
+@example(num_samples=4000, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=1, block=3,
+         span=(1234, 777))
 def test_istft_matches_a_per_frame_overlap_add(
-    num_samples, frame_ms, overlap, window_a, seed, block
+    num_samples, frame_ms, overlap, window_a, seed, block, span
 ):
     # the sum at each sample adds its frames in frame order, as the loop does,
     # so the two agree bit for bit at every overlap, not only at one or two
-    # frames per sample, and however the frames are split into blocks; a
-    # random gain stands in for enhancement's shaping
+    # frames per sample, however the frames are split into blocks, and on any
+    # range synthesized from only the frames that cover it; a random gain
+    # stands in for enhancement's shaping
     rng = np.random.default_rng(seed)
     spec = FrameSpec(frame_ms, overlap, window_a)
     buf = AudioBuffer(rng.uniform(-1.0, 1.0, num_samples), 8000)
-    frames, spectra = spec.stft(buf)
+    frames = spec.segment(buf)
+    spectra = spec.spectra(frames)
     shaped = spectra * rng.uniform(0.0, 1.0, spectra.shape)
     expected = per_frame_overlap_add(shaped, frames, window_a, num_samples)
-    np.testing.assert_array_equal(spec.istft([shaped], frames, num_samples), expected)
+    np.testing.assert_array_equal(spec.istft([shaped], frames, 0, num_samples), expected)
     blocks = [shaped[lo : lo + block] for lo in range(0, len(shaped), block)]
-    np.testing.assert_array_equal(spec.istft(blocks, frames, num_samples), expected)
+    np.testing.assert_array_equal(spec.istft(blocks, frames, 0, num_samples), expected)
+
+    lo = span[0] % num_samples
+    hi = lo + 1 + span[1] % (num_samples - lo)
+    rows = frames.covering(lo, hi)
+    frame_range = np.arange(len(frames))[rows]
+    starts = frame_range * frames.hop
+    # exactly the frames that hold a sample of the range
+    assert np.all((starts < hi) & (starts + frames.frame_len > lo))
+    outside = np.setdiff1d(np.arange(len(frames)), frame_range) * frames.hop
+    assert not np.any((outside < hi) & (outside + frames.frame_len > lo))
+    covered = shaped[rows]
+    blocks = [covered[k : k + block] for k in range(0, len(covered), block)]
+    np.testing.assert_array_equal(spec.istft(blocks, frames, lo, hi), expected[lo:hi])
 
 
 class TestPerFrameFunctionsOnMatrices:
@@ -439,7 +498,7 @@ class TestExtractComposition:
         rows = extract(buf, cfg).rows
         np.testing.assert_array_equal(rows, expected)
         num_frames = rows.shape[0]
-        # the spectrum is FrameSpec.stft's half spectrum, not dft_magnitude's
+        # the spectrum is FrameSpec.spectra's half spectrum, not dft_magnitude's
         assert calls == [
             ("hamming_window", (num_frames, 400)),
             ("mel_filterbank", (num_frames, 26)),

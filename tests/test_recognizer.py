@@ -1,5 +1,7 @@
 """Endpointing, classification, and transcription behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from revspeech import (
     GmmModel,
     Vocabulary,
     classify_segment,
+    estimate_and_denoise,
     estimate_noise,
+    extract,
     reverse,
     segment_utterances,
     transcribe,
@@ -36,7 +40,7 @@ def rising_take(n=995, seed=19):
 def scanned_regions(buf, cfg):
     """segment_utterances by a per-frame scan, for buffers of >= smooth_frames frames."""
     frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
-    energies = np.mean(frames.frames**2, axis=1)
+    energies = np.mean(frames[:] ** 2, axis=1)
     ones = np.ones(cfg.smooth_frames)
     smoothed = np.convolve(energies, ones, mode="same") / np.convolve(
         np.ones_like(energies), ones, mode="same"
@@ -313,20 +317,81 @@ class TestTranscribe:
             transcribe(AudioBuffer(np.zeros(0), SR), fixture_vocabulary, "forward")
 
     def test_one_stft_per_direction(self, fixture_vocabulary, fixture_session, transform_counts):
-        # enhancement frames each direction once, transforms every frame once
-        # to denoise and the noise frames once more for the profile
+        self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,
+                                    "spectral_subtraction")
+
+    def test_wiener_walks_to_the_last_region_once(
+        self, fixture_vocabulary, fixture_session, transform_counts
+    ):
+        self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,
+                                    "wiener")
+
+    @staticmethod
+    def check_transform_counts(fixture_vocabulary, fixture_session, transform_counts, method):
+        # enhancement frames each direction once and analyzes the noise frames
+        # once for the profile; each frame that covers a region is analyzed
+        # and resynthesized once per region it covers, except that the Wiener
+        # recursion analyzes every frame up to the last region frame once
         buf, _ = fixture_session
-        cfg = EnhanceConfig()
-        num_frames = len(segment(buf, cfg.frame_ms, cfg.overlap_fraction).frames)
+        cfg = EnhanceConfig(method=method)
         for direction in ("forward", "reverse"):
             work = reverse(buf) if direction == "reverse" else buf
+            frames = segment(work, cfg.frame_ms, cfg.overlap_fraction)
+            starts = np.arange(len(frames)) * frames.hop
+            covering = [
+                np.flatnonzero((starts < int(hi * SR + 0.5))
+                               & (starts + frames.frame_len > int(lo * SR + 0.5)))
+                for lo, hi in segment_utterances(work)
+            ]
+            region_frames = sum(len(c) for c in covering)
+            walked = covering[-1][-1] + 1 if method == "wiener" else region_frames
             frames_used = estimate_noise(work, cfg).frames_used
             transform_counts.clear()
-            transcribe(buf, fixture_vocabulary, direction)
+            transcribe(buf, fixture_vocabulary, direction, cfg)
             assert transform_counts[len(buf.samples)] == {
-                "framings": 1, "analyzed": num_frames + frames_used,
-                "synthesized": num_frames,
+                "framings": 1, "analyzed": frames_used + walked,
+                "synthesized": region_frames,
             }
+            assert region_frames < len(frames)
+
+    @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
+    def test_equals_denoising_the_whole_recording(
+        self, fixture_vocabulary, fixture_session, method
+    ):
+        # the regions are cut from the whole recording's enhanced output
+        buf, _ = fixture_session
+        cfg = EnhanceConfig(method=method)
+        for direction in ("forward", "reverse"):
+            work = reverse(buf) if direction == "reverse" else buf
+            cleaned, _ = estimate_and_denoise(work, cfg)
+            expected = []
+            for start_s, end_s in segment_utterances(work):
+                piece = cleaned.samples[int(start_s * SR + 0.5) : int(end_s * SR + 0.5)]
+                feats = extract(AudioBuffer(piece, SR), FeatureConfig())
+                expected.append((start_s, end_s, *classify_segment(feats, fixture_vocabulary)))
+            got = transcribe(buf, fixture_vocabulary, direction, cfg)
+            assert [(s.start_s, s.end_s, s.label, s.score, s.margin)
+                    for s in got.segments] == expected
+
+    def test_memory_grows_by_a_small_fraction_of_the_input(self, fixture_vocabulary):
+        # the input is the only full-length array: the reversed recording is
+        # a view and only the endpointed region is denoised, so what grows
+        # is per-frame bookkeeping; the whole denoised output alone would be
+        # one byte per input byte
+        def traced_peak(duration_s):
+            rng = np.random.default_rng(20)
+            buf = AudioBuffer(0.01 * rng.standard_normal(int(duration_s * SR)), SR)
+            buf.samples[SR : 2 * SR] += tone(500.0, 1.0)
+            tracemalloc.start()
+            try:
+                transcribe(buf, fixture_vocabulary, "reverse")
+                return tracemalloc.get_traced_memory()[1], buf.samples.nbytes
+            finally:
+                tracemalloc.stop()
+
+        short_peak, short_bytes = traced_peak(60.0)
+        long_peak, long_bytes = traced_peak(180.0)
+        assert (long_peak - short_peak) / (long_bytes - short_bytes) < 0.1
 
     def test_invalid_direction_rejected(self, fixture_vocabulary):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revspeech import SegmentHypothesis, Transcript, build_report, parse_report, render
@@ -199,6 +199,62 @@ def test_pairing_accounts_for_every_segment(fwd_segs, rev_segs):
     assert all(p.category == CATEGORY_UNMATCHED for p in pairs if p.reverse_segment is None)
     assert unmatched == [f for f in fwd_segs if not any(f is c for c in chosen)]
     assert len(pairs) == len(rev_segs) + len(unmatched)
+
+
+def scan_pairs(fwd, rev):
+    """pair_segments by the O(R*F) scan: every forward segment per reverse one."""
+    duration = fwd.source_duration_s
+    pairs, used = [], set()
+    for rseg in rev.segments:
+        lo, hi = duration - rseg.end_s, duration - rseg.start_s
+        best_idx, best_overlap, best_gap = None, -1.0, float("inf")
+        for idx, fseg in enumerate(fwd.segments):
+            overlap = max(0.0, min(fseg.end_s, hi) - max(fseg.start_s, lo))
+            gap = max(fseg.start_s - hi, lo - fseg.end_s, 0.0)
+            if overlap > best_overlap or (overlap == best_overlap and gap < best_gap):
+                best_idx, best_overlap, best_gap = idx, overlap, gap
+        if best_idx is None:
+            continue
+        note = "" if best_overlap > 0 else "no temporal overlap; paired with nearest"
+        used.add(best_idx)
+        pairs.append(ReversalPair(fwd.segments[best_idx], rseg, None, note))
+    for idx, fseg in enumerate(fwd.segments):
+        if idx not in used:
+            pairs.append(ReversalPair(fseg, None, CATEGORY_UNMATCHED, "no reverse counterpart"))
+    return pairs
+
+
+def grid_segments(direction):
+    """Segments on a quarter-second grid of a 10 s timeline, so overlaps and
+    gaps tie often; forward segments may overlap, repeat or nest."""
+    bounds = st.tuples(st.integers(0, 38), st.integers(1, 12))
+    return st.lists(bounds, max_size=14).map(
+        lambda spans: [
+            seg(start / 4, min(start + length, 40) / 4, f"{direction[0]}{i}", direction=direction)
+            for i, (start, length) in enumerate(spans)
+        ]
+    )
+
+
+@given(grid_segments("forward"), grid_segments("reverse"))
+@example(  # equal overlaps with two forward segments, then equal gaps to two
+    [seg(1.0, 2.0, "f0"), seg(3.0, 4.0, "f1"), seg(1.0, 2.0, "f2"), seg(0.5, 4.5, "f3")],
+    [seg(7.5, 8.5, "r0", direction="reverse"), seg(5.0, 8.0, "r1", direction="reverse")],
+)
+@example([], [seg(1.0, 2.0, "r0", direction="reverse")])
+@example([seg(1.0, 2.0, "f0")], [])
+@example(  # a reverse segment exactly between two forward ones
+    [seg(4.0, 5.0, "f0"), seg(1.0, 2.0, "f1"), seg(1.5, 2.0, "f2")],
+    [seg(6.75, 7.25, "r0", direction="reverse")],
+)
+def test_pairing_matches_the_scan(fwd_segs, rev_segs):
+    fwd, rev = fwd_transcript(10.0, *fwd_segs), rev_transcript(10.0, *rev_segs)
+
+    def ids(pairs):
+        return [(id(p.forward_segment), id(p.reverse_segment), p.category, p.note)
+                for p in pairs]
+
+    assert ids(pair_segments(fwd, rev)) == ids(scan_pairs(fwd, rev))
 
 
 class TestCategorize:
