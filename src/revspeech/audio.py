@@ -210,8 +210,14 @@ def write_wav(buf: AudioBuffer, path) -> None:
 
 
 def reverse(buf: AudioBuffer) -> AudioBuffer:
-    """Return the buffer with sample order exactly reversed."""
-    return AudioBuffer(buf.samples[::-1].copy(), buf.sample_rate_hz)
+    """Return the buffer with sample order exactly reversed.
+
+    The samples are a read-only reversed view of buf's, not a copy; buf's
+    own samples stay writable.
+    """
+    view = buf.samples[::-1]
+    view.flags.writeable = False
+    return AudioBuffer(view, buf.sample_rate_hz)
 
 
 def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> FrameSequence:

@@ -7,7 +7,6 @@ given, so identical invocations produce identical output files.
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -118,23 +117,6 @@ def _write_noise_profile(profile: enhance.NoiseProfile, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _features_text(matrix: features.FeatureMatrix, fmt: str) -> str:
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["frame"] + [f"f{i}" for i in range(matrix.dim)])
-        for i, row in enumerate(matrix.rows):
-            writer.writerow([i] + [repr(float(v)) for v in row])
-        return out.getvalue()
-    payload = {
-        "config_fingerprint": matrix.config_fingerprint,
-        "num_frames": matrix.num_frames,
-        "dim": matrix.dim,
-        "rows": [list(row) for row in matrix.rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _transcript_text(transcript: recognizer.Transcript) -> str:
     lines = [
         f"transcript direction={transcript.direction} "
@@ -169,15 +151,28 @@ def _cmd_enhance(args, cfg: ToolConfig) -> int:
 
 
 def _cmd_reverse(args, cfg: ToolConfig) -> int:
-    buf = _read_audio(args.input)
-    # a reversed view: the input is the only float array held
-    audio.write_wav(audio.AudioBuffer(buf.samples[::-1], buf.sample_rate_hz), args.output)
+    audio.write_wav(audio.reverse(_read_audio(args.input)), args.output)
     return EXIT_OK
 
 
 def _cmd_features(args, cfg: ToolConfig) -> int:
     matrix = features.extract(_read_audio(args.input), cfg.features)
-    Path(args.output).write_text(_features_text(matrix, args.format), encoding="utf-8")
+    # encode straight into the file: the document is never held whole
+    with open(args.output, "w", encoding="utf-8") as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["frame"] + [f"f{i}" for i in range(matrix.dim)])
+            for i, row in enumerate(matrix.rows):
+                writer.writerow([i] + [repr(float(v)) for v in row])
+        else:
+            payload = {
+                "config_fingerprint": matrix.config_fingerprint,
+                "num_frames": matrix.num_frames,
+                "dim": matrix.dim,
+                "rows": matrix.rows.tolist(),
+            }
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     return EXIT_OK
 
 

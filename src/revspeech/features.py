@@ -69,9 +69,7 @@ class FrameSpec:
         every sample sums its frames in frame order whatever the blocks and
         whatever the range: a range's samples equal the same samples of the
         whole buffer's output. Samples are divided by the summed window power
-        wherever that is >= 1e-8. At a fixed hop that power repeats every hop
-        samples except within one frame of either end of the buffer, so it is
-        built per row from absolute row indices, never at full length.
+        wherever that is >= 1e-8.
         """
         frame_len, hop, num_frames = frames.frame_len, frames.hop, len(frames)
         fft_size = self.resolve_fft_size(frames.sample_rate_hz)
@@ -86,26 +84,16 @@ class FrameSpec:
             _overlap_add(out, synthesized, hop, done - row_lo)
             done += len(synthesized)
 
-        squared = np.zeros(pieces * hop)
-        squared[:frame_len] = window * window
-        squared = squared.reshape(pieces, hop)
-
-        def power(j: int) -> np.ndarray:
-            """Window power of row j: its frames' pieces, added in frame order."""
-            total = np.zeros(hop)
-            for c in range(min(j, pieces - 1), max(j - num_frames, -1), -1):
-                total += squared[c]
-            return total
-
-        # rows pieces - 1 .. num_frames - 1 hold a full set of frames
-        interior = power(pieces - 1)
-        mid_lo = min(max(row_lo, pieces - 1), row_hi)
-        mid_hi = max(min(row_hi, num_frames), mid_lo)
-        mid = out[mid_lo - row_lo : mid_hi - row_lo]
-        np.divide(mid, interior, out=mid, where=interior >= 1e-8)
-        for j in (*range(row_lo, mid_lo), *range(mid_hi, row_hi)):
-            edge, row = power(j), out[j - row_lo]
-            np.divide(row, edge, out=row, where=edge >= 1e-8)
+        # the window power is the overlap-add of the squared window over the
+        # frames that reach each block of rows, added in frame order as above
+        squared = window * window
+        for part in frame_blocks(row_lo, row_hi):
+            first = max(part.start - pieces + 1, 0)
+            n = min(part.stop, num_frames) - first
+            power = np.zeros((part.stop - part.start, hop))
+            _overlap_add(power, np.broadcast_to(squared, (n, frame_len)), hop, first - part.start)
+            rows = out[part.start - row_lo : part.stop - row_lo]
+            np.divide(rows, power, out=rows, where=power >= 1e-8)
         return out.reshape(-1)[lo - row_lo * hop : hi - row_lo * hop]
 
 

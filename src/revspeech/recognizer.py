@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_energies, segment
+from .audio import AudioBuffer, frame_energies, reverse, segment
 from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
@@ -190,11 +190,12 @@ def transcribe(
 ) -> Transcript:
     """Endpoint, enhance, and classify a recording in the given direction.
 
-    direction="reverse" reads the buffer backwards (a view, not a copy);
-    segment times then refer to the reversed timeline (forward time is
-    duration minus the mirrored bounds). The noise profile comes from the
-    whole recording, but only the endpointed regions are denoised, one at a
-    time, so the input samples are the only full-length array held.
+    direction="reverse" reads the buffer through audio.reverse, a read-only
+    view, not a copy; segment times then refer to the reversed timeline
+    (forward time is duration minus the mirrored bounds). The noise profile
+    comes from the whole recording, but only the endpointed regions are
+    denoised, one at a time, so the input samples are the only full-length
+    array held.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -204,7 +205,7 @@ def transcribe(
     feature_cfg = feature_cfg or FeatureConfig()
 
     sr = buf.sample_rate_hz
-    work = AudioBuffer(buf.samples[::-1] if direction == "reverse" else buf.samples, sr)
+    work = reverse(buf) if direction == "reverse" else buf
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
     regions = segment_utterances(work, endpoint_cfg)

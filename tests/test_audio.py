@@ -180,6 +180,16 @@ class TestReverse:
     def test_sample_rate_unchanged(self):
         assert reverse(AudioBuffer([0.0, 0.1], 44100)).sample_rate_hz == 44100
 
+    def test_is_a_read_only_view(self):
+        buf = AudioBuffer([1.0, 2.0, 3.0], 100)
+        backwards = reverse(buf)
+        assert np.shares_memory(backwards.samples, buf.samples)
+        with pytest.raises(ValueError):
+            backwards.samples[0] = 0.0
+        assert buf.samples.flags.writeable
+        buf.samples[0] = 5.0
+        assert backwards.samples[-1] == 5.0
+
 
 class TestSegment:
     def test_enumerated_half_overlap(self):

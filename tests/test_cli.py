@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,11 @@ import pytest
 from conftest import build_session, utterance
 from revspeech import (
     AudioBuffer,
+    FeatureConfig,
+    FeatureMatrix,
     Vocabulary,
     analyze,
+    extract,
     parse_report,
     read_wav,
     render,
@@ -124,6 +128,14 @@ class TestFeaturesCommand:
         assert payload["dim"] == 39
         assert payload["num_frames"] == len(payload["rows"])
         assert len(payload["rows"][0]) == 39
+        matrix = extract(read_wav(source), FeatureConfig())
+        expected = json.dumps({
+            "config_fingerprint": matrix.config_fingerprint,
+            "num_frames": matrix.num_frames,
+            "dim": matrix.dim,
+            "rows": [list(row) for row in matrix.rows],
+        }, sort_keys=True, indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_csv_output(self, workspace, tmp_path):
         out = tmp_path / "feats.csv"
@@ -137,6 +149,30 @@ class TestFeaturesCommand:
         assert len(cells) == 40
         assert cells[0] == "0"
         assert all(np.isfinite(float(c)) for c in cells[1:])
+        matrix = extract(read_wav(source), FeatureConfig())
+        expected = [",".join(["frame"] + [f"f{i}" for i in range(39)])]
+        expected += [",".join([str(i)] + [repr(float(v)) for v in row])
+                     for i, row in enumerate(matrix.rows)]
+        assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("fmt, bound", [("json", 6.0), ("csv", 1.0)])
+    def test_writes_the_document_as_it_encodes(self, tmp_path, monkeypatch, fmt, bound):
+        # the traced peak, per byte of the matrix, stays below what holding
+        # the whole document as one string would need
+        rows = np.random.default_rng(5).standard_normal((5000, 39))
+        matrix = FeatureMatrix(rows, len(rows), "0123456789abcdef")
+        monkeypatch.setattr("revspeech.features.extract", lambda buf, cfg: matrix)
+        source = tmp_path / "tiny.wav"
+        write_wav(AudioBuffer(np.zeros(800) + 0.01, 16000), source)
+        argv = ["features", "--format", fmt, "--in", str(source),
+                "--out", str(tmp_path / f"feats.{fmt}")]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows.nbytes < bound
 
 
 class TestTrainCommand:

@@ -421,12 +421,16 @@ def per_frame_overlap_add(spectra, frames, window_a, out_len):
          span=(20, 7))
 @example(num_samples=4000, frame_ms=25.0, overlap=0.75, window_a=0.46, seed=1, block=3,
          span=(1234, 777))
+# 5 frames per sample, the window power summed one output row at a time
+@example(num_samples=1000, frame_ms=25.0, overlap=0.8, window_a=0.46, seed=2, block=1,
+         span=(0, 999))
 def test_istft_matches_a_per_frame_overlap_add(
     num_samples, frame_ms, overlap, window_a, seed, block, span
 ):
     # the sum at each sample adds its frames in frame order, as the loop does,
     # so the two agree bit for bit at every overlap, not only at one or two
-    # frames per sample, however the frames are split into blocks, and on any
+    # frames per sample, however the frames and the output rows (block rows
+    # at a time for the window power) are split into blocks, and on any
     # range synthesized from only the frames that cover it; a random gain
     # stands in for enhancement's shaping
     rng = np.random.default_rng(seed)
@@ -436,9 +440,13 @@ def test_istft_matches_a_per_frame_overlap_add(
     spectra = spec.spectra(frames)
     shaped = spectra * rng.uniform(0.0, 1.0, spectra.shape)
     expected = per_frame_overlap_add(shaped, frames, window_a, num_samples)
-    np.testing.assert_array_equal(spec.istft([shaped], frames, 0, num_samples), expected)
-    blocks = [shaped[lo : lo + block] for lo in range(0, len(shaped), block)]
-    np.testing.assert_array_equal(spec.istft(blocks, frames, 0, num_samples), expected)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audio, "BLOCK_FRAMES", block)
+        whole = spec.istft([shaped], frames, 0, num_samples)
+        blocks = [shaped[lo : lo + block] for lo in range(0, len(shaped), block)]
+        blocked = spec.istft(blocks, frames, 0, num_samples)
+    np.testing.assert_array_equal(whole, expected)
+    np.testing.assert_array_equal(blocked, expected)
 
     lo = span[0] % num_samples
     hi = lo + 1 + span[1] % (num_samples - lo)
@@ -451,7 +459,10 @@ def test_istft_matches_a_per_frame_overlap_add(
     assert not np.any((outside < hi) & (outside + frames.frame_len > lo))
     covered = shaped[rows]
     blocks = [covered[k : k + block] for k in range(0, len(covered), block)]
-    np.testing.assert_array_equal(spec.istft(blocks, frames, lo, hi), expected[lo:hi])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audio, "BLOCK_FRAMES", block)
+        ranged = spec.istft(blocks, frames, lo, hi)
+    np.testing.assert_array_equal(ranged, expected[lo:hi])
 
 
 class TestPerFrameFunctionsOnMatrices:
