@@ -1,6 +1,7 @@
 """WAV ingestion/emission, mono conversion, time reversal, frame segmentation."""
 
 import struct
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,9 +10,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, UnsupportedWavError, WavFormatError
 
 INT16_FULL_SCALE = 32768
-# frames per block for whole-recording passes: about 25 s at 16 kHz with the
-# default 25 ms frames at 50% overlap; bounds each pass's transient memory
-BLOCK_FRAMES = 2048
+# frames per block for every pass over frames: about 2.6 s at 16 kHz with the
+# default 25 ms frames at 50% overlap, and 1 MB of 512-point half spectra, so
+# a block's working arrays stay in cache; bounds each pass's transient memory
+BLOCK_FRAMES = 256
 # samples per block when writing: 512 KB of float64
 BLOCK_SAMPLES = 1 << 16
 
@@ -47,7 +49,8 @@ class FrameSequence:
     frame that may run past the last sample (or the only frame, when there
     are fewer samples than one frame) comes from a zero-padded copy of the
     tail. frames[rows] gives the frames of a slice, an index or an index
-    array as rows of frame_len samples.
+    array as rows of frame_len samples; an index array is gathered in time
+    proportional to its length.
     """
 
     def __init__(self, samples: np.ndarray, frame_len: int, hop: int, sample_rate_hz: int):
@@ -58,7 +61,7 @@ class FrameSequence:
         self.hop = hop
         self.sample_rate_hz = sample_rate_hz
         n = len(samples)
-        self._count = -(-max(n - frame_len, 0) // hop) + 1
+        self._count = frame_count(n, frame_len, hop)
         inside = max((n - frame_len) // hop + 1, 0)
         if inside:
             self._inside = sliding_window_view(samples, frame_len)[::hop]
@@ -79,9 +82,18 @@ class FrameSequence:
             start, stop, step = rows.indices(self._count)
             if step == 1 and stop <= inside:
                 return self._inside[start:stop]
-        index = np.arange(self._count)[rows]
-        out = np.empty(index.shape + (self.frame_len,))
+            index = np.arange(start, stop, step)
+        else:
+            index = np.asarray(rows)
+            if index.dtype.kind not in "iu":
+                raise IndexError("frames are read by a slice, an integer or an integer array")
+            if index.size and not -self._count <= index.min() <= index.max() < self._count:
+                raise IndexError(f"frame index out of range for {self._count} frames")
+            index = np.where(index < 0, index + self._count, index)
         within = index < inside
+        if within.all():
+            return self._inside[index]
+        out = np.empty(index.shape + (self.frame_len,))
         out[within] = self._inside[index[within]]
         out[~within] = self._tail[index[~within] - inside]
         return out
@@ -229,24 +241,51 @@ def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> Frame
     single zero-padded frame. The frames are a read-only strided view of the
     buffer's own samples, plus that one padded frame (see FrameSequence).
     """
+    frame_len, hop = frame_geometry(frame_ms, overlap_fraction, buf.sample_rate_hz)
+    return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
+
+
+def frame_geometry(frame_ms: float, overlap_fraction: float, sample_rate_hz: int) -> tuple[int, int]:
+    """(frame_len, hop) in samples, by the rule segment documents."""
     if frame_ms <= 0:
         raise ValueError("frame_ms must be positive")
     if not 0 <= overlap_fraction < 1:
         raise ValueError("overlap_fraction must be in [0, 1)")
-
-    frame_len = int(frame_ms * buf.sample_rate_hz / 1000 + 0.5)
+    frame_len = int(frame_ms * sample_rate_hz / 1000 + 0.5)
     if frame_len < 1:
         raise ConfigError(
-            f"frame_ms {frame_ms} is shorter than one sample at {buf.sample_rate_hz} Hz"
+            f"frame_ms {frame_ms} is shorter than one sample at {sample_rate_hz} Hz"
         )
     # extreme overlap on tiny frames can round the hop to zero; keep it total
-    hop = max(frame_len - int(overlap_fraction * frame_len + 0.5), 1)
-    return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
+    return frame_len, max(frame_len - int(overlap_fraction * frame_len + 0.5), 1)
+
+
+def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
+    """Frames segment cuts from num_samples samples: at least one."""
+    return -(-max(num_samples - frame_len, 0) // hop) + 1
 
 
 def frame_blocks(start: int, stop: int) -> list[slice]:
     """Consecutive slices of at most BLOCK_FRAMES items covering range(start, stop)."""
     return [slice(lo, min(lo + BLOCK_FRAMES, stop)) for lo in range(start, stop, BLOCK_FRAMES)]
+
+
+def frame_groups(items: Iterable, frames_of: Callable) -> Iterator[list]:
+    """Runs of consecutive items with at most BLOCK_FRAMES frames in all.
+
+    frames_of(item) counts an item's frames; an item with more frames than
+    a block makes a run of its own. Items are drawn only as a run fills.
+    """
+    group, total = [], 0
+    for item in items:
+        count = frames_of(item)
+        if group and total + count > BLOCK_FRAMES:
+            yield group
+            group, total = [], 0
+        group.append(item)
+        total += count
+    if group:
+        yield group
 
 
 def frame_energies(frames: FrameSequence) -> np.ndarray:

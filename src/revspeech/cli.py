@@ -183,8 +183,8 @@ def _cmd_train(args, cfg: ToolConfig) -> int:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     stacks = []
     fingerprints = set()
-    for path in args.inputs:
-        matrix = features.extract(_read_audio(path), cfg.features)
+    takes = (_read_audio(path) for path in args.inputs)
+    for matrix in features.extract_all(takes, cfg.features):
         fingerprints.add(matrix.config_fingerprint)
         stacks.append(matrix.rows)
     if len(fingerprints) != 1:

@@ -2,11 +2,12 @@
 
 Both methods estimate a noise magnitude spectrum from low-energy frames,
 attenuate per-bin magnitudes, keep the noisy phase, and reconstruct through
-FrameSpec.istft. Every pass over the recording takes BLOCK_FRAMES frames at a
-time, so its transient memory is one block's, whatever the recording's length.
-Denoising works on sample spans: overlap-add is local, so a span's cleaned
-samples need only the frames that cover it (and, for the Wiener recursion,
-the frames before them). The whole buffer is the one-span case.
+FrameSpec.synthesize and FrameSpec.overlap_add. Every pass over the recording
+takes BLOCK_FRAMES frames at a time, so its transient memory is one block's,
+whatever the recording's length. Denoising works on sample spans: overlap-add
+is local, so a span's cleaned samples need only the frames that cover it (and,
+for the Wiener recursion, the frames before them), and the covering frames of
+many short spans share a block. The whole buffer is the one-span case.
 estimate_and_denoise and denoise_spans estimate and denoise from one framing.
 """
 
@@ -138,26 +139,48 @@ def _wiener(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig)
         yield spectra
 
 
-def _wiener_ranges(frames: FrameSequence, noise: np.ndarray, cfg: EnhanceConfig, ranges):
-    """For each range of frames in turn, an iterator of its Wiener-shaped spectra.
+def _synthesized_ranges(frames: FrameSequence, noise: np.ndarray, cfg: EnhanceConfig, ranges):
+    """For each range of frames in turn, an iterator of its synthesized frames.
 
-    One walk analyzes every frame from the first to the last that a range
-    needs, once and in order, since the recursion carries state from frame
-    to frame. A walked block is kept only while a later range still needs
-    some of its frames, so sorted, disjoint ranges keep a block or two.
+    One walk takes frames BLOCK_FRAMES at a time, and each block gets one
+    rfft, one shaping and one irfft. Spectral subtraction shapes each frame
+    on its own, so its walk takes just the frames each range covers, range
+    after range. The Wiener recursion carries state from frame to frame, so
+    its walk takes every frame up to the last one a range needs, once and in
+    order, and synthesizes only the frames some range covers. A walked block
+    is kept only while a later range still needs some of its frames, so
+    sorted, disjoint ranges keep a block or two.
     """
-    stop = max((r.stop for r in ranges), default=0)
-    walk = _wiener(
-        (cfg.frame.spectra(frames, part) for part in frame_blocks(0, stop)), noise, cfg
+    spec = cfg.frame
+    if cfg.method == "wiener":
+        order = np.arange(max((r.stop for r in ranges), default=0))
+        wanted = np.zeros(len(order), dtype=bool)
+        for r in ranges:
+            wanted[r] = True
+        places = [(r.start, r.stop) for r in ranges]
+        shape = _wiener
+    else:
+        order = np.concatenate([np.arange(r.start, r.stop) for r in ranges] + [np.arange(0)])
+        wanted = np.ones(len(order), dtype=bool)
+        ends = list(accumulate(r.stop - r.start for r in ranges))
+        places = [(end - (r.stop - r.start), end) for r, end in zip(ranges, ends)]
+        shape = _subtracted
+    # where each walked frame lands among the synthesized ones
+    synthesized_before = np.concatenate(([0], np.cumsum(wanted)))
+    parts = frame_blocks(0, len(order))
+    shaped = shape((spec.spectra(frames, order[part]) for part in parts), noise, cfg)
+    walk = (
+        spec.synthesize(block if wanted[part].all() else block[wanted[part]], frames)
+        for part, block in zip(parts, shaped)
     )
-    kept = []  # (first frame, shaped spectra) of walked blocks, in frame order
+    kept = []  # (first synthesized frame, synthesized block) of walked blocks, in order
     walked = 0
 
-    def shaped(rows: slice, needed: int):
-        """Blocks of the spectra of rows; frames from needed on stay kept."""
+    def pieces(lo: int, hi: int, needed: int):
+        """Blocks of synthesized frames lo .. hi - 1; frames from needed on stay kept."""
         nonlocal walked
         i = 0
-        while rows.start < rows.stop:
+        while lo < hi:
             if i == len(kept):
                 kept.append((walked, next(walk)))
                 walked += len(kept[-1][1])
@@ -166,17 +189,18 @@ def _wiener_ranges(frames: FrameSequence, noise: np.ndarray, cfg: EnhanceConfig,
                 i += 1
             else:
                 del kept[i]
-            lo, hi = max(rows.start - first, 0), min(rows.stop - first, len(block))
-            if lo < hi:
-                yield block[lo:hi]
-            if first + len(block) >= rows.stop:
+            if max(lo - first, 0) < min(hi - first, len(block)):
+                yield block[max(lo - first, 0) : hi - first]
+            if first + len(block) >= hi:
                 return
 
-    # the first frame any later range needs, for each range
-    starts = [r.start if r.start < r.stop else stop for r in ranges[1:]] + [stop]
+    bounds = [(synthesized_before[a], synthesized_before[b]) for a, b in places]
+    # the first synthesized frame any later range needs, for each range
+    stop = synthesized_before[-1]
+    starts = [lo if lo < hi else stop for lo, hi in bounds[1:]] + [stop]
     needed = list(accumulate(reversed(starts), min))[::-1]
-    for rows, keep_from in zip(ranges, needed):
-        yield shaped(rows, keep_from)
+    for (lo, hi), keep_from in zip(bounds, needed):
+        yield pieces(lo, hi, keep_from)
 
 
 def _denoise(
@@ -184,29 +208,15 @@ def _denoise(
 ) -> Iterator[np.ndarray]:
     """Cleaned samples lo .. hi - 1 of each span, one span at a time.
 
-    Only the frames that cover a span are resynthesized. Spectral
-    subtraction shapes each frame on its own, so it analyzes just those
-    frames, once per span; Wiener shapes them from one walk over the frames
-    up to the last span (_wiener_ranges).
+    Only the frames that cover a span are synthesized (_synthesized_ranges);
+    overlap-add and window-power normalization run per span.
     """
-    spec = cfg.frame
     half = noise.mean_magnitude[: len(noise.mean_magnitude) // 2 + 1]
     num_samples = len(frames.samples)
     spans = [(max(lo, 0), min(hi, num_samples)) for lo, hi in spans]
     ranges = [frames.covering(lo, hi) for lo, hi in spans]
-    if cfg.method == "wiener":
-        sources = _wiener_ranges(frames, half, cfg, ranges)
-    else:
-        sources = (
-            _subtracted(
-                (spec.spectra(frames, part) for part in frame_blocks(rows.start, rows.stop)),
-                half,
-                cfg,
-            )
-            for rows in ranges
-        )
-    for (lo, hi), shaped in zip(spans, sources):
-        yield spec.istft(shaped, frames, lo, hi)
+    for (lo, hi), pieces in zip(spans, _synthesized_ranges(frames, half, cfg, ranges)):
+        yield cfg.frame.overlap_add(pieces, frames, lo, hi)
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:

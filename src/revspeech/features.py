@@ -1,16 +1,28 @@
 """MFCC front end: pre-emphasis, windowing, spectrum, mel filterbank, cepstra, deltas.
 
-Per-frame functions act on the last axis; extract runs them on blocks of frames.
+Per-frame functions act on the last axis; extract_all runs them on blocks of
+frames gathered from many pieces, with each matrix product on one piece's
+rows (per_piece_product).
 """
 
 import functools
 import hashlib
-from collections.abc import Iterable
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSequence, frame_blocks, segment
+from .audio import (
+    BLOCK_SAMPLES,
+    AudioBuffer,
+    FrameSequence,
+    frame_blocks,
+    frame_count,
+    frame_geometry,
+    frame_groups,
+    segment,
+)
 from .errors import ConfigError
 
 ENERGY_FLOOR = 1e-10
@@ -57,30 +69,37 @@ class FrameSpec:
         windowed = hamming_window(frames[rows], self.window_a)
         return np.fft.rfft(windowed, n=fft_size, axis=-1)
 
-    def istft(
+    def synthesize(self, spectra: np.ndarray, frames: FrameSequence) -> np.ndarray:
+        """Frames back from a block of (modified) half spectra, windowed again.
+
+        This is the one synthesis transform: each inverse DFT is cut to one
+        frame and multiplied by the analysis window.
+        """
+        fft_size = self.resolve_fft_size(frames.sample_rate_hz)
+        window = hamming_coefficients(frames.frame_len, self.window_a)
+        return np.fft.irfft(spectra, n=fft_size, axis=-1)[:, : frames.frame_len] * window
+
+    def overlap_add(
         self, blocks: Iterable[np.ndarray], frames: FrameSequence, lo: int, hi: int
     ) -> np.ndarray:
-        """Resynthesize samples lo .. hi - 1 from blocks of (modified) half spectra.
+        """Samples lo .. hi - 1 from blocks of synthesized frames (synthesize).
 
-        blocks yields the spectra of the frames that cover the range
-        (frames.covering(lo, hi)), consecutive and in frame order; the whole
-        buffer is the range (0, len(frames.samples)). Each inverse DFT is cut
-        to one frame, windowed again and overlap-added into the output, so
-        every sample sums its frames in frame order whatever the blocks and
+        blocks yields the frames that cover the range (frames.covering(lo, hi)),
+        consecutive and in frame order; the whole buffer is the range
+        (0, len(frames.samples)). Each frame is overlap-added into the output,
+        so every sample sums its frames in frame order whatever the blocks and
         whatever the range: a range's samples equal the same samples of the
         whole buffer's output. Samples are divided by the summed window power
         wherever that is >= 1e-8.
         """
         frame_len, hop, num_frames = frames.frame_len, frames.hop, len(frames)
-        fft_size = self.resolve_fft_size(frames.sample_rate_hz)
         window = hamming_coefficients(frame_len, self.window_a)
         pieces = -(-frame_len // hop)
         # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
         row_lo, row_hi = lo // hop, max(-(-hi // hop), lo // hop)
         out = np.zeros((row_hi - row_lo, hop))
         done = frames.covering(lo, hi).start
-        for spectra in blocks:
-            synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, :frame_len] * window
+        for synthesized in blocks:
             _overlap_add(out, synthesized, hop, done - row_lo)
             done += len(synthesized)
 
@@ -196,20 +215,36 @@ def preemphasize(buf: AudioBuffer, a: float) -> AudioBuffer:
     """First-order high-pass y(n) = x(n) - a*x(n-1), with x(-1) = 0."""
     if not 0 <= a < 1:
         raise ValueError("pre-emphasis coefficient must be in [0, 1)")
-    x = buf.samples
-    y = x.copy()
-    y[1:] -= a * x[:-1]
+    y = buf.samples.copy()
+    _preemphasize_in_place(y, a)
     return AudioBuffer(y, buf.sample_rate_hz)
 
 
+def _preemphasize_in_place(y: np.ndarray, a: float) -> None:
+    """y(n) -= a*y(n-1) for n >= 1, BLOCK_SAMPLES at a time from the end back.
+
+    Each block reads samples before it that no block has changed yet, so
+    the result is the one-pass filter's, with one block's transient memory.
+    """
+    for hi in range(len(y), 1, -BLOCK_SAMPLES):
+        lo = max(hi - BLOCK_SAMPLES, 1)
+        y[lo:hi] -= a * y[lo - 1 : hi - 1]
+
+
+@functools.lru_cache(maxsize=32)
 def hamming_coefficients(n: int, a: float) -> np.ndarray:
-    """Window weights w(k) = (1-a) - a*cos(2*pi*k/(n-1)) for k = 0..n-1."""
+    """Window weights w(k) = (1-a) - a*cos(2*pi*k/(n-1)) for k = 0..n-1.
+
+    Built once per argument pair; the shared result is read-only.
+    """
     if n < 1:
         raise ValueError("window length must be at least 1")
     if n == 1:
-        return np.array([1.0 - 2.0 * a])
-    k = np.arange(n)
-    return (1.0 - a) - a * np.cos(2.0 * np.pi * k / (n - 1))
+        weights = np.array([1.0 - 2.0 * a])
+    else:
+        weights = (1.0 - a) - a * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    weights.flags.writeable = False
+    return weights
 
 
 def hamming_window(frame: np.ndarray, a: float) -> np.ndarray:
@@ -238,6 +273,25 @@ def mel_to_hz(m: float) -> float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def per_piece_product(rows: np.ndarray, matrix: np.ndarray, bounds=None) -> np.ndarray:
+    """rows @ matrix.T, one matrix product per piece of rows.
+
+    bounds are the row offsets where stacked pieces meet, from 0 to
+    len(rows); None makes all rows one piece. Products are never run across
+    pieces: OpenBLAS rounds the same rows differently in matrices of other
+    heights, so a piece's rows come out bit-identical to its rows processed
+    alone only when each product runs on exactly the rows it would have
+    alone. Elementwise and row-wise steps, and the FFT, do not depend on
+    the row count and run on all pieces at once.
+    """
+    if bounds is None:
+        return rows @ matrix.T
+    out = np.empty((len(rows), len(matrix)))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = rows[lo:hi] @ matrix.T
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def mel_filter_weights(
     num_filters: int, fft_size: int, sample_rate_hz: int, low_hz: float, high_hz: float
@@ -263,9 +317,12 @@ def mel_filter_weights(
 
 
 def mel_filterbank(
-    magnitudes: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int
+    magnitudes: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int, bounds=None
 ) -> np.ndarray:
-    """Per-filter energies s(m) = sum_k w_m(k) * |X(k)|^2 over the half spectrum."""
+    """Per-filter energies s(m) = sum_k w_m(k) * |X(k)|^2 over the half spectrum.
+
+    bounds splits stacked pieces' rows for the product (per_piece_product).
+    """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     fft_size = cfg.frame.resolve_fft_size(sample_rate_hz)
     needed = fft_size // 2 + 1
@@ -277,35 +334,49 @@ def mel_filterbank(
     weights = mel_filter_weights(
         cfg.num_filters, fft_size, sample_rate_hz, cfg.low_freq_hz, high
     )
-    return (magnitudes[..., :needed] ** 2) @ weights.T
+    return per_piece_product(magnitudes[..., :needed] ** 2, weights, bounds)
 
 
+@functools.lru_cache(maxsize=32)
 def _dct_basis(num_ceps: int, num_filters: int) -> np.ndarray:
+    """DCT-II rows cos(pi*n*(m+0.5)/M); built once per pair, read-only."""
     n = np.arange(num_ceps)[:, None]
     m = np.arange(num_filters)[None, :]
-    return np.cos(np.pi * n * (m + 0.5) / num_filters)
+    basis = np.cos(np.pi * n * (m + 0.5) / num_filters)
+    basis.flags.writeable = False
+    return basis
 
 
-def mfcc(energies: np.ndarray, num_ceps: int) -> np.ndarray:
-    """Cepstra c(n) = sum_m log10(max(s(m), eps)) * cos(pi*n*(m+0.5)/M)."""
+def mfcc(energies: np.ndarray, num_ceps: int, bounds=None) -> np.ndarray:
+    """Cepstra c(n) = sum_m log10(max(s(m), eps)) * cos(pi*n*(m+0.5)/M).
+
+    bounds splits stacked pieces' rows for the product (per_piece_product).
+    """
     energies = np.asarray(energies, dtype=np.float64)
     if np.any(energies < 0):
         raise ValueError("filterbank energies must be nonnegative")
     logs = np.log10(np.maximum(energies, ENERGY_FLOOR))
-    return logs @ _dct_basis(num_ceps, energies.shape[-1]).T
+    return per_piece_product(logs, _dct_basis(num_ceps, energies.shape[-1]), bounds)
 
 
-def delta_features(ceps: np.ndarray, window: int) -> np.ndarray:
-    """Temporal regression slope over +/-window frames, edges clamped."""
+def delta_features(ceps: np.ndarray, window: int, bounds=None) -> np.ndarray:
+    """Temporal regression slope over +/-window frames, edges clamped.
+
+    bounds (row offsets from 0 to len(ceps)) stacks several pieces; each
+    row's context is then clamped at its own piece's edges.
+    """
     if window < 1:
         raise ValueError("delta window must be >= 1")
     ceps = np.asarray(ceps, dtype=np.float64)
     num_frames = ceps.shape[0]
+    bounds = np.asarray([0, num_frames] if bounds is None else bounds)
+    lengths = np.diff(bounds)
+    first, last = np.repeat(bounds[:-1], lengths), np.repeat(bounds[1:] - 1, lengths)
     idx = np.arange(num_frames)
     numerator = np.zeros_like(ceps)
     for i in range(1, window + 1):
-        ahead = np.clip(idx + i, 0, num_frames - 1)
-        behind = np.clip(idx - i, 0, num_frames - 1)
+        ahead = np.minimum(idx + i, last)
+        behind = np.maximum(idx - i, first)
         numerator += i * (ceps[ahead] - ceps[behind])
     denominator = 2 * sum(i * i for i in range(1, window + 1))
     return numerator / denominator
@@ -314,19 +385,67 @@ def delta_features(ceps: np.ndarray, window: int) -> np.ndarray:
 def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
     """Full pipeline: pre-emphasis, framing, window, spectrum, mel, DCT, deltas.
 
-    Spectra, mel energies and cepstra are computed BLOCK_FRAMES frames at a
+    Rows are frames; columns are num_ceps cepstra followed by their deltas
+    and delta-deltas (39 at defaults). This is extract_all of one buffer:
+    spectra, mel energies and cepstra are computed BLOCK_FRAMES frames at a
     time, so besides the pre-emphasized copy only the cepstra and the rows
-    grow with the input. Rows are frames; columns are num_ceps cepstra
-    followed by their deltas and delta-deltas (39 at defaults).
+    grow with the input.
     """
-    sr = buf.sample_rate_hz
-    frames = cfg.frame.segment(preemphasize(buf, cfg.preemphasis_a))
-    ceps = np.empty((len(frames), cfg.num_ceps))
-    for part in frame_blocks(0, len(frames)):
-        magnitudes = np.abs(cfg.frame.spectra(frames, part))
-        ceps[part] = mfcc(mel_filterbank(magnitudes, cfg, sr), cfg.num_ceps)
-    velocity = delta_features(ceps, cfg.delta_window)
-    acceleration = delta_features(velocity, cfg.delta_window)
+    (matrix,) = extract_all([buf], cfg)
+    return matrix
 
-    rows = np.hstack([ceps, velocity, acceleration])
-    return FeatureMatrix(rows, rows.shape[0], cfg.fingerprint(sr))
+
+def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[FeatureMatrix]:
+    """extract of each buffer in turn, computed a batch of buffers at a time.
+
+    Consecutive buffers of one sample rate with at most BLOCK_FRAMES frames
+    in all make a batch (audio.frame_groups); a longer buffer is a batch of
+    its own, run BLOCK_FRAMES frames at a time. A batch is pre-emphasized
+    into one zero-padded buffer, each piece at a hop-aligned offset far
+    enough from the next that no frame holds samples of two, so one framing
+    gives every piece's frames. Each block of frames then takes one window
+    and rfft and one log10, and the batch one delta computation clamped at
+    each piece's edges. Matrix products run per piece (per_piece_product),
+    so every piece's rows equal extract of that piece alone, bit for bit.
+    """
+
+    def frames_of(buf: AudioBuffer) -> int:
+        frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, buf.sample_rate_hz)
+        return frame_count(len(buf.samples), frame_len, hop)
+
+    for group in frame_groups(bufs, frames_of):
+        for _, batch in itertools.groupby(group, key=lambda buf: buf.sample_rate_hz):
+            yield from _extract_batch(list(batch), cfg)
+
+
+def _extract_batch(bufs: list[AudioBuffer], cfg: FeatureConfig) -> list[FeatureMatrix]:
+    sr = bufs[0].sample_rate_hz
+    frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
+    lengths = np.array([len(buf.samples) for buf in bufs])
+    counts = np.array([frame_count(n, frame_len, hop) for n in lengths])
+    # piece p's frames are rows starts[p] onward of the padded buffer's framing;
+    # each piece is followed by at least one zero past its last frame's end
+    gap = -(-(frame_len + 1) // hop) - 1
+    starts = np.concatenate(([0], np.cumsum(counts + gap)))
+    padded = np.zeros(starts[-1] * hop)
+    for buf, offset in zip(bufs, starts * hop):
+        padded[offset : offset + len(buf.samples)] = buf.samples
+    _preemphasize_in_place(padded, cfg.preemphasis_a)
+    # a piece's last frame is zero-padded after pre-emphasis, as extract pads it
+    padded[starts[:-1] * hop + lengths] = 0.0
+    frames = cfg.frame.segment(AudioBuffer(padded, sr))
+
+    bounds = np.concatenate(([0], np.cumsum(counts)))  # piece edges among the rows
+    rows = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
+    ceps = np.empty((bounds[-1], cfg.num_ceps))
+    for part in frame_blocks(0, bounds[-1]):
+        local = np.unique(np.clip(bounds, part.start, part.stop)) - part.start
+        magnitudes = np.abs(cfg.frame.spectra(frames, rows[part]))
+        ceps[part] = mfcc(mel_filterbank(magnitudes, cfg, sr, local), cfg.num_ceps, local)
+    velocity = delta_features(ceps, cfg.delta_window, bounds)
+    acceleration = delta_features(velocity, cfg.delta_window, bounds)
+
+    stacked = np.hstack([ceps, velocity, acceleration])
+    fingerprint = cfg.fingerprint(sr)
+    edges = bounds.tolist()
+    return [FeatureMatrix(stacked[lo:hi], hi - lo, fingerprint) for lo, hi in zip(edges, edges[1:])]

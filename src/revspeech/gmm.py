@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ModelFormatError, read_text
-from .features import FeatureMatrix
+from .features import FeatureMatrix, per_piece_product
 
 MODEL_FORMAT_VERSION = "gmm-v1"
 RNG_ALGORITHM = "numpy-pcg64"
@@ -68,12 +68,15 @@ def logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def log_component_densities(
-    x: np.ndarray, means: np.ndarray, variances: np.ndarray
+    x: np.ndarray, means: np.ndarray, variances: np.ndarray, bounds=None
 ) -> np.ndarray:
     """Log Gaussian densities, shape (frames, components), diagonal covariance.
 
     The Mahalanobis term is expanded into matrix products with precisions
     P = 1/variance: sum (x-mu)^2 P = x^2 . P - 2 x . (mu P) + sum mu^2 P.
+    The constants are built once per call; bounds splits the rows of stacked
+    pieces for the two products (features.per_piece_product), so each
+    piece's densities equal its densities computed alone.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dim = x.shape[1]
@@ -83,8 +86,8 @@ def log_component_densities(
     log_norm = -0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1))
     scaled_means = means * precisions
     mahal = (
-        (x * x) @ precisions.T
-        - 2.0 * (x @ scaled_means.T)
+        per_piece_product(x * x, precisions, bounds)
+        - 2.0 * per_piece_product(x, scaled_means, bounds)
         + np.sum(means * scaled_means, axis=1)
     )
     return log_norm - 0.5 * mahal
@@ -99,9 +102,9 @@ def component_density(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> 
     return float(np.exp(log_component_densities(x, mean, variance)[0, 0]))
 
 
-def log_joint_densities(model: GmmModel, rows: np.ndarray) -> np.ndarray:
+def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components)."""
-    return log_component_densities(rows, model.means, model.variances) + np.log(
+    return log_component_densities(rows, model.means, model.variances, bounds) + np.log(
         model.weights
     )
 

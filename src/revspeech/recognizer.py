@@ -6,11 +6,12 @@ transcript segments. Segments beyond roughly 30 seconds are worth splitting
 upstream; the endpointing rules below never enforce a maximum length.
 """
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_energies, reverse, segment
+from .audio import AudioBuffer, frame_energies, frame_groups, reverse, segment
 from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
@@ -18,8 +19,8 @@ from .errors import (
     InsufficientDataError,
     VocabularyError,
 )
-from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract
-from .gmm import GmmModel, log_likelihood
+from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract_all
+from .gmm import GmmModel, log_joint_densities, logsumexp
 
 DIRECTIONS = ("forward", "reverse")
 
@@ -102,21 +103,42 @@ def classify_segment(
 
     Ties break toward the lexicographically smallest label.
     """
-    if features.num_frames == 0:
-        raise ValueError("cannot classify an empty feature matrix")
-    if features.config_fingerprint != vocab.feature_fingerprint:
-        raise FingerprintMismatchError(
-            f"features fingerprint {features.config_fingerprint} does not match "
-            f"vocabulary fingerprint {vocab.feature_fingerprint}"
-        )
-    scores = {
-        label: log_likelihood(model, features) / features.num_frames
-        for label, model in vocab.entries.items()
-    }
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    best_label, best_score = ranked[0]
-    margin = best_score - ranked[1][1] if len(ranked) > 1 else 0.0
-    return best_label, best_score, margin
+    (result,) = classify_segments([features], vocab)
+    return result
+
+
+def classify_segments(
+    features: Iterable[FeatureMatrix], vocab: Vocabulary
+) -> Iterator[tuple[str, float, float]]:
+    """classify_segment of each feature matrix in turn, a batch at a time.
+
+    Consecutive matrices with at most BLOCK_FRAMES frames in all make a batch
+    (audio.frame_groups). Each model's density constants are built once per
+    batch, its products run per segment (features.per_piece_product), one
+    logsumexp covers the batch's rows, and each segment sums its own frames,
+    so every result equals the segment scored alone.
+    """
+    for batch in frame_groups(features, lambda matrix: matrix.num_frames):
+        for matrix in batch:
+            if matrix.num_frames == 0:
+                raise ValueError("cannot classify an empty feature matrix")
+            if matrix.config_fingerprint != vocab.feature_fingerprint:
+                raise FingerprintMismatchError(
+                    f"features fingerprint {matrix.config_fingerprint} does not match "
+                    f"vocabulary fingerprint {vocab.feature_fingerprint}"
+                )
+        rows = np.concatenate([matrix.rows for matrix in batch])
+        bounds = np.cumsum([0] + [matrix.num_frames for matrix in batch])
+        totals = {}
+        for label, model in vocab.entries.items():
+            frame_ll = logsumexp(log_joint_densities(model, rows, bounds), axis=1)
+            totals[label] = [np.sum(frame_ll[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for k, matrix in enumerate(batch):
+            scores = {label: float(total[k]) / matrix.num_frames for label, total in totals.items()}
+            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            best_label, best_score = ranked[0]
+            margin = best_score - ranked[1][1] if len(ranked) > 1 else 0.0
+            yield best_label, best_score, margin
 
 
 def segment_utterances(
@@ -194,8 +216,10 @@ def transcribe(
     view, not a copy; segment times then refer to the reversed timeline
     (forward time is duration minus the mirrored bounds). The noise profile
     comes from the whole recording, but only the endpointed regions are
-    denoised, one at a time, so the input samples are the only full-length
-    array held.
+    denoised, and denoising, features and scoring each batch the regions a
+    block of frames at a time, so the input samples are the only
+    full-length array held. Each region's result equals extract and
+    classify_segment on its slice of the whole recording's enhancement.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -211,10 +235,12 @@ def transcribe(
     regions = segment_utterances(work, endpoint_cfg)
     spans = [(int(start_s * sr + 0.5), int(end_s * sr + 0.5)) for start_s, end_s in regions]
 
-    segments = []
-    for (start_s, end_s), cleaned in zip(regions, denoise_spans(work, enhance_cfg, spans)):
-        feats = extract(AudioBuffer(cleaned, sr), feature_cfg)
-        label, score, margin = classify_segment(feats, vocab)
-        segments.append(SegmentHypothesis(start_s, end_s, label, score, margin, direction))
-
+    # each stage takes its input a block of frames at a time and yields per
+    # region, so only a block's regions are held between stages
+    cleaned = (AudioBuffer(piece, sr) for piece in denoise_spans(work, enhance_cfg, spans))
+    results = classify_segments(extract_all(cleaned, feature_cfg), vocab)
+    segments = [
+        SegmentHypothesis(start_s, end_s, label, score, margin, direction)
+        for (start_s, end_s), (label, score, margin) in zip(regions, results)
+    ]
     return Transcript(segments, direction, buf.duration_s)

@@ -175,7 +175,7 @@ def transform_counts(monkeypatch):
 
     counts = collections.defaultdict(lambda: {"framings": 0, "analyzed": 0, "synthesized": 0})
     lengths = {}
-    segment, spectra, istft = FrameSpec.segment, FrameSpec.spectra, FrameSpec.istft
+    segment, spectra, synthesize = FrameSpec.segment, FrameSpec.spectra, FrameSpec.synthesize
 
     def counting_segment(self, buf):
         frames = segment(self, buf)
@@ -188,15 +188,12 @@ def transform_counts(monkeypatch):
         counts[lengths[id(frames)]]["analyzed"] += len(out)
         return out
 
-    def counting_istft(self, blocks, frames, lo, hi):
-        def counted():
-            for block in blocks:
-                counts[lengths[id(frames)]]["synthesized"] += len(block)
-                yield block
-
-        return istft(self, counted(), frames, lo, hi)
+    def counting_synthesize(self, block, frames):
+        out = synthesize(self, block, frames)
+        counts[lengths[id(frames)]]["synthesized"] += len(out)
+        return out
 
     monkeypatch.setattr(FrameSpec, "segment", counting_segment)
     monkeypatch.setattr(FrameSpec, "spectra", counting_spectra)
-    monkeypatch.setattr(FrameSpec, "istft", counting_istft)
+    monkeypatch.setattr(FrameSpec, "synthesize", counting_synthesize)
     return counts

@@ -11,9 +11,16 @@ writes, next to this script:
 - ``accept.gmm``: one of the four 4-component word models the two commands
   above use, as ``revspeech train`` writes it.
 
-Run it only when a change is meant to alter these outputs; a pure refactor
-must leave ``git diff tests/golden`` empty. ``tests/test_golden.py`` rebuilds
-the same files in a temporary directory and compares them with these.
+Run it only when a change is meant to alter these outputs.
+``tests/test_golden.py`` rebuilds the same files in a temporary directory
+and compares them with these, scores to a tolerance.
+
+The bytes depend on the numpy and OpenBLAS build as well as on the code:
+on some machines this script rewrites ``accept.gmm`` and ``report.json`` in
+their last digits at an unchanged commit. So to show that a refactor leaves
+the outputs alone, do not rely on ``git diff tests/golden``: build the files
+into two scratch directories on one machine, once from the parent commit and
+once from the change (``build_outputs(out_dir)``), and compare those.
 """
 
 import os

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,31 @@ class TestSegment:
                 np.testing.assert_array_equal(frames[i], old[i])
         exact = segment(AudioBuffer(np.ones(8 + 3 * 4), 1000), 8.0, 0.5)
         assert len(exact) == 4 and np.shares_memory(exact[:], exact.samples)
+
+    def test_index_arrays_count_from_the_end_and_stay_in_range(self):
+        frames = segment(AudioBuffer(np.arange(1.0, 10.0), 1000), 4.0, 0.5)  # 4 frames
+        padded = np.append(np.arange(1.0, 10.0), 0.0)
+        expected = np.lib.stride_tricks.sliding_window_view(padded, 4)[::2]
+        index = np.array([-1, -4, 0, 3, -2])
+        np.testing.assert_array_equal(frames[index], expected[index])
+        np.testing.assert_array_equal(frames[[[-1], [1]]], expected[[[-1], [1]]])
+        for rows in ([4], [0, -5], np.array([2, 9]), 4, -5):
+            with pytest.raises(IndexError):
+                frames[rows]
+
+    def test_gathering_rows_costs_no_more_than_the_rows(self):
+        # a few rows of a long recording, as a block of noise frames reads
+        # them: nothing of the frame count's size is built on the way
+        frames = segment(AudioBuffer(np.zeros(2_000_000), 1000), 4.0, 0.75)  # hop 1
+        index = np.array([5, len(frames) - 1, 17])
+        tracemalloc.start()
+        try:
+            rows = frames[index]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (3, 4)
+        assert peak < 4096  # a per-frame array would be 16 MB
 
     def test_invalid_arguments(self):
         buf = AudioBuffer(np.zeros(100), 8000)

@@ -192,6 +192,27 @@ class TestTrainCommand:
         assert run(base + inputs + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_takes_are_extracted_in_batches(self, workspace, tmp_path, transform_counts):
+        # the takes share framings, yet the model is byte for byte the one
+        # trained on each take's own extract, stacked in order
+        from revspeech.gmm import save_model, train
+
+        paths = workspace["takes"]["update"]
+        stacked = np.vstack([extract(read_wav(p), FeatureConfig()).rows for p in paths])
+        merged = FeatureMatrix(stacked, len(stacked), FeatureConfig().fingerprint(16000))
+        model, _ = train(merged, 2, 5, label="update")
+        save_model(model, tmp_path / "alone.gmm")
+        transform_counts.clear()
+        argv = ["train", "--label", "update", "--components", "2", "--seed", "5",
+                "--out", str(tmp_path / "batched.gmm")]
+        for p in paths:
+            argv += ["--in", str(p)]
+        assert run(argv) == 0
+        assert (tmp_path / "batched.gmm").read_bytes() == (tmp_path / "alone.gmm").read_bytes()
+        framings = sum(c["framings"] for c in transform_counts.values())
+        assert sum(c["analyzed"] for c in transform_counts.values()) == len(stacked)
+        assert framings < len(paths)
+
     def test_mixed_sample_rates_rejected(self, workspace, tmp_path):
         other_rate = tmp_path / "slow.wav"
         write_wav(AudioBuffer(np.zeros(8000) + 0.01, 8000), other_rate)

@@ -88,6 +88,19 @@ class TestHammingWindow:
     def test_length_one_window(self):
         np.testing.assert_allclose(hamming_window([2.0], 0.46), [2.0 * 0.08])
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [(hamming_coefficients, (400, 0.46)), (hamming_coefficients, (1, 0.46)),
+         (features._dct_basis, (13, 26))],
+    )
+    def test_window_and_dct_basis_built_once_and_read_only(self, build, args):
+        # every span and every batch reads these; a caller that could write
+        # to the shared array would change them for all later callers
+        table = build(*args)
+        assert build(*args) is table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
 
 class TestDftMagnitude:
     def test_constant_frame_is_dc_only(self):
@@ -244,6 +257,59 @@ class TestDeltaFeatures:
         np.testing.assert_allclose(
             fwd[window:-window], -rev[::-1][window:-window], rtol=1e-10, atol=1e-12
         )
+
+    def test_stacked_pieces_clamp_at_their_own_edges(self):
+        rng = np.random.default_rng(7)
+        pieces = [rng.uniform(-5, 5, size=(n, 3)) for n in (1, 4, 2, 7)]
+        bounds = np.cumsum([0] + [len(p) for p in pieces])
+        for window in (1, 2, 3):
+            stacked = delta_features(np.vstack(pieces), window, bounds)
+            alone = np.vstack([delta_features(p, window) for p in pieces])
+            np.testing.assert_array_equal(stacked, alone)
+
+
+@given(
+    lengths=st.lists(st.integers(0, 1500), min_size=1, max_size=8),
+    rates=st.lists(st.sampled_from([8000, 16000]), min_size=8, max_size=8),
+    block=st.integers(1, 7),
+    overlap=st.floats(0.0, 0.9),
+    preemphasis=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+# short pieces several to a batch, then a piece longer than a block between them
+@example(lengths=[300, 250, 0, 400, 1500, 120], rates=[8000] * 8, block=7, overlap=0.5,
+         preemphasis=0.97, seed=0)
+def test_batches_equal_each_piece_alone(lengths, rates, block, overlap, preemphasis, seed):
+    # pieces share one padded buffer, framing, rfft, log10 and delta pass
+    # per batch, so no sample, filter state or delta context may reach from
+    # one piece into the next; a piece longer than a block is cut at the
+    # same offsets as on its own, and rates that differ never share a batch
+    rng = np.random.default_rng(seed)
+    bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n, rate in zip(lengths, rates)]
+    cfg = FeatureConfig(overlap_fraction=overlap, preemphasis_a=preemphasis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audio, "BLOCK_FRAMES", block)
+        alone = [extract_alone(buf, cfg) for buf in bufs]
+        single = [extract(buf, cfg) for buf in bufs]
+        batched = list(features.extract_all(iter(bufs), cfg))
+    assert len(batched) == len(alone)
+    for buf, got, one, want in zip(bufs, batched, single, alone):
+        assert got.config_fingerprint == cfg.fingerprint(buf.sample_rate_hz)
+        assert got.num_frames == one.num_frames == len(want)
+        np.testing.assert_array_equal(one.rows, want)
+        np.testing.assert_array_equal(got.rows, want)
+
+
+def extract_alone(buf, cfg):
+    """A piece's features from its own framing, a block of frames at a time."""
+    frames = cfg.frame.segment(preemphasize(buf, cfg.preemphasis_a))
+    ceps = np.empty((len(frames), cfg.num_ceps))
+    for lo in range(0, len(frames), audio.BLOCK_FRAMES):
+        part = slice(lo, lo + audio.BLOCK_FRAMES)
+        magnitudes = np.abs(cfg.frame.spectra(frames, part))
+        ceps[part] = mfcc(mel_filterbank(magnitudes, cfg, buf.sample_rate_hz), cfg.num_ceps)
+    velocity = delta_features(ceps, cfg.delta_window)
+    return np.hstack([ceps, velocity, delta_features(velocity, cfg.delta_window)])
 
 
 class TestExtract:
@@ -440,11 +506,15 @@ def test_istft_matches_a_per_frame_overlap_add(
     spectra = spec.spectra(frames)
     shaped = spectra * rng.uniform(0.0, 1.0, spectra.shape)
     expected = per_frame_overlap_add(shaped, frames, window_a, num_samples)
+    def istft(blocks, lo, hi):
+        synthesized = [spec.synthesize(spectra, frames) for spectra in blocks]
+        return spec.overlap_add(synthesized, frames, lo, hi)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(audio, "BLOCK_FRAMES", block)
-        whole = spec.istft([shaped], frames, 0, num_samples)
+        whole = istft([shaped], 0, num_samples)
         blocks = [shaped[lo : lo + block] for lo in range(0, len(shaped), block)]
-        blocked = spec.istft(blocks, frames, 0, num_samples)
+        blocked = istft(blocks, 0, num_samples)
     np.testing.assert_array_equal(whole, expected)
     np.testing.assert_array_equal(blocked, expected)
 
@@ -461,7 +531,7 @@ def test_istft_matches_a_per_frame_overlap_add(
     blocks = [covered[k : k + block] for k in range(0, len(covered), block)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(audio, "BLOCK_FRAMES", block)
-        ranged = spec.istft(blocks, frames, lo, hi)
+        ranged = istft(blocks, lo, hi)
     np.testing.assert_array_equal(ranged, expected[lo:hi])
 
 

@@ -22,10 +22,13 @@ from revspeech import (
     segment_utterances,
     transcribe,
 )
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revspeech import audio
 from revspeech.audio import segment
+from revspeech.gmm import log_likelihood
+from revspeech.recognizer import classify_segments
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
@@ -155,6 +158,29 @@ class TestClassifySegment:
         vocab = Vocabulary.from_models([make_model("a", 0.0), make_model("b", 1.0)])
         with pytest.raises(ValueError):
             classify_segment(FeatureMatrix(np.zeros((0, 3)), 0, "fp"), vocab)
+
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        block=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_score_each_segment_alone(self, fixture_vocabulary, lengths, block, seed):
+        # the densities of a batch's rows come from one set of constants per
+        # model, one logsumexp and per-segment products; each result must
+        # still be the average log_likelihood ranking of the segment alone
+        rng = np.random.default_rng(seed)
+        fingerprint = fixture_vocabulary.feature_fingerprint
+        feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audio, "BLOCK_FRAMES", block)
+            got = list(classify_segments(iter(feats), fixture_vocabulary))
+        expected = []
+        for matrix in feats:
+            scores = {label: log_likelihood(model, matrix) / matrix.num_frames
+                      for label, model in fixture_vocabulary.entries.items()}
+            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            expected.append((ranked[0][0], ranked[0][1], ranked[0][1] - ranked[1][1]))
+        assert got == expected
 
 
 class TestSegmentUtterances:
@@ -372,6 +398,51 @@ class TestTranscribe:
             got = transcribe(buf, fixture_vocabulary, direction, cfg)
             assert [(s.start_s, s.end_s, s.label, s.score, s.margin)
                     for s in got.segments] == expected
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 7),
+        method=st.sampled_from(["spectral_subtraction", "wiener"]),
+        direction=st.sampled_from(["forward", "reverse"]),
+        bursts=st.lists(
+            st.tuples(st.integers(50, 400), st.integers(5, 40) | st.integers(100, 300)),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=40)
+    # short regions several to a batch between regions longer than a block
+    @example(seed=0, block=7, method="spectral_subtraction", direction="forward",
+             bursts=[(100, 10), (100, 15), (100, 10), (300, 150), (80, 12)])
+    @example(seed=1, block=6, method="wiener", direction="reverse",
+             bursts=[(100, 10), (100, 15), (100, 10), (300, 150), (80, 12)])
+    def test_batched_regions_equal_each_region_alone(
+        self, fixture_vocabulary, seed, block, method, direction, bursts
+    ):
+        # denoising, features and scoring each batch the regions a block of
+        # frames at a time, splitting long regions and gathering short ones;
+        # every region still gets what extract and classify_segment give
+        # its slice of the whole recording's enhancement
+        rng = np.random.default_rng(seed)
+        pieces = []
+        for gap_ms, burst_ms in bursts:
+            pieces += [np.zeros(gap_ms * SR // 1000), tone(rng.uniform(300.0, 3000.0), burst_ms / 1000)]
+        samples = np.concatenate(pieces + [np.zeros(SR // 10)])
+        buf = AudioBuffer(samples + 0.01 * rng.standard_normal(len(samples)), SR)
+        enhance_cfg = EnhanceConfig(method=method)
+        endpoint_cfg = EndpointConfig(merge_gap_ms=0.0, min_utterance_ms=0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audio, "BLOCK_FRAMES", block)
+            work = reverse(buf) if direction == "reverse" else buf
+            cleaned, _ = estimate_and_denoise(work, enhance_cfg)
+            expected = []
+            for start_s, end_s in segment_utterances(work, endpoint_cfg):
+                piece = cleaned.samples[int(start_s * SR + 0.5) : int(end_s * SR + 0.5)]
+                feats = extract(AudioBuffer(piece, SR), FeatureConfig())
+                expected.append((start_s, end_s, *classify_segment(feats, fixture_vocabulary)))
+            got = transcribe(buf, fixture_vocabulary, direction, enhance_cfg,
+                             endpoint_cfg=endpoint_cfg)
+        assert [(s.start_s, s.end_s, s.label, s.score, s.margin)
+                for s in got.segments] == expected
 
     def test_memory_grows_by_a_small_fraction_of_the_input(self, fixture_vocabulary):
         # the input is the only full-length array: the reversed recording is
