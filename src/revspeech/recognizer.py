@@ -220,6 +220,11 @@ def transcribe(
     block of frames at a time, so the input samples are the only
     full-length array held. Each region's result equals extract and
     classify_segment on its slice of the whole recording's enhancement.
+
+    Safe to call from several threads at once (analyze runs one per
+    direction): it writes only arrays it creates, and only reads what calls
+    share: the input samples, the reversed view, and features' cached
+    read-only windows, filterbanks and DCT bases.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")

@@ -7,14 +7,16 @@ for human review, never silently dropped.
 """
 
 import json
+import os
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
 from .audio import AudioBuffer
 from .config import ToolConfig, config_fingerprint
 from .errors import LexiconFormatError, ReportFormatError, read_text
-from .recognizer import SegmentHypothesis, Transcript, Vocabulary, transcribe
+from .recognizer import DIRECTIONS, SegmentHypothesis, Transcript, Vocabulary, transcribe
 
 REPORT_FORMAT_VERSION = "srs-v1"
 
@@ -253,18 +255,37 @@ def analyze(
     """Transcribe buf forward and time-reversed and report on the pair.
 
     The lexicon is cfg.lexicon_path, or the default table when that is None.
+    The two directions run at the same time, one thread each, on as many
+    threads as this process has usable CPUs, up to two: numpy's FFTs, matrix
+    products and large elementwise operations release the GIL, and the two
+    transcribe calls only read what they share. Results are read in
+    direction order, so a forward error is the one raised, and the report
+    is the one two passes in turn build.
     """
     lexicon = Lexicon.from_file(cfg.lexicon_path) if cfg.lexicon_path else Lexicon.default()
-    fwd, rev = (
-        transcribe(buf, vocab, direction, cfg.enhance, cfg.features, cfg.endpoint)
-        for direction in ("forward", "reverse")
-    )
+    pool = ThreadPoolExecutor(max_workers=min(len(DIRECTIONS), _usable_cpus()))
+    try:
+        futures = [
+            pool.submit(transcribe, buf, vocab, direction, cfg.enhance, cfg.features, cfg.endpoint)
+            for direction in DIRECTIONS
+        ]
+        fwd, rev = (future.result() for future in futures)
+    finally:
+        # on one worker, a forward error leaves the reverse pass unstarted
+        pool.shutdown(cancel_futures=True)
     meta = {
         "source_file": source_file,
         "tool_config_fingerprint": config_fingerprint(cfg),
         "timestamp": timestamp,
     }
     return build_report(fwd, rev, lexicon, meta)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _flagged_indices(pairs: list[ReversalPair]) -> list[int]:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from revspeech import (
 )
 from revspeech.cli import run
 from revspeech.config import ToolConfig
+from revspeech.errors import InsufficientDataError
 from revspeech.gmm import load_model
+from revspeech.recognizer import segment_utterances
 
 WORDS = ("accept", "reject", "update", "login")
 
@@ -428,11 +431,17 @@ class TestConfigAndErrors:
     def test_digital_silence_is_data_error(self, workspace, tmp_path, capsys):
         silent = tmp_path / "silent.wav"
         write_wav(AudioBuffer(np.zeros(16000), 16000), silent)
+        with pytest.raises(InsufficientDataError) as forward:
+            segment_utterances(read_wav(silent))
+        threads = threading.active_count()
         argv = ["analyze", "--in", str(silent), *model_args(workspace),
                 "--out-dir", str(tmp_path / "out")]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "same energy" in err, err
+        # the forward pass's message, and no thread outlives the command
+        assert err == f"error: {forward.value}\n"
+        assert threading.active_count() == threads
         assert not (tmp_path / "out").exists()
 
     def test_recording_shorter_than_the_smoothing_window(self, workspace, tmp_path):

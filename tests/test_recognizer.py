@@ -1,6 +1,8 @@
 """Endpointing, classification, and transcription behavior."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,10 +27,10 @@ from revspeech import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revspeech import audio
+from revspeech import audio, features
 from revspeech.audio import segment
 from revspeech.gmm import log_likelihood
-from revspeech.recognizer import classify_segments
+from revspeech.recognizer import DIRECTIONS, classify_segments
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
@@ -341,6 +343,27 @@ class TestTranscribe:
     def test_empty_recording_rejected(self, fixture_vocabulary):
         with pytest.raises(InsufficientDataError):
             transcribe(AudioBuffer(np.zeros(0), SR), fixture_vocabulary, "forward")
+
+    def test_threads_transcribing_at_once_equal_calls_in_turn(
+        self, fixture_vocabulary, fixture_session
+    ):
+        buf, _ = fixture_session
+        expected = {d: transcribe(buf, fixture_vocabulary, d) for d in DIRECTIONS}
+        # the threads race to build the shared, cached tables
+        for cached in (features.hamming_coefficients, features.mel_filter_weights,
+                       features._dct_basis):
+            cached.cache_clear()
+        jobs = [d for d in DIRECTIONS for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                results = list(pool.map(
+                    lambda d: transcribe(buf, fixture_vocabulary, d), jobs, timeout=60
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[d] for d in jobs]
 
     def test_one_stft_per_direction(self, fixture_vocabulary, fixture_session, transform_counts):
         self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,

@@ -1,14 +1,26 @@
 """Transcript pairing, categorization, and report rendering."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from revspeech import SegmentHypothesis, Transcript, build_report, parse_report, render
-from revspeech.errors import LexiconFormatError, ReportFormatError
+from revspeech import (
+    SegmentHypothesis,
+    Transcript,
+    analyze,
+    build_report,
+    parse_report,
+    render,
+    srsdoc,
+    transcribe,
+)
+from revspeech.config import ToolConfig, config_fingerprint
+from revspeech.errors import InsufficientDataError, LexiconFormatError, ReportFormatError
 from revspeech.srsdoc import (
     CATEGORY_CONGRUENT,
     CATEGORY_EXPANSIVE,
@@ -410,3 +422,110 @@ class TestRender:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(build_fixture_report(), "pdf")
+
+
+def pin_usable_cpus(monkeypatch, count):
+    """Make srsdoc see count usable CPUs, whichever way the platform reports them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def sequential_report(buf, vocab, cfg):
+    """build_report over the two directions transcribed one after the other."""
+    fwd, rev = (
+        transcribe(buf, vocab, direction, cfg.enhance, cfg.features, cfg.endpoint)
+        for direction in ("forward", "reverse")
+    )
+    meta = {"source_file": "session.wav", "tool_config_fingerprint": config_fingerprint(cfg),
+            "timestamp": ""}
+    return build_report(fwd, rev, Lexicon.default(), meta)
+
+
+def rendered(report):
+    return render(report, "markdown"), render(report, "structured")
+
+
+class TestAnalyzeThreads:
+    """analyze runs its two directions on up to two threads, one each."""
+
+    @pytest.fixture(autouse=True)
+    def no_leaked_threads(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def calls_on_threads(self, monkeypatch, barrier=None):
+        """Patch srsdoc.transcribe to record (direction, thread) and return the list."""
+        calls = []
+
+        def recording(buf, vocab, direction, *cfgs):
+            calls.append((direction, threading.get_ident()))
+            if barrier is not None:
+                barrier.wait()
+            return transcribe(buf, vocab, direction, *cfgs)
+
+        monkeypatch.setattr(srsdoc, "transcribe", recording)
+        return calls
+
+    def test_directions_run_at_the_same_time(
+        self, monkeypatch, fixture_vocabulary, fixture_session
+    ):
+        pin_usable_cpus(monkeypatch, 2)
+        # each pass waits for the other to start: passes run in turn break the barrier
+        calls = self.calls_on_threads(monkeypatch, threading.Barrier(2, timeout=10))
+        buf, _ = fixture_session
+        report = analyze(buf, fixture_vocabulary, ToolConfig(), "session.wav")
+        assert sorted(direction for direction, _ in calls) == ["forward", "reverse"]
+        assert len({thread for _, thread in calls}) == 2
+        assert rendered(report) == rendered(
+            sequential_report(buf, fixture_vocabulary, ToolConfig())
+        )
+
+    def test_one_usable_cpu_runs_on_one_worker(
+        self, monkeypatch, fixture_vocabulary, fixture_session
+    ):
+        pin_usable_cpus(monkeypatch, 1)
+        calls = self.calls_on_threads(monkeypatch)
+        buf, _ = fixture_session
+        report = analyze(buf, fixture_vocabulary, ToolConfig(), "session.wav")
+        assert [direction for direction, _ in calls] == ["forward", "reverse"]
+        assert len({thread for _, thread in calls}) == 1
+        assert rendered(report) == rendered(
+            sequential_report(buf, fixture_vocabulary, ToolConfig())
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [(("reverse",), "reverse failed"), (("forward", "reverse"), "forward failed")],
+    )
+    def test_forward_error_takes_precedence(
+        self, monkeypatch, fixture_vocabulary, fixture_session, cpus, failing, raised
+    ):
+        pin_usable_cpus(monkeypatch, cpus)
+        reverse_done = threading.Event()
+
+        def failing_transcribe(buf, vocab, direction, *cfgs):
+            if direction == "forward" and cpus == 2:
+                # on two threads the reverse pass finishes first
+                assert reverse_done.wait(timeout=10)
+            try:
+                if direction in failing:
+                    raise InsufficientDataError(f"{direction} failed")
+                return transcribe(buf, vocab, direction, *cfgs)
+            finally:
+                if direction == "reverse":
+                    reverse_done.set()
+
+        monkeypatch.setattr(srsdoc, "transcribe", failing_transcribe)
+        buf, _ = fixture_session
+        with pytest.raises(InsufficientDataError) as info:
+            analyze(buf, fixture_vocabulary, ToolConfig(), "session.wav")
+        assert str(info.value) == raised
+
+    def test_reports_are_deterministic(self, fixture_vocabulary, fixture_session):
+        buf, _ = fixture_session
+        expected = rendered(sequential_report(buf, fixture_vocabulary, ToolConfig()))
+        for _ in range(5):
+            report = analyze(buf, fixture_vocabulary, ToolConfig(), "session.wav")
+            assert rendered(report) == expected
