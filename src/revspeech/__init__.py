@@ -7,17 +7,9 @@ with reversed-audio transcripts and flags inconsistencies.
 """
 
 from .audio import AudioBuffer, FrameSequence, read_wav, reverse, segment, write_wav
-from .enhance import (
-    EnhanceConfig,
-    NoiseProfile,
-    denoise,
-    estimate_and_denoise,
-    estimate_noise,
-    spectral_subtract,
-    wiener_filter,
-)
+from .enhance import EnhanceConfig, NoiseProfile, denoise, estimate_and_denoise, estimate_noise
 from .features import FeatureConfig, FeatureMatrix, extract
-from .gmm import GmmModel, TrainingReport, load_model, log_likelihood, save_model, train
+from .gmm import GmmModel, TrainingReport, load_model, save_model, train
 from .recognizer import (
     EndpointConfig,
     SegmentHypothesis,
@@ -63,7 +55,6 @@ __all__ = [
     "estimate_noise",
     "extract",
     "load_model",
-    "log_likelihood",
     "parse_report",
     "read_wav",
     "render",
@@ -71,9 +62,7 @@ __all__ = [
     "save_model",
     "segment",
     "segment_utterances",
-    "spectral_subtract",
     "train",
     "transcribe",
-    "wiener_filter",
     "write_wav",
 ]

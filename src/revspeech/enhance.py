@@ -12,7 +12,7 @@ estimate_and_denoise and denoise_spans estimate and denoise from one framing.
 """
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -115,6 +115,11 @@ def _subtracted(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceCon
 
 
 def _wiener(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig):
+    """Per-bin gain xi/(1+xi) with decision-directed a-priori SNR tracking.
+
+    Zero-noise bins take the capped a-posteriori SNR instead of dividing by
+    zero. The first frame seeds the recursion with the noisy magnitude.
+    """
     noise_power = noise**2
 
     def snr(power: np.ndarray) -> np.ndarray:
@@ -228,24 +233,6 @@ def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioB
         )
     (cleaned,) = _denoise(cfg.frame.segment(buf), noise, cfg, [(0, len(buf.samples))])
     return AudioBuffer(cleaned, buf.sample_rate_hz)
-
-
-def spectral_subtract(
-    buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig
-) -> AudioBuffer:
-    """Subtract the noise magnitude per frame, keeping the noisy phase."""
-    return denoise(buf, noise, replace(cfg, method="spectral_subtraction"))
-
-
-def wiener_filter(
-    buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig
-) -> AudioBuffer:
-    """Per-bin gain xi/(1+xi) with decision-directed a-priori SNR tracking.
-
-    Zero-noise bins take a capped a-posteriori SNR instead of dividing by
-    zero. The first frame seeds the recursion with the noisy magnitude.
-    """
-    return denoise(buf, noise, replace(cfg, method="wiener"))
 
 
 def estimate_and_denoise(

@@ -47,9 +47,9 @@ class FrameSpec:
             raise ConfigError("fft_size must be a power of two")
 
     def resolve_fft_size(self, sample_rate_hz: int) -> int:
-        frame_len = int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
+        frame_len, _ = frame_geometry(self.frame_ms, self.overlap_fraction, sample_rate_hz)
         if self.fft_size is None:
-            return 1 << max(frame_len - 1, 0).bit_length()
+            return 1 << (frame_len - 1).bit_length()
         if self.fft_size < frame_len:
             raise ConfigError(
                 f"fft_size {self.fft_size} smaller than frame length {frame_len}"
@@ -211,15 +211,6 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def preemphasize(buf: AudioBuffer, a: float) -> AudioBuffer:
-    """First-order high-pass y(n) = x(n) - a*x(n-1), with x(-1) = 0."""
-    if not 0 <= a < 1:
-        raise ValueError("pre-emphasis coefficient must be in [0, 1)")
-    y = buf.samples.copy()
-    _preemphasize_in_place(y, a)
-    return AudioBuffer(y, buf.sample_rate_hz)
-
-
 def _preemphasize_in_place(y: np.ndarray, a: float) -> None:
     """y(n) -= a*y(n-1) for n >= 1, BLOCK_SAMPLES at a time from the end back.
 
@@ -251,14 +242,6 @@ def hamming_window(frame: np.ndarray, a: float) -> np.ndarray:
     """Apply the tapered window elementwise to each frame (last axis)."""
     frame = np.asarray(frame, dtype=np.float64)
     return frame * hamming_coefficients(frame.shape[-1], a)
-
-
-def dft_magnitude(frame: np.ndarray, fft_size: int) -> np.ndarray:
-    """Magnitudes |X(k)| for k = 0..fft_size-1, zero-padding the frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape[-1] > fft_size:
-        raise ValueError("frame longer than fft_size")
-    return np.abs(np.fft.fft(frame, n=fft_size, axis=-1))
 
 
 def hz_to_mel(f: float) -> float:

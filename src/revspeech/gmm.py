@@ -93,25 +93,11 @@ def log_component_densities(
     return log_norm - 0.5 * mahal
 
 
-def component_density(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
-    """Single Gaussian density value, evaluated in log space internally."""
-    mean = np.atleast_2d(np.asarray(mean, dtype=np.float64))
-    variance = np.atleast_2d(np.asarray(variance, dtype=np.float64))
-    if np.any(variance < VARIANCE_FLOOR):
-        raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
-    return float(np.exp(log_component_densities(x, mean, variance)[0, 0]))
-
-
 def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components)."""
     return log_component_densities(rows, model.means, model.variances, bounds) + np.log(
         model.weights
     )
-
-
-def log_likelihood(model: GmmModel, features: FeatureMatrix) -> float:
-    """Total log p(x|model) summed over frames."""
-    return float(np.sum(logsumexp(log_joint_densities(model, features.rows), axis=1)))
 
 
 def _e_step(model: GmmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,11 +116,6 @@ def _m_step(resp: np.ndarray, x: np.ndarray, x_sq: np.ndarray):
     variances = (resp.T @ x_sq) / safe_counts - means * means
     weights = np.maximum(counts / len(x), WEIGHT_FLOOR)
     return weights / weights.sum(), means, np.maximum(variances, VARIANCE_FLOOR)
-
-
-def responsibilities(model: GmmModel, rows: np.ndarray) -> np.ndarray:
-    """Posterior component memberships per frame; rows sum to 1."""
-    return _e_step(model, rows)[0]
 
 
 def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

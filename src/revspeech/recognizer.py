@@ -118,6 +118,7 @@ def classify_segments(
     logsumexp covers the batch's rows, and each segment sums its own frames,
     so every result equals the segment scored alone.
     """
+    dim = next(iter(vocab.entries.values())).dim
     for batch in frame_groups(features, lambda matrix: matrix.num_frames):
         for matrix in batch:
             if matrix.num_frames == 0:
@@ -126,6 +127,10 @@ def classify_segments(
                 raise FingerprintMismatchError(
                     f"features fingerprint {matrix.config_fingerprint} does not match "
                     f"vocabulary fingerprint {vocab.feature_fingerprint}"
+                )
+            if matrix.dim != dim:
+                raise FingerprintMismatchError(
+                    f"features have dimension {matrix.dim}, vocabulary models have {dim}"
                 )
         rows = np.concatenate([matrix.rows for matrix in batch])
         bounds = np.cumsum([0] + [matrix.num_frames for matrix in batch])

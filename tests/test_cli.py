@@ -4,6 +4,7 @@ import importlib.util
 import json
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from revspeech import (
 from revspeech.cli import run
 from revspeech.config import ToolConfig
 from revspeech.errors import InsufficientDataError
-from revspeech.gmm import load_model
+from revspeech.gmm import load_model, save_model
 from revspeech.recognizer import segment_utterances
 
 WORDS = ("accept", "reject", "update", "login")
@@ -515,6 +516,24 @@ class TestConfigAndErrors:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x.gmm").exists()
+
+    @pytest.mark.parametrize("command", ["recognize", "analyze"])
+    def test_model_dimension_mismatch_is_data_error(self, workspace, tmp_path, capsys, command):
+        # the models load, agree with each other and carry the features'
+        # fingerprint, but have 2 dimensions where the features have 39
+        argv = [command, "--in", str(workspace["session"])]
+        for word in ("accept", "reject"):
+            model = load_model(workspace["models"][word])
+            narrow = replace(
+                model, dim=2, means=model.means[:, :2], variances=model.variances[:, :2]
+            )
+            save_model(narrow, tmp_path / f"{word}.gmm")
+            argv += ["--model", str(tmp_path / f"{word}.gmm")]
+        if command == "analyze":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dimension 39" in err
 
     def test_single_model_is_data_error(self, workspace, tmp_path, capsys):
         argv = ["analyze", "--in", str(workspace["session"]),

@@ -15,8 +15,6 @@ from revspeech import (
     denoise,
     estimate_and_denoise,
     estimate_noise,
-    spectral_subtract,
-    wiener_filter,
 )
 from revspeech import audio
 from revspeech.audio import frame_energies, segment
@@ -87,50 +85,53 @@ class TestSpectralSubtract:
         rng = np.random.default_rng(3)
         samples = tone(440, 2.0) + white_noise(rng, 2.0, sigma=0.05)
         buf = AudioBuffer(samples, SR)
-        out = spectral_subtract(buf, NoiseProfile(np.zeros(512), 1), EnhanceConfig())
+        cfg = EnhanceConfig(method="spectral_subtraction")
+        out = denoise(buf, NoiseProfile(np.zeros(512), 1), cfg)
         rel = np.linalg.norm(out.samples - samples) / np.linalg.norm(samples)
         assert rel < 1e-6
 
     def test_noise_only_suppression(self):
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="spectral_subtraction")
         rng = np.random.default_rng(4)
         sigma = 0.1
         profile = NoiseProfile(expected_noise_magnitude(rng, sigma, cfg), 3000)
         noise = sigma * rng.standard_normal(SR * 3)
-        out = spectral_subtract(AudioBuffer(noise, SR), profile, cfg)
+        out = denoise(AudioBuffer(noise, SR), profile, cfg)
         assert rms(out.samples) < 0.15 * rms(noise)
 
     def test_sine_at_0db_improves_5db(self):
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="spectral_subtraction")
         rng = np.random.default_rng(1234)
         clean = tone(440, 3.0)
         noise = white_noise(rng, 3.0, sigma=0.3 / np.sqrt(2))
         noisy = clean + noise
         profile = estimate_noise(AudioBuffer(noise, SR), cfg)
-        out = spectral_subtract(AudioBuffer(noisy, SR), profile, cfg)
+        out = denoise(AudioBuffer(noisy, SR), profile, cfg)
         improvement = segmental_snr(clean, out.samples) - segmental_snr(clean, noisy)
         assert improvement >= 5.0
 
     def test_output_length_equals_input(self):
         rng = np.random.default_rng(5)
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="spectral_subtraction")
         for n in (100, 399, 400, 401, 7777):
             buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=n), SR)
             profile = estimate_noise(buf, cfg)
-            assert len(spectral_subtract(buf, profile, cfg).samples) == n
+            assert len(denoise(buf, profile, cfg).samples) == n
 
     def test_fft_size_mismatch_rejected(self):
         buf = AudioBuffer(np.zeros(SR), SR)
         with pytest.raises(ConfigError):
-            spectral_subtract(buf, NoiseProfile(np.zeros(256), 1), EnhanceConfig())
+            denoise(
+                buf, NoiseProfile(np.zeros(256), 1), EnhanceConfig(method="spectral_subtraction")
+            )
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         buf = AudioBuffer(white_noise(rng, 1.0), SR)
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="spectral_subtraction")
         profile = estimate_noise(buf, cfg)
-        first = spectral_subtract(buf, profile, cfg)
-        second = spectral_subtract(buf, profile, cfg)
+        first = denoise(buf, profile, cfg)
+        second = denoise(buf, profile, cfg)
         np.testing.assert_array_equal(first.samples, second.samples)
 
 
@@ -155,46 +156,46 @@ class TestWienerFilter:
         rng = np.random.default_rng(8)
         samples = tone(440, 2.0) + white_noise(rng, 2.0, sigma=0.05)
         buf = AudioBuffer(samples, SR)
-        out = wiener_filter(buf, NoiseProfile(np.zeros(512), 1), EnhanceConfig())
+        out = denoise(buf, NoiseProfile(np.zeros(512), 1), EnhanceConfig(method="wiener"))
         rel = np.linalg.norm(out.samples - samples) / np.linalg.norm(samples)
         assert rel < 1e-6
 
     def test_sine_at_0db_improves_5db(self):
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="wiener")
         rng = np.random.default_rng(1234)
         clean = tone(440, 3.0)
         noise = white_noise(rng, 3.0, sigma=0.3 / np.sqrt(2))
         noisy = clean + noise
         profile = estimate_noise(AudioBuffer(noise, SR), cfg)
-        out = wiener_filter(AudioBuffer(noisy, SR), profile, cfg)
+        out = denoise(AudioBuffer(noisy, SR), profile, cfg)
         improvement = segmental_snr(clean, out.samples) - segmental_snr(clean, noisy)
         assert improvement >= 5.0
 
     def test_noise_only_suppression(self):
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="wiener")
         rng = np.random.default_rng(9)
         sigma = 0.1
         profile = NoiseProfile(expected_noise_magnitude(rng, sigma, cfg), 3000)
         noise = sigma * rng.standard_normal(SR * 3)
-        out = wiener_filter(AudioBuffer(noise, SR), profile, cfg)
+        out = denoise(AudioBuffer(noise, SR), profile, cfg)
         assert rms(out.samples) < 0.25 * rms(noise)
 
     def test_output_length_equals_input(self):
         rng = np.random.default_rng(10)
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="wiener")
         for n in (250, 400, 12345):
             buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=n), SR)
             profile = estimate_noise(buf, cfg)
-            assert len(wiener_filter(buf, profile, cfg).samples) == n
+            assert len(denoise(buf, profile, cfg).samples) == n
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         buf = AudioBuffer(white_noise(rng, 1.0), SR)
-        cfg = EnhanceConfig()
+        cfg = EnhanceConfig(method="wiener")
         profile = estimate_noise(buf, cfg)
         np.testing.assert_array_equal(
-            wiener_filter(buf, profile, cfg).samples,
-            wiener_filter(buf, profile, cfg).samples,
+            denoise(buf, profile, cfg).samples,
+            denoise(buf, profile, cfg).samples,
         )
 
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import dft_magnitude
 from revspeech import AudioBuffer, FeatureConfig, extract, reverse
 from revspeech import audio, features
 from revspeech.errors import ConfigError
 from revspeech.features import (
     FrameSpec,
     delta_features,
-    dft_magnitude,
     hamming_coefficients,
     hamming_window,
     hz_to_mel,
@@ -22,12 +22,18 @@ from revspeech.features import (
     mel_filterbank,
     mel_to_hz,
     mfcc,
-    preemphasize,
 )
 
 # frozen from a 50-digit Decimal evaluation of 2595*log10(1 + f/700)
 MEL_700 = 781.17283874803120157965243181
 MEL_1000 = 999.98553713962436886353968473
+
+
+def preemphasize(buf, a):
+    """extract's pre-emphasis, run on a copy of the samples."""
+    samples = buf.samples.copy()
+    features._preemphasize_in_place(samples, a)
+    return AudioBuffer(samples, buf.sample_rate_hz)
 
 
 def brute_force_dft_magnitude(frame, fft_size):
@@ -60,8 +66,8 @@ class TestPreemphasize:
         assert out[0] == value
 
     def test_invalid_coefficient(self):
-        with pytest.raises(ValueError):
-            preemphasize(AudioBuffer([0.0], 8000), 1.0)
+        with pytest.raises(ConfigError):
+            FeatureConfig(preemphasis_a=1.0)
 
 
 class TestHammingWindow:
@@ -435,6 +441,21 @@ class TestFrameSpec:
         with pytest.raises(ConfigError):
             FrameSpec(fft_size=256).resolve_fft_size(16000)
 
+    @given(frame_ms=st.floats(0.01, 100.0), sample_rate_hz=st.integers(1, 192000))
+    @example(frame_ms=0.01, sample_rate_hz=16000)
+    def test_fft_size_covers_the_framing_frame(self, frame_ms, sample_rate_hz):
+        # one frame-length rule: the FFT covers the frames segment cuts, and a
+        # frame under one sample fails here as it fails in framing
+        spec = FrameSpec(frame_ms)
+        try:
+            frame_len, _ = audio.frame_geometry(frame_ms, 0.5, sample_rate_hz)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="shorter than one sample"):
+                spec.resolve_fft_size(sample_rate_hz)
+            return
+        fft_size = spec.resolve_fft_size(sample_rate_hz)
+        assert fft_size >= frame_len > fft_size // 2
+
     @pytest.mark.parametrize(
         "fields", [dict(frame_ms=0.0), dict(overlap_fraction=1.0), dict(fft_size=500)]
     )
@@ -574,12 +595,12 @@ class TestExtractComposition:
 
             monkeypatch.setattr(features, name, wrapper)
 
-        for name in ("hamming_window", "dft_magnitude", "mel_filterbank", "mfcc"):
+        for name in ("hamming_window", "mel_filterbank", "mfcc"):
             spy(name)
         rows = extract(buf, cfg).rows
         np.testing.assert_array_equal(rows, expected)
         num_frames = rows.shape[0]
-        # the spectrum is FrameSpec.spectra's half spectrum, not dft_magnitude's
+        # the spectrum is FrameSpec.spectra's half spectrum
         assert calls == [
             ("hamming_window", (num_frames, 400)),
             ("mel_filterbank", (num_frames, 26)),

@@ -16,25 +16,34 @@ from revspeech import (
     GmmModel,
     extract,
     load_model,
-    log_likelihood,
     save_model,
     train,
 )
 from revspeech.errors import InsufficientDataError, ModelFormatError
 from revspeech import gmm
 from revspeech.gmm import (
+    _e_step,
     _kmeans,
-    component_density,
     log_component_densities,
     log_joint_densities,
     logsumexp,
-    responsibilities,
 )
 
 
 def matrix(rows, fingerprint="synthetic"):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return FeatureMatrix(rows, rows.shape[0], fingerprint)
+
+
+def component_density(x, mean, variance):
+    """One diagonal Gaussian's density at x, from the log-density routine."""
+    log_density = log_component_densities(x, np.atleast_2d(mean), np.atleast_2d(variance))
+    return float(np.exp(log_density[0, 0]))
+
+
+def log_likelihood(model, features):
+    """Total log p(x | model) over the frames, from the joint log-densities."""
+    return float(np.sum(logsumexp(log_joint_densities(model, features.rows), axis=1)))
 
 
 def naive_mixture_loglik(model, rows):
@@ -111,8 +120,8 @@ class TestComponentDensity:
             component_density(np.zeros(3), np.zeros(2), np.ones(2))
 
     def test_variance_floor_enforced(self):
-        with pytest.raises(ValueError):
-            component_density(np.zeros(1), np.zeros(1), np.array([1e-9]))
+        with pytest.raises(ModelFormatError):
+            GmmModel("a", 1, [1.0], np.zeros((1, 1)), np.array([[1e-9]]), "synthetic").validate()
 
 
 class TestQuadraticForm:
@@ -139,7 +148,7 @@ class TestQuadraticForm:
         # max_iter=1 returns the model after one M-step, max_iter=2 after two
         before, _ = train(rows, 4, seed=0, max_iter=1)
         after, _ = train(rows, 4, seed=0, max_iter=2)
-        resp = responsibilities(before, x)
+        resp, _ = _e_step(before, x)
         counts = resp.sum(axis=0)
         means = (resp.T @ x) / counts[:, None]
         centred = np.stack(
@@ -334,7 +343,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(50, 2))
         model, _ = train(matrix(rows), 3, seed=3)
-        resp = responsibilities(model, rows)
+        resp, _ = _e_step(model, rows)
         np.testing.assert_allclose(resp.sum(axis=1), np.ones(50), atol=1e-12)
 
     def test_joint_density_serves_likelihood_and_responsibilities(self):
@@ -348,10 +357,9 @@ class TestTrain:
             + np.log(model.weights),
         )
         frame_ll = logsumexp(joint, axis=1)
-        np.testing.assert_array_equal(
-            responsibilities(model, rows), np.exp(joint - frame_ll[:, None])
-        )
-        assert log_likelihood(model, matrix(rows)) == float(np.sum(frame_ll))
+        resp, e_step_ll = _e_step(model, rows)
+        np.testing.assert_array_equal(resp, np.exp(joint - frame_ll[:, None]))
+        np.testing.assert_array_equal(e_step_ll, frame_ll)
 
     def test_insufficient_data_rejected(self):
         rows = np.zeros((5, 2))

@@ -1,0 +1,76 @@
+"""The package's public surface: exported names, their users, and its imports."""
+
+import ast
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+import revspeech
+from conftest import build_session, train_vocabulary
+from revspeech import save_model, write_wav
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_exported_name_resolves():
+    for name in revspeech.__all__:
+        assert getattr(revspeech, name) is not None, name
+
+
+def test_the_benchmark_imports_only_exported_names():
+    # a name the benchmark needs must stay exported; its submodule imports
+    # must name what those modules define
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("revspeech")
+    ]
+    assert imports
+    for node in imports:
+        for alias in node.names:
+            if node.module == "revspeech":
+                submodule = importlib.util.find_spec(f"revspeech.{alias.name}")
+                assert alias.name in revspeech.__all__ or submodule, alias.name
+            else:
+                assert hasattr(importlib.import_module(node.module), alias.name), alias.name
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+    session, _ = build_session(np.random.default_rng(5))
+    write_wav(session, tmp_path / "session.wav")
+    vocab = train_vocabulary(["accept", "reject"], utterances=4)
+    save_model(replace(vocab.entries["accept"], label="yes"), tmp_path / "yes.gmm")
+    save_model(replace(vocab.entries["reject"], label="no"), tmp_path / "no.gmm")
+
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "# " in capsys.readouterr().out
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # numpy first, with numpy.random, which it loads lazily: the Cython
+    # runtime modules that numpy's extensions bring in are not ours
+    probe = (
+        "import sys, numpy, numpy.random\n"
+        "before = set(sys.modules)\n"
+        "import revspeech\n"
+        "print(' '.join(sorted({name.split('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(revspeech.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    added = set(out.split())
+    assert "revspeech" in added
+    assert added - {"revspeech", "numpy"} <= set(sys.stdlib_module_names), sorted(added)

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from revspeech import audio, features
 from revspeech.audio import segment
-from revspeech.gmm import log_likelihood
+from revspeech.gmm import log_joint_densities, logsumexp
 from revspeech.recognizer import DIRECTIONS, classify_segments
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
@@ -156,6 +156,13 @@ class TestClassifySegment:
         with pytest.raises(FingerprintMismatchError):
             classify_segment(FeatureMatrix(np.zeros((2, 3)), 2, "other"), vocab)
 
+    def test_dimension_mismatch_rejected(self):
+        # features under the vocabulary's own fingerprint but of another width
+        vocab = Vocabulary.from_models([make_model("a", 0.0), make_model("b", 1.0)])
+        feats = FeatureMatrix(np.zeros((4, 2)), 4, "fp")
+        with pytest.raises(FingerprintMismatchError, match="dimension 2, .* have 3"):
+            list(classify_segments([feats], vocab))
+
     def test_empty_features_rejected(self):
         vocab = Vocabulary.from_models([make_model("a", 0.0), make_model("b", 1.0)])
         with pytest.raises(ValueError):
@@ -169,7 +176,7 @@ class TestClassifySegment:
     def test_batches_score_each_segment_alone(self, fixture_vocabulary, lengths, block, seed):
         # the densities of a batch's rows come from one set of constants per
         # model, one logsumexp and per-segment products; each result must
-        # still be the average log_likelihood ranking of the segment alone
+        # still be the average log-likelihood ranking of the segment alone
         rng = np.random.default_rng(seed)
         fingerprint = fixture_vocabulary.feature_fingerprint
         feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
@@ -178,8 +185,11 @@ class TestClassifySegment:
             got = list(classify_segments(iter(feats), fixture_vocabulary))
         expected = []
         for matrix in feats:
-            scores = {label: log_likelihood(model, matrix) / matrix.num_frames
-                      for label, model in fixture_vocabulary.entries.items()}
+            scores = {
+                label: float(np.sum(logsumexp(log_joint_densities(model, matrix.rows), axis=1)))
+                / matrix.num_frames
+                for label, model in fixture_vocabulary.entries.items()
+            }
             ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
             expected.append((ranked[0][0], ranked[0][1], ranked[0][1] - ranked[1][1]))
         assert got == expected
