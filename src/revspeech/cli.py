@@ -96,13 +96,13 @@ def _build_parser() -> _Parser:
 
 def _effective_config(args) -> ToolConfig:
     cfg = ToolConfig()
-    if args.config:
+    if args.config is not None:
         cfg = load_config(args.config, cfg)
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "method", None):
         cfg.enhance.method = args.method
-    if getattr(args, "lexicon", None):
+    if getattr(args, "lexicon", None) is not None:
         cfg.lexicon_path = args.lexicon
     return cfg
 

@@ -2,24 +2,24 @@
 
 Both methods estimate a noise magnitude spectrum from low-energy frames,
 attenuate per-bin magnitudes, keep the noisy phase, and reconstruct through
-FrameSpec.synthesize and FrameSpec.overlap_add. Every pass over the recording
-takes BLOCK_FRAMES frames at a time, so its transient memory is one block's,
+FrameSpec.synthesize and OverlapAdd. Every pass over the recording takes
+BLOCK_FRAMES frames at a time, so its transient memory is one block's,
 whatever the recording's length. Denoising works on sample spans: overlap-add
 is local, so a span's cleaned samples need only the frames that cover it (and,
-for the Wiener recursion, the frames before them), and the covering frames of
-many short spans share a block. The whole buffer is the one-span case.
+for the Wiener recursion, the frames before them), and one walk in frame order
+serves every span, so the covered frames of many short spans share a block.
+The whole buffer is the one-span case.
 estimate_and_denoise and denoise_spans estimate and denoise from one framing.
 """
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .audio import AudioBuffer, FrameSequence, frame_blocks, frame_energies
 from .errors import ConfigError
-from .features import FrameSpec
+from .features import FrameSpec, OverlapAdd
 
 METHODS = ("spectral_subtraction", "wiener")
 
@@ -144,88 +144,58 @@ def _wiener(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig)
         yield spectra
 
 
-def _synthesized_ranges(frames: FrameSequence, noise: np.ndarray, cfg: EnhanceConfig, ranges):
-    """For each range of frames in turn, an iterator of its synthesized frames.
-
-    One walk takes frames BLOCK_FRAMES at a time, and each block gets one
-    rfft, one shaping and one irfft. Spectral subtraction shapes each frame
-    on its own, so its walk takes just the frames each range covers, range
-    after range. The Wiener recursion carries state from frame to frame, so
-    its walk takes every frame up to the last one a range needs, once and in
-    order, and synthesizes only the frames some range covers. A walked block
-    is kept only while a later range still needs some of its frames, so
-    sorted, disjoint ranges keep a block or two.
-    """
-    spec = cfg.frame
-    if cfg.method == "wiener":
-        order = np.arange(max((r.stop for r in ranges), default=0))
-        wanted = np.zeros(len(order), dtype=bool)
-        for r in ranges:
-            wanted[r] = True
-        places = [(r.start, r.stop) for r in ranges]
-        shape = _wiener
-    else:
-        order = np.concatenate([np.arange(r.start, r.stop) for r in ranges] + [np.arange(0)])
-        wanted = np.ones(len(order), dtype=bool)
-        ends = list(accumulate(r.stop - r.start for r in ranges))
-        places = [(end - (r.stop - r.start), end) for r, end in zip(ranges, ends)]
-        shape = _subtracted
-    # where each walked frame lands among the synthesized ones
-    synthesized_before = np.concatenate(([0], np.cumsum(wanted)))
-    parts = frame_blocks(0, len(order))
-    shaped = shape((spec.spectra(frames, order[part]) for part in parts), noise, cfg)
-    walk = (
-        spec.synthesize(block if wanted[part].all() else block[wanted[part]], frames)
-        for part, block in zip(parts, shaped)
-    )
-    kept = []  # (first synthesized frame, synthesized block) of walked blocks, in order
-    walked = 0
-
-    def pieces(lo: int, hi: int, needed: int):
-        """Blocks of synthesized frames lo .. hi - 1; frames from needed on stay kept."""
-        nonlocal walked
-        i = 0
-        while lo < hi:
-            if i == len(kept):
-                kept.append((walked, next(walk)))
-                walked += len(kept[-1][1])
-            first, block = kept[i]
-            if first + len(block) > needed:
-                i += 1
-            else:
-                del kept[i]
-            if max(lo - first, 0) < min(hi - first, len(block)):
-                yield block[max(lo - first, 0) : hi - first]
-            if first + len(block) >= hi:
-                return
-
-    bounds = [(synthesized_before[a], synthesized_before[b]) for a, b in places]
-    # the first synthesized frame any later range needs, for each range
-    stop = synthesized_before[-1]
-    starts = [lo if lo < hi else stop for lo, hi in bounds[1:]] + [stop]
-    needed = list(accumulate(reversed(starts), min))[::-1]
-    for (lo, hi), keep_from in zip(bounds, needed):
-        yield pieces(lo, hi, keep_from)
-
-
 def _denoise(
     frames: FrameSequence, noise: NoiseProfile, cfg: EnhanceConfig, spans
 ) -> Iterator[np.ndarray]:
     """Cleaned samples lo .. hi - 1 of each span, one span at a time.
 
-    Only the frames that cover a span are synthesized (_synthesized_ranges);
-    overlap-add and window-power normalization run per span.
+    One walk takes frames in frame order, BLOCK_FRAMES at a time, and each
+    block gets one rfft, one shaping and one irfft of the frames some span
+    covers. Spectral subtraction shapes each frame on its own, so its walk
+    takes just the covered frames. The Wiener recursion carries state from
+    frame to frame, so its walk takes every frame up to the last covered one.
+    Each synthesized frame is added straight into the overlap-add of every
+    span it covers. A span's overlap-add starts when the walk reaches the
+    span, and is yielded, in the caller's order, once the walk has passed
+    it, so sorted spans hold only the overlap-adds one block reaches.
     """
+    spec = cfg.frame
     half = noise.mean_magnitude[: len(noise.mean_magnitude) // 2 + 1]
     num_samples = len(frames.samples)
     spans = [(max(lo, 0), min(hi, num_samples)) for lo, hi in spans]
     ranges = [frames.covering(lo, hi) for lo, hi in spans]
-    for (lo, hi), pieces in zip(spans, _synthesized_ranges(frames, half, cfg, ranges)):
-        yield cfg.frame.overlap_add(pieces, frames, lo, hi)
+    wanted = np.zeros(max((r.stop for r in ranges), default=0), dtype=bool)
+    for r in ranges:
+        wanted[r] = True
+    if cfg.method == "wiener":
+        order, shape = np.arange(len(wanted)), _wiener
+    else:
+        order, shape = np.flatnonzero(wanted), _subtracted
+    parts = frame_blocks(0, len(order))
+    blocks = zip(parts, shape((spec.spectra(frames, order[p]) for p in parts), half, cfg))
+    unreached = sorted(range(len(spans)), key=lambda k: ranges[k].start, reverse=True)
+    sums = {}  # overlap-adds of the spans the walk has reached, by position in spans
+    walked = 0  # the walk has passed every frame before this one
+    for k, r in enumerate(ranges):
+        while walked < r.stop:
+            part, block = next(blocks)
+            keep = wanted[order[part]]
+            rows = order[part][keep]
+            synthesized = spec.synthesize(block if keep.all() else block[keep], frames)
+            walked = order[part.stop - 1] + 1
+            while unreached and ranges[unreached[-1]].start < walked:
+                j = unreached.pop()
+                sums[j] = OverlapAdd(spec, frames, *spans[j])
+            for j, acc in sums.items():
+                a, b = np.searchsorted(rows, (ranges[j].start, ranges[j].stop))
+                if a < b:
+                    acc.add(rows[a], synthesized[a:b])
+        # a span that covers no frame can come before the walk starts
+        yield (sums.pop(k) if k in sums else OverlapAdd(spec, frames, *spans[k])).samples()
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:
-    """Dispatch on cfg.method."""
+    """Check the profile's bin count, then denoise the one whole-buffer span."""
     fft_size = cfg.frame.resolve_fft_size(buf.sample_rate_hz)
     if len(noise.mean_magnitude) != fft_size:
         raise ConfigError(

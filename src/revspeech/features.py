@@ -79,41 +79,44 @@ class FrameSpec:
         window = hamming_coefficients(frames.frame_len, self.window_a)
         return np.fft.irfft(spectra, n=fft_size, axis=-1)[:, : frames.frame_len] * window
 
-    def overlap_add(
-        self, blocks: Iterable[np.ndarray], frames: FrameSequence, lo: int, hi: int
-    ) -> np.ndarray:
-        """Samples lo .. hi - 1 from blocks of synthesized frames (synthesize).
 
-        blocks yields the frames that cover the range (frames.covering(lo, hi)),
-        consecutive and in frame order; the whole buffer is the range
-        (0, len(frames.samples)). Each frame is overlap-added into the output,
-        so every sample sums its frames in frame order whatever the blocks and
-        whatever the range: a range's samples equal the same samples of the
-        whole buffer's output. Samples are divided by the summed window power
-        wherever that is >= 1e-8.
-        """
-        frame_len, hop, num_frames = frames.frame_len, frames.hop, len(frames)
-        window = hamming_coefficients(frame_len, self.window_a)
-        pieces = -(-frame_len // hop)
+class OverlapAdd:
+    """Samples lo .. hi - 1 summed from synthesized frames (FrameSpec.synthesize).
+
+    Each frame that covers the range (frames.covering(lo, hi)) is added once,
+    in frame order, in blocks of any size; the whole buffer is the range
+    (0, len(frames.samples)). So each sample sums its frames in frame order,
+    and a range's samples equal the same samples of the whole buffer's.
+    samples() divides them by the summed window power wherever that is >= 1e-8.
+    """
+
+    def __init__(self, spec: FrameSpec, frames: FrameSequence, lo: int, hi: int):
+        self.frames, self.lo, self.hi = frames, lo, hi
+        self.window = hamming_coefficients(frames.frame_len, spec.window_a)
         # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
-        row_lo, row_hi = lo // hop, max(-(-hi // hop), lo // hop)
-        out = np.zeros((row_hi - row_lo, hop))
-        done = frames.covering(lo, hi).start
-        for synthesized in blocks:
-            _overlap_add(out, synthesized, hop, done - row_lo)
-            done += len(synthesized)
+        self.row_lo = lo // frames.hop
+        self.rows = np.zeros((max(-(-hi // frames.hop), self.row_lo) - self.row_lo, frames.hop))
 
+    def add(self, first: int, synthesized: np.ndarray) -> None:
+        """Overlap-add synthesized frames first, first + 1, ... into the range."""
+        _overlap_add(self.rows, synthesized, self.frames.hop, first - self.row_lo)
+
+    def samples(self) -> np.ndarray:
+        """The normalized samples, once every covering frame has been added."""
+        frame_len, hop, num_frames = self.frames.frame_len, self.frames.hop, len(self.frames)
+        pieces = -(-frame_len // hop)
+        row_lo = self.row_lo
         # the window power is the overlap-add of the squared window over the
         # frames that reach each block of rows, added in frame order as above
-        squared = window * window
-        for part in frame_blocks(row_lo, row_hi):
+        squared = self.window * self.window
+        for part in frame_blocks(row_lo, row_lo + len(self.rows)):
             first = max(part.start - pieces + 1, 0)
             n = min(part.stop, num_frames) - first
             power = np.zeros((part.stop - part.start, hop))
             _overlap_add(power, np.broadcast_to(squared, (n, frame_len)), hop, first - part.start)
-            rows = out[part.start - row_lo : part.stop - row_lo]
+            rows = self.rows[part.start - row_lo : part.stop - row_lo]
             np.divide(rows, power, out=rows, where=power >= 1e-8)
-        return out.reshape(-1)[lo - row_lo * hop : hi - row_lo * hop]
+        return self.rows.reshape(-1)[self.lo - row_lo * hop : self.hi - row_lo * hop]
 
 
 def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int, offset: int) -> None:

@@ -1,5 +1,7 @@
 """Diagonal-covariance Gaussian mixtures: density evaluation, EM training, persistence."""
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -262,7 +262,7 @@ def analyze(
     direction order, so a forward error is the one raised, and the report
     is the one two passes in turn build.
     """
-    lexicon = Lexicon.from_file(cfg.lexicon_path) if cfg.lexicon_path else Lexicon.default()
+    lexicon = Lexicon.default() if cfg.lexicon_path is None else Lexicon.from_file(cfg.lexicon_path)
     pool = ThreadPoolExecutor(max_workers=min(len(DIRECTIONS), _usable_cpus()))
     try:
         futures = [

@@ -406,6 +406,23 @@ class TestConfigAndErrors:
         assert err.startswith("error: ") and "not UTF-8" in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", ""),
+        ("--lexicon", ""),
+        ("--config", "lexicon.cfg"),  # report.lexicon set to the empty path
+    ])
+    def test_empty_path_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # an empty path names no file; it must not stand for the default
+        (tmp_path / "lexicon.cfg").write_text("report.lexicon =\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", "--in", str(workspace["session"]), *model_args(workspace),
+                "--out-dir", "out", flag, value]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_data_chunk_is_data_error(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.wav"
         # a well-formed 16-bit mono header whose data chunk holds no samples

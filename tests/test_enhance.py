@@ -373,20 +373,22 @@ class TestSpans:
         for (lo, hi), piece in zip(bounds, pieces):
             np.testing.assert_array_equal(piece, whole.samples[lo:hi])
 
-    def test_wiener_walks_each_frame_once(self, transform_counts):
-        # the recursion runs once over the frames up to the last span, and
-        # each frame a span covers is synthesized once, even when spans share
-        # frames or come out of order
+    @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
+    def test_walks_each_frame_once(self, transform_counts, method):
+        # each frame a span covers is analyzed and synthesized once, even when
+        # spans share frames or come out of order; the Wiener recursion
+        # analyzes every frame up to the last span once
         rng = np.random.default_rng(21)
         buf = AudioBuffer(white_noise(rng, 1.0, sigma=0.05), SR)
-        cfg = EnhanceConfig(method="wiener")
+        cfg = EnhanceConfig(method=method)
         frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
         spans = [(5000, 6000), (1000, 2000), (1900, 2100), (7000, 7001)]
         frames_used = estimate_noise(buf, cfg).frames_used
         transform_counts.clear()
         list(denoise_spans(buf, cfg, spans))
         covering = [frames.covering(lo, hi) for lo, hi in spans]
+        union = len(set().union(*(range(r.start, r.stop) for r in covering)))
+        walked = max(r.stop for r in covering) if method == "wiener" else union
         assert transform_counts[SR] == {
-            "framings": 1, "analyzed": frames_used + max(r.stop for r in covering),
-            "synthesized": len(set().union(*(range(r.start, r.stop) for r in covering))),
+            "framings": 1, "analyzed": frames_used + walked, "synthesized": union,
         }

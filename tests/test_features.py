@@ -14,6 +14,7 @@ from revspeech import audio, features
 from revspeech.errors import ConfigError
 from revspeech.features import (
     FrameSpec,
+    OverlapAdd,
     delta_features,
     hamming_coefficients,
     hamming_window,
@@ -528,8 +529,12 @@ def test_istft_matches_a_per_frame_overlap_add(
     shaped = spectra * rng.uniform(0.0, 1.0, spectra.shape)
     expected = per_frame_overlap_add(shaped, frames, window_a, num_samples)
     def istft(blocks, lo, hi):
-        synthesized = [spec.synthesize(spectra, frames) for spectra in blocks]
-        return spec.overlap_add(synthesized, frames, lo, hi)
+        acc = OverlapAdd(spec, frames, lo, hi)
+        first = frames.covering(lo, hi).start
+        for spectra in blocks:
+            acc.add(first, spec.synthesize(spectra, frames))
+            first += len(spectra)
+        return acc.samples()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(audio, "BLOCK_FRAMES", block)

@@ -74,3 +74,21 @@ def test_numpy_is_the_only_runtime_dependency():
     added = set(out.split())
     assert "revspeech" in added
     assert added - {"revspeech", "numpy"} <= set(sys.stdlib_module_names), sorted(added)
+
+
+def test_import_does_not_load_numpy_random():
+    # no command but train draws a random number; numpy 1.x loads
+    # numpy.random on import, so only a numpy that does not is checked
+    probe = (
+        "import sys, numpy\n"
+        "lazy = 'numpy.random' not in sys.modules\n"
+        "import revspeech\n"
+        "print(lazy, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(revspeech.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    lazy, loaded = out.split()
+    assert lazy == "False" or loaded == "False"
