@@ -145,7 +145,7 @@ def _cmd_enhance(args, cfg: ToolConfig) -> int:
     buf = _read_audio(args.input)
     cleaned, profile = enhance.estimate_and_denoise(buf, cfg.enhance)
     audio.write_wav(cleaned, args.output)
-    if args.noise_out:
+    if args.noise_out is not None:
         _write_noise_profile(profile, args.noise_out)
     return EXIT_OK
 
@@ -181,20 +181,10 @@ def _cmd_train(args, cfg: ToolConfig) -> int:
         raise ConfigError(f"--components must be >= 1, got {args.components}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    stacks = []
-    fingerprints = set()
     takes = (_read_audio(path) for path in args.inputs)
-    for matrix in features.extract_all(takes, cfg.features):
-        fingerprints.add(matrix.config_fingerprint)
-        stacks.append(matrix.rows)
-    if len(fingerprints) != 1:
-        raise ConfigError(
-            "training inputs disagree on sample rate; models bind to one "
-            "feature fingerprint"
-        )
-    merged = features.FeatureMatrix(
-        np.vstack(stacks), sum(len(s) for s in stacks), fingerprints.pop()
-    )
+    matrices = list(features.extract_all(takes, cfg.features))  # one rate, or ConfigError
+    rows = np.vstack([matrix.rows for matrix in matrices])
+    merged = features.FeatureMatrix(rows, len(rows), matrices[0].config_fingerprint)
     model, report = gmm.train(
         merged, args.components, cfg.seed, label=args.label
     )
@@ -214,7 +204,7 @@ def _cmd_recognize(args, cfg: ToolConfig) -> int:
     )
     text = _transcript_text(transcript)
     sys.stdout.write(text)
-    if args.output:
+    if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
     return EXIT_OK
 

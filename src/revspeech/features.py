@@ -7,7 +7,6 @@ rows (per_piece_product).
 
 import functools
 import hashlib
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -384,41 +383,47 @@ def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
 def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[FeatureMatrix]:
     """extract of each buffer in turn, computed a batch of buffers at a time.
 
-    Consecutive buffers of one sample rate with at most BLOCK_FRAMES frames
+    One call serves one sample rate: a buffer at another rate than the first
+    is a ConfigError. Consecutive buffers with at most BLOCK_FRAMES frames
     in all make a batch (audio.frame_groups); a longer buffer is a batch of
-    its own, run BLOCK_FRAMES frames at a time. A batch is pre-emphasized
-    into one zero-padded buffer, each piece at a hop-aligned offset far
-    enough from the next that no frame holds samples of two, so one framing
-    gives every piece's frames. Each block of frames then takes one window
-    and rfft and one log10, and the batch one delta computation clamped at
-    each piece's edges. Matrix products run per piece (per_piece_product),
-    so every piece's rows equal extract of that piece alone, bit for bit.
+    its own, run BLOCK_FRAMES frames at a time. Each piece of a batch is
+    pre-emphasized in its own slot of one zero-padded buffer, at a
+    hop-aligned offset far enough from the next that no frame holds samples
+    of two, so one framing gives every piece's frames. Each block of frames
+    then takes one window and rfft and one log10, and the batch one delta
+    computation clamped at each piece's edges. Matrix products run per piece
+    (per_piece_product), so every piece's rows equal extract of that piece
+    alone, bit for bit.
     """
+    rate = None
 
     def frames_of(buf: AudioBuffer) -> int:
-        frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, buf.sample_rate_hz)
+        nonlocal rate
+        if rate not in (None, buf.sample_rate_hz):
+            raise ConfigError(
+                f"inputs disagree on sample rate: {rate} Hz, then {buf.sample_rate_hz} Hz"
+            )
+        rate = buf.sample_rate_hz
+        frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, rate)
         return frame_count(len(buf.samples), frame_len, hop)
 
-    for group in frame_groups(bufs, frames_of):
-        for _, batch in itertools.groupby(group, key=lambda buf: buf.sample_rate_hz):
-            yield from _extract_batch(list(batch), cfg)
+    for batch in frame_groups(bufs, frames_of):
+        yield from _extract_batch(batch, cfg)
 
 
 def _extract_batch(bufs: list[AudioBuffer], cfg: FeatureConfig) -> list[FeatureMatrix]:
     sr = bufs[0].sample_rate_hz
     frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
-    lengths = np.array([len(buf.samples) for buf in bufs])
-    counts = np.array([frame_count(n, frame_len, hop) for n in lengths])
+    counts = np.array([frame_count(len(buf.samples), frame_len, hop) for buf in bufs])
     # piece p's frames are rows starts[p] onward of the padded buffer's framing;
     # each piece is followed by at least one zero past its last frame's end
     gap = -(-(frame_len + 1) // hop) - 1
     starts = np.concatenate(([0], np.cumsum(counts + gap)))
     padded = np.zeros(starts[-1] * hop)
     for buf, offset in zip(bufs, starts * hop):
-        padded[offset : offset + len(buf.samples)] = buf.samples
-    _preemphasize_in_place(padded, cfg.preemphasis_a)
-    # a piece's last frame is zero-padded after pre-emphasis, as extract pads it
-    padded[starts[:-1] * hop + lengths] = 0.0
+        slot = padded[offset : offset + len(buf.samples)]
+        slot[:] = buf.samples
+        _preemphasize_in_place(slot, cfg.preemphasis_a)
     frames = cfg.frame.segment(AudioBuffer(padded, sr))
 
     bounds = np.concatenate(([0], np.cumsum(counts)))  # piece edges among the rows

@@ -141,9 +141,8 @@ def classify_segments(
         for k, matrix in enumerate(batch):
             scores = {label: float(total[k]) / matrix.num_frames for label, total in totals.items()}
             ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-            best_label, best_score = ranked[0]
-            margin = best_score - ranked[1][1] if len(ranked) > 1 else 0.0
-            yield best_label, best_score, margin
+            (best_label, best_score), (_, runner_up) = ranked[:2]  # a Vocabulary has >= 2 labels
+            yield best_label, best_score, best_score - runner_up
 
 
 def segment_utterances(

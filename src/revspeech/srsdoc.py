@@ -11,7 +11,6 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import accumulate
 
 from .audio import AudioBuffer
 from .config import ToolConfig, config_fingerprint
@@ -140,10 +139,10 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
     Forward segments no reverse segment chose become unmatched pairs, so the
     report accounts for every segment on both sides.
 
-    Forward segments are sorted by start and, separately, by end, so each
-    reverse segment looks at the few that can overlap it (bisected by start
-    and by the running maximum of end) and at the nearest ones on either
-    side, not at all of them.
+    Forward segments must be in time order and must not overlap, though
+    they may touch, as transcribe emits them (else ValueError). So the ones
+    a reverse segment overlaps are one run, bisected by end and by start,
+    and the nearest on either side are the run's two neighbours.
     """
     if abs(fwd.source_duration_s - rev.source_duration_s) > 1e-3:
         raise ValueError(
@@ -152,11 +151,10 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
         )
     duration = fwd.source_duration_s
     segments = fwd.segments
-    by_start = sorted(range(len(segments)), key=lambda i: segments[i].start_s)
-    by_end = sorted(range(len(segments)), key=lambda i: segments[i].end_s)
-    starts = [segments[i].start_s for i in by_start]
-    ends = [segments[i].end_s for i in by_end]
-    reach = list(accumulate((segments[i].end_s for i in by_start), max))
+    if any(b.start_s < a.end_s for a, b in zip(segments, segments[1:])):
+        raise ValueError("forward segments must be in time order and must not overlap")
+    starts = [seg.start_s for seg in segments]
+    ends = [seg.end_s for seg in segments]
 
     pairs = []
     used = set()
@@ -171,23 +169,10 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
             gap = max(fseg.start_s - hi, lo - fseg.end_s, 0.0)
             return -overlap, gap, idx
 
-        # every segment that can overlap starts before hi and ends after lo
-        after = bisect_left(starts, hi)
-        candidates = by_start[bisect_right(reach, lo) : after]
-        # the nearest that end by lo (latest end first) and that start from
-        # hi on (earliest start first), each with every tie in gap
-        for nearest in (
-            (by_end[j] for j in range(bisect_right(ends, lo) - 1, -1, -1)),
-            (by_start[j] for j in range(after, len(by_start))),
-        ):
-            tied = None
-            for idx in nearest:
-                gap = key(idx)[1]
-                if tied is not None and gap != tied:
-                    break
-                tied = gap
-                candidates.append(idx)
-        best_idx = min(candidates, key=key)
+        # segments first..stop-1 overlap [lo, hi]; segment first-1 is the
+        # nearest before lo and segment stop the nearest after hi
+        first, stop = bisect_right(ends, lo), bisect_left(starts, hi)
+        best_idx = min(range(max(first - 1, 0), min(stop + 1, len(segments))), key=key)
         note = "" if key(best_idx)[0] < 0 else "no temporal overlap; paired with nearest"
         used.add(best_idx)
         pairs.append(ReversalPair(segments[best_idx], rseg, None, note))

@@ -410,15 +410,21 @@ class TestConfigAndErrors:
         ("--config", ""),
         ("--lexicon", ""),
         ("--config", "lexicon.cfg"),  # report.lexicon set to the empty path
+        ("--noise-out", ""),  # enhance
+        ("--out", ""),  # recognize
     ])
     def test_empty_path_is_data_error(
         self, workspace, tmp_path, monkeypatch, capsys, flag, value
     ):
-        # an empty path names no file; it must not stand for the default
+        # an empty path names no file; it must not stand for the default,
+        # nor for no file at all
         (tmp_path / "lexicon.cfg").write_text("report.lexicon =\n")
         monkeypatch.chdir(tmp_path)
-        argv = ["analyze", "--in", str(workspace["session"]), *model_args(workspace),
-                "--out-dir", "out", flag, value]
+        command = {
+            "--noise-out": ["enhance", "--out", "clean.wav"],
+            "--out": ["recognize", *model_args(workspace)],
+        }.get(flag, ["analyze", *model_args(workspace), "--out-dir", "out"])
+        argv = [command[0], "--in", str(workspace["session"]), *command[1:], flag, value]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()

@@ -277,22 +277,22 @@ class TestDeltaFeatures:
 
 @given(
     lengths=st.lists(st.integers(0, 1500), min_size=1, max_size=8),
-    rates=st.lists(st.sampled_from([8000, 16000]), min_size=8, max_size=8),
+    rate=st.sampled_from([8000, 16000]),
     block=st.integers(1, 7),
     overlap=st.floats(0.0, 0.9),
     preemphasis=st.floats(0.0, 0.99),
     seed=st.integers(0, 2**32 - 1),
 )
 # short pieces several to a batch, then a piece longer than a block between them
-@example(lengths=[300, 250, 0, 400, 1500, 120], rates=[8000] * 8, block=7, overlap=0.5,
+@example(lengths=[300, 250, 0, 400, 1500, 120], rate=8000, block=7, overlap=0.5,
          preemphasis=0.97, seed=0)
-def test_batches_equal_each_piece_alone(lengths, rates, block, overlap, preemphasis, seed):
+def test_batches_equal_each_piece_alone(lengths, rate, block, overlap, preemphasis, seed):
     # pieces share one padded buffer, framing, rfft, log10 and delta pass
     # per batch, so no sample, filter state or delta context may reach from
     # one piece into the next; a piece longer than a block is cut at the
-    # same offsets as on its own, and rates that differ never share a batch
+    # same offsets as on its own
     rng = np.random.default_rng(seed)
-    bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n, rate in zip(lengths, rates)]
+    bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n in lengths]
     cfg = FeatureConfig(overlap_fraction=overlap, preemphasis_a=preemphasis)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(audio, "BLOCK_FRAMES", block)
@@ -305,6 +305,16 @@ def test_batches_equal_each_piece_alone(lengths, rates, block, overlap, preempha
         assert got.num_frames == one.num_frames == len(want)
         np.testing.assert_array_equal(one.rows, want)
         np.testing.assert_array_equal(got.rows, want)
+
+
+@pytest.mark.parametrize("rates", [[8000, 8000, 16000], [16000] * 100 + [8000]],
+                         ids=["within-a-batch", "past-the-first-batch"])
+def test_one_sample_rate_per_call(rates):
+    # matrices of one call carry one fingerprint, so a change of rate is an
+    # error wherever it comes
+    bufs = (AudioBuffer(np.full(800, 0.1), rate) for rate in rates)
+    with pytest.raises(ConfigError, match="disagree on sample rate"):
+        list(features.extract_all(bufs, FeatureConfig()))
 
 
 def extract_alone(buf, cfg):

@@ -275,7 +275,7 @@ class TestSegmentUtterances:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(4000, 24000),  # at least 10 frames, more than smooth_frames
-        st.sampled_from([0.0, 0.25, 0.5]),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75]),
         st.integers(1, 9),
         st.floats(0.5, 6.0),
         st.floats(0.0, 400.0),
@@ -298,7 +298,11 @@ class TestSegmentUtterances:
             min_utterance_ms=min_utterance_ms,
         )
         buf = AudioBuffer(samples, SR)
-        assert segment_utterances(buf, cfg) == scanned_regions(buf, cfg)
+        regions = segment_utterances(buf, cfg)
+        assert regions == scanned_regions(buf, cfg)
+        # the forward segments pairing accepts: in time order, none overlapping
+        assert all(start < end for start, end in regions)
+        assert all(prev[1] <= nxt[0] for prev, nxt in zip(regions, regions[1:]))
 
 
 class TestTranscribe:

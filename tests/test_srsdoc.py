@@ -160,9 +160,12 @@ class TestPairSegments:
         rng = np.random.default_rng(41)
         duration = 10.0
         for _ in range(20):
+            # four segments in time order on a quarter-second grid; gaps may be 0
+            gaps, lengths = rng.integers(0, 5, size=4), rng.integers(1, 5, size=4)
+            ends = np.cumsum(gaps + lengths)
             fwd_segs = [
-                seg(s, s + rng.uniform(0.4, 1.2), f"w{i}")
-                for i, s in enumerate(np.sort(rng.uniform(0, 8.5, size=4)) + np.arange(4) * 0.1)
+                seg((end - length) / 4, end / 4, f"w{i}")
+                for i, (end, length) in enumerate(zip(ends, lengths))
             ]
             r_start = rng.uniform(0, 8.5)
             rev_segs = [mirrored(duration, r_start, r_start + 1.0, "r0")]
@@ -188,6 +191,38 @@ class TestPairSegments:
         with pytest.raises(ValueError):
             pair_segments(fwd, rev)
 
+    @pytest.mark.parametrize("fwd_segs", [
+        [seg(1.0, 2.0, "f0"), seg(3.0, 4.0, "f1"), seg(1.0, 2.0, "f2"), seg(0.5, 4.5, "f3")],
+        [seg(4.0, 5.0, "f0"), seg(1.0, 2.0, "f1"), seg(1.5, 2.0, "f2")],
+        [seg(3.0, 4.0, "f0"), seg(1.0, 2.0, "f1")],
+        [seg(1.0, 2.0, "f0"), seg(1.75, 3.0, "f1")],
+    ], ids=["repeated-and-nested", "out-of-order-nested", "out-of-order", "overlapping"])
+    def test_unordered_or_overlapping_forward_segments_rejected(self, fwd_segs):
+        # the contract transcribe keeps; without it the bisection can miss
+        # the best match, so pairing refuses rather than answer wrongly
+        for rev_segs in ([], [seg(7.5, 8.5, "r0", direction="reverse")]):
+            with pytest.raises(ValueError, match="time order"):
+                pair_segments(fwd_transcript(10.0, *fwd_segs), rev_transcript(10.0, *rev_segs))
+
+
+def ordered_segments(min_size=0):
+    """Forward segments in time order on a quarter-second grid of a 10 s
+    timeline, as transcribe emits them: gaps may be 0, so neighbours touch,
+    and overlaps and gaps to a reverse segment tie often."""
+    runs = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 12)), min_size=min_size,
+                    max_size=14)
+
+    def laid_out(runs):
+        segments, end = [], 0
+        for gap, length in runs:
+            start, end = end + gap, min(end + gap + length, 40)
+            if start >= 40:
+                break
+            segments.append(seg(start / 4, end / 4, f"f{len(segments)}"))
+        return segments
+
+    return runs.map(laid_out)
+
 
 def segment_lists(direction, min_size):
     """Segments on a 10 s timeline: any order, overlapping or not."""
@@ -200,7 +235,7 @@ def segment_lists(direction, min_size):
     )
 
 
-@given(segment_lists("forward", 1), segment_lists("reverse", 0))
+@given(ordered_segments(min_size=1), segment_lists("reverse", 0))
 def test_pairing_accounts_for_every_segment(fwd_segs, rev_segs):
     pairs = pair_segments(fwd_transcript(10.0, *fwd_segs), rev_transcript(10.0, *rev_segs))
     # each reverse segment is in exactly one pair, in order
@@ -236,27 +271,27 @@ def scan_pairs(fwd, rev):
     return pairs
 
 
-def grid_segments(direction):
-    """Segments on a quarter-second grid of a 10 s timeline, so overlaps and
-    gaps tie often; forward segments may overlap, repeat or nest."""
+def reverse_grid_segments():
+    """Reverse segments on the same grid in any order: they may overlap,
+    repeat or nest."""
     bounds = st.tuples(st.integers(0, 38), st.integers(1, 12))
     return st.lists(bounds, max_size=14).map(
         lambda spans: [
-            seg(start / 4, min(start + length, 40) / 4, f"{direction[0]}{i}", direction=direction)
+            seg(start / 4, min(start + length, 40) / 4, f"r{i}", direction="reverse")
             for i, (start, length) in enumerate(spans)
         ]
     )
 
 
-@given(grid_segments("forward"), grid_segments("reverse"))
-@example(  # equal overlaps with two forward segments, then equal gaps to two
-    [seg(1.0, 2.0, "f0"), seg(3.0, 4.0, "f1"), seg(1.0, 2.0, "f2"), seg(0.5, 4.5, "f3")],
-    [seg(7.5, 8.5, "r0", direction="reverse"), seg(5.0, 8.0, "r1", direction="reverse")],
+@given(ordered_segments(), reverse_grid_segments())
+@example(  # equal overlaps with two touching forward segments, then equal gaps to two
+    [seg(1.0, 2.0, "f0"), seg(2.0, 3.0, "f1"), seg(4.0, 5.0, "f2")],
+    [seg(7.5, 8.5, "r0", direction="reverse"), seg(6.25, 6.75, "r1", direction="reverse")],
 )
 @example([], [seg(1.0, 2.0, "r0", direction="reverse")])
 @example([seg(1.0, 2.0, "f0")], [])
 @example(  # a reverse segment exactly between two forward ones
-    [seg(4.0, 5.0, "f0"), seg(1.0, 2.0, "f1"), seg(1.5, 2.0, "f2")],
+    [seg(1.5, 2.0, "f0"), seg(4.0, 5.0, "f1")],
     [seg(6.75, 7.25, "r0", direction="reverse")],
 )
 def test_pairing_matches_the_scan(fwd_segs, rev_segs):
