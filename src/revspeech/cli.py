@@ -53,18 +53,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enhance", parents=[common],
                        help="remove additive background noise")
     p.add_argument("--in", dest="input", required=True, help="input WAV")
-    p.add_argument("--out", dest="output", required=True, help="enhanced WAV")
+    p.add_argument("--out", required=True, help="enhanced WAV")
     p.add_argument("--method", choices=enhance.METHODS, help="enhancement method")
     p.add_argument("--noise-out", help="write the estimated noise profile here")
 
     p = sub.add_parser("reverse", parents=[common], help="time-reverse a recording")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("features", parents=[common],
                        help="extract the cepstral feature matrix")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("train", parents=[common],
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="inputs", action="append", required=True,
                    help="training WAV (repeatable)")
     p.add_argument("--label", required=True, help="word label for the model")
-    p.add_argument("--out", dest="output", required=True, help="model file")
+    p.add_argument("--out", required=True, help="model file")
     p.add_argument("--components", type=int, default=4, help="mixture size")
 
     p = sub.add_parser("recognize", parents=[common],
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", dest="models", action="append", required=True,
                    help="model file (repeatable)")
     p.add_argument("--direction", choices=recognizer.DIRECTIONS, default="forward")
-    p.add_argument("--out", dest="output", help="write the transcript here too")
+    p.add_argument("--out", help="write the transcript here too")
 
     p = sub.add_parser("analyze", parents=[common],
                        help="full forward+reverse analysis with SRS report")
@@ -144,21 +144,21 @@ def _load_vocabulary(model_paths) -> recognizer.Vocabulary:
 def _cmd_enhance(args, cfg: ToolConfig) -> int:
     buf = _read_audio(args.input)
     cleaned, profile = enhance.estimate_and_denoise(buf, cfg.enhance)
-    audio.write_wav(cleaned, args.output)
+    audio.write_wav(cleaned, args.out)
     if args.noise_out is not None:
         _write_noise_profile(profile, args.noise_out)
     return EXIT_OK
 
 
 def _cmd_reverse(args, cfg: ToolConfig) -> int:
-    audio.write_wav(audio.reverse(_read_audio(args.input)), args.output)
+    audio.write_wav(audio.reverse(_read_audio(args.input)), args.out)
     return EXIT_OK
 
 
 def _cmd_features(args, cfg: ToolConfig) -> int:
     matrix = features.extract(_read_audio(args.input), cfg.features)
     # encode straight into the file: the document is never held whole
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         if args.format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["frame"] + [f"f{i}" for i in range(matrix.dim)])
@@ -188,7 +188,7 @@ def _cmd_train(args, cfg: ToolConfig) -> int:
     model, report = gmm.train(
         merged, args.components, cfg.seed, label=args.label
     )
-    gmm.save_model(model, args.output)
+    gmm.save_model(model, args.out)
     print(
         f"trained '{args.label}': {args.components} components, "
         f"{report.iterations} iterations, converged={report.converged}"
@@ -204,8 +204,8 @@ def _cmd_recognize(args, cfg: ToolConfig) -> int:
     )
     text = _transcript_text(transcript)
     sys.stdout.write(text)
-    if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+    if args.out is not None:
+        Path(args.out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -245,6 +245,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
 
     try:
+        for dest in ("out", "noise_out", "out_dir"):  # checked before any output is written
+            if getattr(args, dest, None) == "":
+                raise ConfigError(f"--{dest.replace('_', '-')} '' is an empty output path")
         cfg = _effective_config(args)
         if args.verbose:
             sys.stderr.write(dump_config(cfg))

@@ -106,38 +106,38 @@ def subtract_magnitudes(
 
 
 def _subtracted(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig):
+    """Per-bin gain subtract_magnitudes(|Y|) / |Y|; a zero-magnitude bin gets gain 0."""
     for spectra in blocks:
         magnitudes = np.abs(spectra)
         enhanced = subtract_magnitudes(magnitudes, noise, cfg.alpha, cfg.beta)
-        positive = magnitudes > 0
-        spectra *= np.where(positive, enhanced / np.where(positive, magnitudes, 1.0), 0.0)
+        gain = np.zeros_like(magnitudes)
+        spectra *= np.divide(enhanced, magnitudes, out=gain, where=magnitudes > 0)
         yield spectra
 
 
 def _wiener(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig):
     """Per-bin gain xi/(1+xi) with decision-directed a-priori SNR tracking.
 
-    Zero-noise bins take the capped a-posteriori SNR instead of dividing by
-    zero. The first frame seeds the recursion with the noisy magnitude.
+    A zero-noise bin divides to inf or nan, and fmin turns both into the
+    a-posteriori SNR cap. The posterior term is elementwise, so each block
+    computes it at once; only the prior, the gain and the enhanced magnitude
+    run frame by frame. The first frame seeds the recursion with the noisy
+    magnitude.
     """
     noise_power = noise**2
 
     def snr(power: np.ndarray) -> np.ndarray:
-        out = np.full_like(power, POSTERIOR_SNR_CAP)
-        np.divide(power, noise_power, out=out, where=noise_power > 0)
-        return np.minimum(out, POSTERIOR_SNR_CAP)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.fmin(power / noise_power, POSTERIOR_SNR_CAP)
 
     previous_enhanced = None  # carried across blocks, so splits do not matter
     for spectra in blocks:
         magnitudes = np.abs(spectra)
         if previous_enhanced is None:
             previous_enhanced = magnitudes[0]
-        for t in range(spectra.shape[0]):
-            posterior = snr(magnitudes[t] ** 2)
-            prior = DD_SMOOTHING * snr(previous_enhanced**2) + (1 - DD_SMOOTHING) * np.maximum(
-                posterior - 1.0, 0.0
-            )
-            prior = np.maximum(prior, PRIOR_SNR_FLOOR)
+        shares = (1 - DD_SMOOTHING) * np.maximum(snr(magnitudes**2) - 1.0, 0.0)
+        for t, share in enumerate(shares):
+            prior = np.maximum(DD_SMOOTHING * snr(previous_enhanced**2) + share, PRIOR_SNR_FLOOR)
             gain = prior / (1.0 + prior)
             spectra[t] *= gain
             previous_enhanced = gain * magnitudes[t]

@@ -248,16 +248,13 @@ def analyze(
     is the one two passes in turn build.
     """
     lexicon = Lexicon.default() if cfg.lexicon_path is None else Lexicon.from_file(cfg.lexicon_path)
-    pool = ThreadPoolExecutor(max_workers=min(len(DIRECTIONS), _usable_cpus()))
-    try:
-        futures = [
-            pool.submit(transcribe, buf, vocab, direction, cfg.enhance, cfg.features, cfg.endpoint)
-            for direction in DIRECTIONS
-        ]
-        fwd, rev = (future.result() for future in futures)
-    finally:
-        # on one worker, a forward error leaves the reverse pass unstarted
-        pool.shutdown(cancel_futures=True)
+    # map yields in order and cancels what it has not yielded once a result
+    # raises, so on one worker a forward error leaves the reverse pass unstarted
+    with ThreadPoolExecutor(max_workers=min(len(DIRECTIONS), _usable_cpus())) as pool:
+        fwd, rev = pool.map(
+            lambda d: transcribe(buf, vocab, d, cfg.enhance, cfg.features, cfg.endpoint),
+            DIRECTIONS,
+        )
     meta = {
         "source_file": source_file,
         "tool_config_fingerprint": config_fingerprint(cfg),

@@ -412,13 +412,16 @@ class TestConfigAndErrors:
         ("--config", "lexicon.cfg"),  # report.lexicon set to the empty path
         ("--noise-out", ""),  # enhance
         ("--out", ""),  # recognize
+        ("--out-dir", ""),  # analyze
     ])
     def test_empty_path_is_data_error(
         self, workspace, tmp_path, monkeypatch, capsys, flag, value
     ):
         # an empty path names no file; it must not stand for the default,
-        # nor for no file at all
-        (tmp_path / "lexicon.cfg").write_text("report.lexicon =\n")
+        # nor for no file at all; an empty output path is refused before
+        # any output: no enhanced WAV, no transcript on stdout, no report
+        lexicon_cfg = tmp_path / "lexicon.cfg"
+        lexicon_cfg.write_text("report.lexicon =\n")
         monkeypatch.chdir(tmp_path)
         command = {
             "--noise-out": ["enhance", "--out", "clean.wav"],
@@ -426,8 +429,10 @@ class TestConfigAndErrors:
         }.get(flag, ["analyze", *model_args(workspace), "--out-dir", "out"])
         argv = [command[0], "--in", str(workspace["session"]), *command[1:], flag, value]
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "out").exists()
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "''" in err, err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [lexicon_cfg]
 
     def test_empty_data_chunk_is_data_error(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.wav"

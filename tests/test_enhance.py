@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import SR, segmental_snr, tone, white_noise
+from oracles import subtraction_shaped, wiener_shaped
 from revspeech import (
     AudioBuffer,
     EnhanceConfig,
@@ -18,7 +19,15 @@ from revspeech import (
 )
 from revspeech import audio
 from revspeech.audio import frame_energies, segment
-from revspeech.enhance import denoise_spans, subtract_magnitudes
+from revspeech.enhance import (
+    DD_SMOOTHING,
+    POSTERIOR_SNR_CAP,
+    PRIOR_SNR_FLOOR,
+    _subtracted,
+    _wiener,
+    denoise_spans,
+    subtract_magnitudes,
+)
 from revspeech.errors import ConfigError
 from revspeech.features import hamming_coefficients
 
@@ -149,6 +158,50 @@ class TestSubtractMagnitudes:
         np.testing.assert_array_equal(
             subtract_magnitudes(mags, np.zeros(3), 2.0, 0.01), mags
         )
+
+
+class TestShapers:
+    """The block shapers equal the per-frame reference with masked divisions, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_frames=st.integers(1, 40),
+        num_bins=st.integers(1, 17),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        zero_fraction=st.floats(0.0, 1.0),
+        method=st.sampled_from(["spectral_subtraction", "wiener"]),
+        alpha=st.floats(1.0, 4.0),
+        beta=st.floats(0.0, 0.99),
+    )
+    @example(seed=0, num_frames=12, num_bins=9, sizes=[1], zero_fraction=0.3,
+             method="wiener", alpha=2.0, beta=0.01)
+    @example(seed=1, num_frames=5, num_bins=4, sizes=[2], zero_fraction=1.0,
+             method="wiener", alpha=2.0, beta=0.01)
+    def test_matches_the_masked_reference(
+        self, seed, num_frames, num_bins, sizes, zero_fraction, method, alpha, beta
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (num_frames, num_bins)
+        spectra = 10.0 ** rng.uniform(-6, 2, shape) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        spectra[rng.random(shape) < zero_fraction] = 0.0  # zero-magnitude bins
+        noise = 10.0 ** rng.uniform(-8, 1, num_bins)
+        noise[rng.random(num_bins) < zero_fraction] = 0.0  # zero-noise bins
+        cfg = EnhanceConfig(method=method, alpha=alpha, beta=beta)
+        if method == "wiener":
+            expected = wiener_shaped(
+                spectra, noise, DD_SMOOTHING, PRIOR_SNR_FLOOR, POSTERIOR_SNR_CAP
+            )
+            shaper = _wiener
+        else:
+            expected = subtraction_shaped(spectra, noise, alpha, beta)
+            shaper = _subtracted
+        # blocks of the drawn sizes, repeated until every frame is in one
+        stops = np.cumsum(np.resize(sizes, num_frames))
+        blocks = np.split(spectra.copy(), stops[stops < num_frames])
+        shaped = np.concatenate(list(shaper(iter(blocks), noise, cfg)))
+        assert shaped.tobytes() == expected.tobytes()
 
 
 class TestWienerFilter:
