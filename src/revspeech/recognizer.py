@@ -136,7 +136,7 @@ def classify_segments(
         bounds = np.cumsum([0] + [matrix.num_frames for matrix in batch])
         totals = {}
         for label, model in vocab.entries.items():
-            frame_ll = logsumexp(log_joint_densities(model, rows, bounds), axis=1)
+            frame_ll = logsumexp(log_joint_densities(model, rows, bounds))
             totals[label] = [np.sum(frame_ll[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         for k, matrix in enumerate(batch):
             scores = {label: float(total[k]) / matrix.num_frames for label, total in totals.items()}

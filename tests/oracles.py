@@ -51,3 +51,91 @@ def wiener_shaped(
         shaped[t] *= gain
         previous_enhanced = gain * magnitudes[t]
     return shaped
+
+
+def plain_em(x: np.ndarray, k: int, seed: int, max_iter: int = 200, tol: float = 1e-5) -> dict:
+    """gmm.train's fit as a plain loop: a k-means++ start, Lloyd iterations, EM.
+
+    Every exponential is np.exp, every row peak np.max(axis=1), x*x is
+    recomputed on each iteration, and each Lloyd iteration sorts points by
+    distance whether or not a cluster is empty. Besides the model and its
+    trace, returns how many empty k-means clusters were re-seeded and the
+    share of E-step memberships whose exponent lies below -700 (subnormal
+    or zero).
+    """
+    rng = np.random.default_rng(seed)
+    n = len(x)
+
+    def m_step(resp):
+        counts = resp.sum(axis=0)
+        safe_counts = np.maximum(counts, 1e-300)[:, None]
+        means = (resp.T @ x) / safe_counts
+        variances = (resp.T @ (x * x)) / safe_counts - means * means
+        weights = np.maximum(counts / n, 1e-8)
+        return weights / weights.sum(), means, np.maximum(variances, 1e-6)
+
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    dist_sq = np.sum((x - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = dist_sq.sum()
+        idx = rng.choice(n, p=dist_sq / total) if total > 0 else rng.integers(n)
+        centers[i] = x[idx]
+        dist_sq = np.minimum(dist_sq, np.sum((x - centers[i]) ** 2, axis=1))
+
+    reseeds = 0
+    sq_norms = np.sum(x * x, axis=1)[:, None]
+    assignment = np.zeros(n, dtype=int)
+    for _ in range(100):
+        distances = sq_norms - 2.0 * (x @ centers.T) + np.sum(centers * centers, axis=1)
+        new_assignment = np.argmin(distances, axis=1)
+        sizes = np.bincount(new_assignment, minlength=k)
+        farthest = iter(np.argsort(-np.min(distances, axis=1), kind="stable"))
+        for j in np.flatnonzero(sizes == 0):
+            i = next(i for i in farthest if sizes[new_assignment[i]] > 1)
+            sizes[new_assignment[i]] -= 1
+            sizes[j] = 1
+            new_assignment[i] = j
+            reseeds += 1
+        centers = m_step(np.eye(k)[new_assignment])[1]
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+
+    weights, means, variances = m_step(np.eye(k)[assignment])
+    trace, tiny, total = [], 0, 0
+    converged = False
+    for _ in range(max_iter):
+        precisions = 1.0 / variances
+        log_norm = -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1))
+        scaled_means = means * precisions
+        mahal = (
+            (x * x) @ precisions.T
+            - 2.0 * (x @ scaled_means.T)
+            + np.sum(means * scaled_means, axis=1)
+        )
+        joint = log_norm - 0.5 * mahal + np.log(weights)
+        peak = np.max(joint, axis=1, keepdims=True)
+        peak = np.where(np.isfinite(peak), peak, 0.0)
+        frame_ll = np.squeeze(
+            np.log(np.sum(np.exp(joint - peak), axis=1, keepdims=True)) + peak, axis=1
+        )
+        exponents = joint - frame_ll[:, None]
+        tiny += int(np.count_nonzero(exponents < -700.0))
+        total += exponents.size
+        resp = np.exp(exponents)
+        trace.append(float(np.sum(frame_ll)))
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-1]):
+            converged = True
+            break
+        weights, means, variances = m_step(resp)
+    return {
+        "weights": weights,
+        "means": means,
+        "variances": variances,
+        "trace": trace,
+        "iterations": len(trace),
+        "converged": converged,
+        "reseeds": reseeds,
+        "tiny_share": tiny / max(total, 1),
+    }

@@ -382,6 +382,16 @@ class TestConfigAndErrors:
         )
         assert code == 2
 
+    def test_model_with_repeated_key_is_data_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "accept.gmm"
+        text = workspace["models"]["accept"].read_text()
+        weights = next(line for line in text.splitlines() if line.startswith("weights:"))
+        bad.write_text(text + weights + "\n")
+        argv = ["recognize", "--in", str(workspace["session"]), "--model", str(bad),
+                "--model", str(workspace["models"]["reject"])]
+        assert run(argv) == 2
+        assert "repeated key 'weights'" in capsys.readouterr().err
+
     def test_bad_config_is_data_error(self, workspace, tmp_path):
         cfg_path = tmp_path / "broken.cfg"
         cfg_path.write_text("nonsense.key = 1\n")

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import utterance
+from oracles import plain_em
 from revspeech import (
     FeatureConfig,
     FeatureMatrix,
@@ -43,7 +44,7 @@ def component_density(x, mean, variance):
 
 def log_likelihood(model, features):
     """Total log p(x | model) over the frames, from the joint log-densities."""
-    return float(np.sum(logsumexp(log_joint_densities(model, features.rows), axis=1)))
+    return float(np.sum(logsumexp(log_joint_densities(model, features.rows))))
 
 
 def naive_mixture_loglik(model, rows):
@@ -148,7 +149,7 @@ class TestQuadraticForm:
         # max_iter=1 returns the model after one M-step, max_iter=2 after two
         before, _ = train(rows, 4, seed=0, max_iter=1)
         after, _ = train(rows, 4, seed=0, max_iter=2)
-        resp, _ = _e_step(before, x)
+        resp, _ = _e_step(before, x, x * x)
         counts = resp.sum(axis=0)
         means = (resp.T @ x) / counts[:, None]
         centred = np.stack(
@@ -201,11 +202,39 @@ class TestLogsumexp:
     def test_matches_naive_small_values(self):
         values = np.array([[0.1, 0.7, -0.3], [1.0, 1.0, 1.0]])
         expected = np.log(np.sum(np.exp(values), axis=1))
-        np.testing.assert_allclose(logsumexp(values, axis=1), expected, rtol=1e-12)
+        np.testing.assert_allclose(logsumexp(values), expected, rtol=1e-12)
 
     def test_stable_at_large_magnitudes(self):
-        values = np.array([-1000.0, -1000.0])
-        assert logsumexp(values, axis=0) == pytest.approx(-1000.0 + math.log(2))
+        values = np.array([[-1000.0, -1000.0], [-np.inf, -np.inf], [np.nan, 0.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = logsumexp(values)
+        assert out[0] == pytest.approx(-1000.0 + math.log(2))
+        assert out[1] == -np.inf
+        assert np.isnan(out[2])
+
+
+_EXP_EDGES = [
+    edge
+    for bound in (gmm.EXP_FAST_FLOOR, gmm.EXP_ZERO_CEILING)
+    for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+]
+_exp_arguments = st.one_of(
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, -708.4, -745.1332, *_EXP_EDGES]),
+    st.floats(gmm.EXP_ZERO_CEILING, gmm.EXP_FAST_FLOOR, exclude_min=True, exclude_max=True),
+    st.floats(-800.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(_exp_arguments, min_size=1, max_size=40))
+@example([np.nan, -np.inf, np.inf, -0.0, -700.0, -720.0, -745.5, -746.0])
+def test_exp_is_np_exp_bit_for_bit(arguments):
+    # up to 40 arguments span several SIMD vectors, each mixing every range
+    values = np.array(arguments)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.exp(values)
+        got = gmm._exp(values)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestLogLikelihood:
@@ -343,7 +372,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(50, 2))
         model, _ = train(matrix(rows), 3, seed=3)
-        resp, _ = _e_step(model, rows)
+        resp, _ = _e_step(model, rows, rows * rows)
         np.testing.assert_allclose(resp.sum(axis=1), np.ones(50), atol=1e-12)
 
     def test_joint_density_serves_likelihood_and_responsibilities(self):
@@ -356,8 +385,8 @@ class TestTrain:
             log_component_densities(rows, model.means, model.variances)
             + np.log(model.weights),
         )
-        frame_ll = logsumexp(joint, axis=1)
-        resp, e_step_ll = _e_step(model, rows)
+        frame_ll = logsumexp(joint)
+        resp, e_step_ll = _e_step(model, rows, rows * rows)
         np.testing.assert_array_equal(resp, np.exp(joint - frame_ll[:, None]))
         np.testing.assert_array_equal(e_step_ll, frame_ll)
 
@@ -369,13 +398,56 @@ class TestTrain:
     @pytest.mark.parametrize("components, distinct", [(1, 1), (4, 1), (4, 3)])
     def test_too_few_distinct_frames_rejected(self, components, distinct):
         rows = np.arange(distinct * 3.0).reshape(distinct, 3)[np.arange(80) % distinct]
-        with pytest.raises(InsufficientDataError, match="distinct"):
+        with pytest.raises(InsufficientDataError, match=f"^{distinct} distinct"):
             train(matrix(rows), components, seed=0)
+
+    def test_rows_differing_in_the_sign_of_zero_are_one_frame(self):
+        # np.unique(axis=0) counts these 4 rows as 2; so does training
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0]])
+        with pytest.raises(InsufficientDataError, match="^2 distinct"):
+            train(matrix(rows[np.arange(40) % 4]), 3, seed=0)
+        model, _ = train(matrix(rows[np.arange(40) % 4]), 2, seed=0)
+        np.testing.assert_array_equal(np.sort(model.means[:, 0]), [0.0, 2.0])
 
     def test_two_distinct_frames_train_one_component(self):
         rows = np.array([[0.0, 1.0], [2.0, 3.0]])[np.arange(40) % 2]
         model, _ = train(matrix(rows), 1, seed=0)
         np.testing.assert_allclose(model.means[0], [1.0, 2.0])
+
+
+class TestAgainstPlainEm:
+    """train against oracles.plain_em, bit for bit, trace and iteration count included."""
+
+    def assert_same_fit(self, x, k, seed):
+        model, report = train(matrix(x), k, seed=seed)
+        ref = plain_em(x, k, seed)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(
+                getattr(model, name).view(np.int64), ref[name].view(np.int64)
+            )
+        assert report.log_likelihood_trace == ref["trace"]
+        assert (report.iterations, report.converged) == (ref["iterations"], ref["converged"])
+        return ref
+
+    @pytest.mark.parametrize("k, tiny_share", [(4, 0.4), (16, 0.5)])
+    def test_word_features(self, mfcc_rows, k, tiny_share):
+        # most memberships are exp of an exponent below -700: 0 or subnormal
+        ref = self.assert_same_fit(mfcc_rows, k, seed=3)
+        assert ref["tiny_share"] >= tiny_share
+        assert ref["iterations"] > 10
+
+    def test_soft_memberships(self):
+        # 16 overlapping components: each row sums many comparable terms,
+        # whose rounding depends on numpy's pairwise summation order
+        x = np.random.default_rng(20).standard_normal((400, 3))
+        self.assert_same_fit(x, 16, seed=0)
+
+    def test_kmeans_reseeds_an_empty_cluster(self):
+        # 5e7 from the origin, expanded distances round by about 1, so a
+        # point can land nearer another center than its own and empty it
+        x = 5e7 + np.random.default_rng(1).standard_normal((40, 2))
+        ref = self.assert_same_fit(x, 4, seed=1)
+        assert ref["reseeds"] > 0
 
 
 class TestPersistence:
@@ -419,6 +491,23 @@ class TestPersistence:
         path = tmp_path / "bad.gmm"
         path.write_text("gmm-v1\nlabel: x\ndim: zzz\n")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("weights: 0.5 0.5", "weights"),
+            ("label: other", "label"),
+            ("bogus: 1", "bogus"),
+            ("mean 2: 0 0 0", "mean 2"),
+            ("variance 2: 1 1 1", "variance 2"),
+        ],
+    )
+    def test_repeated_or_unknown_key_rejected(self, tmp_path, extra, key):
+        # the two-component model has mean 0, mean 1, variance 0, variance 1
+        _, path = self.trained(tmp_path)
+        path.write_text(path.read_text() + extra + "\n")
+        with pytest.raises(ModelFormatError, match=f"'{key}'"):
             load_model(path)
 
     def test_negative_variance_rejected(self, tmp_path):

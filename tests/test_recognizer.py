@@ -186,7 +186,7 @@ class TestClassifySegment:
         expected = []
         for matrix in feats:
             scores = {
-                label: float(np.sum(logsumexp(log_joint_densities(model, matrix.rows), axis=1)))
+                label: float(np.sum(logsumexp(log_joint_densities(model, matrix.rows))))
                 / matrix.num_frames
                 for label, model in fixture_vocabulary.entries.items()
             }
