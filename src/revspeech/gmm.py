@@ -146,19 +146,21 @@ def log_component_densities(
     return log_norm - 0.5 * mahal
 
 
-def log_joint_densities(
-    model: GmmModel, rows: np.ndarray, bounds=None, rows_sq=None
-) -> np.ndarray:
+def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components)."""
-    densities = log_component_densities(rows, model.means, model.variances, bounds, rows_sq)
+    densities = log_component_densities(rows, model.means, model.variances, bounds)
     return densities + np.log(model.weights)
 
 
 def _e_step(
     model: GmmModel, rows: np.ndarray, rows_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods."""
-    joint = log_joint_densities(model, rows, rows_sq=rows_sq)
+    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods.
+
+    log_joint_densities with the squares train holds for the whole fit.
+    """
+    densities = log_component_densities(rows, model.means, model.variances, x_sq=rows_sq)
+    joint = densities + np.log(model.weights)
     frame_ll = logsumexp(joint)
     return _exp(joint - frame_ll[:, None]), frame_ll
 
