@@ -63,6 +63,8 @@ class GmmModel:
         return len(self.weights)
 
     def validate(self) -> None:
+        if self.label != self.label.strip() or "\n" in self.label or "\r" in self.label:
+            raise ModelFormatError(f"label {self.label!r} would not load back as written")
         m = self.num_components
         if self.means.shape != (m, self.dim) or self.variances.shape != (m, self.dim):
             raise ModelFormatError("model parameter shapes disagree")
@@ -119,48 +121,34 @@ def logsumexp(values: np.ndarray) -> np.ndarray:
     return np.log(np.sum(_exp(values - peak[:, None]), axis=1)) + peak
 
 
-def log_component_densities(
-    x: np.ndarray, means: np.ndarray, variances: np.ndarray, bounds=None, x_sq=None
-) -> np.ndarray:
-    """Log Gaussian densities, shape (frames, components), diagonal covariance.
+def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.ndarray:
+    """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components).
 
+    Classification, EM's log-likelihoods and its memberships all score here.
     The Mahalanobis term is expanded into matrix products with precisions
     P = 1/variance: sum (x-mu)^2 P = x^2 . P - 2 x . (mu P) + sum mu^2 P.
-    The constants are built once per call; bounds splits the rows of stacked
-    pieces for the two products (features.per_piece_product), so each
-    piece's densities equal its densities computed alone. x_sq is x * x
-    when the caller already holds it.
+    bounds splits the rows of stacked pieces for the two products
+    (features.per_piece_product), so each piece's densities equal its
+    densities computed alone.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     dim = x.shape[1]
-    if means.shape[1] != dim:
-        raise ValueError(f"feature dim {dim} does not match model dim {means.shape[1]}")
-    precisions = 1.0 / variances
-    log_norm = -0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1))
-    scaled_means = means * precisions
+    if model.means.shape[1] != dim:
+        raise ValueError(f"feature dim {dim} does not match model dim {model.means.shape[1]}")
+    precisions = 1.0 / model.variances
+    log_norm = -0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(model.variances), axis=1))
+    scaled_means = model.means * precisions
     mahal = (
-        per_piece_product(x * x if x_sq is None else x_sq, precisions, bounds)
+        per_piece_product(x * x, precisions, bounds)
         - 2.0 * per_piece_product(x, scaled_means, bounds)
-        + np.sum(means * scaled_means, axis=1)
+        + np.sum(model.means * scaled_means, axis=1)
     )
-    return log_norm - 0.5 * mahal
+    return log_norm - 0.5 * mahal + np.log(model.weights)
 
 
-def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.ndarray:
-    """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components)."""
-    densities = log_component_densities(rows, model.means, model.variances, bounds)
-    return densities + np.log(model.weights)
-
-
-def _e_step(
-    model: GmmModel, rows: np.ndarray, rows_sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods.
-
-    log_joint_densities with the squares train holds for the whole fit.
-    """
-    densities = log_component_densities(rows, model.means, model.variances, x_sq=rows_sq)
-    joint = densities + np.log(model.weights)
+def _e_step(model: GmmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods."""
+    joint = log_joint_densities(model, rows)
     frame_ll = logsumexp(joint)
     return _exp(joint - frame_ll[:, None]), frame_ll
 
@@ -192,10 +180,13 @@ def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centers
 
 
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
-    """Lloyd iterations from a k-means++ start; every returned cluster is non-empty."""
+def _kmeans(x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
+    """Lloyd iterations from a k-means++ start; every returned cluster is non-empty.
+
+    Returns the M-step of the final assignment (EM's start) and that
+    assignment. x_sq is x * x; max_iter is at least 1.
+    """
     centers = _kmeans_plusplus(x, k, rng)
-    x_sq = x * x
     sq_norms = np.sum(x_sq, axis=1)[:, None]
     assignment = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
@@ -212,11 +203,12 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100
                 sizes[new_assignment[i]] -= 1
                 sizes[j] = 1
                 new_assignment[i] = j
-        centers = _m_step(np.eye(k)[new_assignment], x, x_sq)[1]
+        step = _m_step(np.eye(k)[new_assignment], x, x_sq)
+        centers = step[1]
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-    return centers, assignment
+    return step, assignment
 
 
 def _count_distinct_rows(x: np.ndarray, enough: int) -> int:
@@ -259,16 +251,13 @@ def train(
             f"{num_components} components"
         )
 
-    rng = np.random.default_rng(seed)
-    _, assignment = _kmeans(x, num_components, rng)
     x_sq = x * x
-    # EM starts from the M-step of the one-hot k-means memberships
-    start = _m_step(np.eye(num_components)[assignment], x, x_sq)
+    start, _ = _kmeans(x, x_sq, num_components, np.random.default_rng(seed))
     model = GmmModel(label, dim, *start, features.config_fingerprint)
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        resp, frame_ll = _e_step(model, x, x_sq)
+        resp, frame_ll = _e_step(model, x)
         trace.append(float(np.sum(frame_ll)))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-1]):
             converged = True
@@ -336,31 +325,29 @@ def load_model(path) -> GmmModel:
             raise ModelFormatError(f"{path}: repeated key {key!r}")
         fields[key] = value.strip()
 
+    # each key is popped where it is read, so what is left is unknown
     try:
-        label = fields["label"]
-        dim = int(fields["dim"])
-        num_components = int(fields["components"])
-        fingerprint = fields["feature_fingerprint"]
-        weights = _parse_floats(fields["weights"], num_components, "weights")
-        means = np.stack(
-            [_parse_floats(fields[f"mean {j}"], dim, f"mean {j}") for j in range(num_components)]
-        )
-        variances = np.stack(
-            [
-                _parse_floats(fields[f"variance {j}"], dim, f"variance {j}")
-                for j in range(num_components)
-            ]
+        label = fields.pop("label")
+        dim = int(fields.pop("dim"))
+        num_components = int(fields.pop("components"))
+        fingerprint = fields.pop("feature_fingerprint")
+        fields.pop("rng", None)
+        weights = _parse_floats(fields.pop("weights"), num_components, "weights")
+        means, variances = (
+            np.stack(
+                [
+                    _parse_floats(fields.pop(f"{part} {j}"), dim, f"{part} {j}")
+                    for j in range(num_components)
+                ]
+            )
+            for part in ("mean", "variance")
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc}") from exc
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    # built only now: the weights line has proved num_components plausible
-    known = {"label", "dim", "components", "feature_fingerprint", "rng", "weights"}
-    known.update(f"{part} {j}" for part in ("mean", "variance") for j in range(num_components))
-    unknown = [key for key in fields if key not in known]
-    if unknown:
-        raise ModelFormatError(f"{path}: unknown key {unknown[0]!r}")
+    if fields:
+        raise ModelFormatError(f"{path}: unknown key {next(iter(fields))!r}")
 
     model = GmmModel(label, dim, weights, means, variances, fingerprint)
     model.validate()

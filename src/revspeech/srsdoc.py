@@ -49,7 +49,12 @@ class Lexicon:
     def add(self, left: str, relation: str, right: str) -> None:
         if relation not in ("synonym-of", "antonym-of"):
             raise LexiconFormatError(f"unknown relation {relation!r}")
-        self._relations[frozenset((left, right))] = relation.split("-")[0]
+        pair, kind = frozenset((left, right)), relation.split("-")[0]
+        # a second, different relation would make the report depend on line order
+        if self._relations.setdefault(pair, kind) != kind:
+            raise LexiconFormatError(
+                f"{left!r} and {right!r} are already {self._relations[pair]}s, not {kind}s"
+            )
 
     def relation(self, a: str, b: str) -> str | None:
         """'synonym', 'antonym', or None; negation-marked labels are antonyms."""

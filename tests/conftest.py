@@ -1,7 +1,11 @@
-"""Shared signal builders and the synthetic recognition fixtures."""
+"""Shared signal builders for the tests and the benchmark.
+
+The benchmark executes this module for its builders, so it imports neither
+pytest nor hypothesis at module level; the fixtures built from these
+builders live in shared_fixtures.py.
+"""
 
 import numpy as np
-import pytest
 
 from revspeech import (
     AudioBuffer,
@@ -16,13 +20,14 @@ from revspeech import (
 
 SR = 16000
 
+pytest_plugins = ["shared_fixtures"]
+
 
 def pytest_configure(config):
     """Property tests draw the same examples on every run.
 
     No seed from the clock, no replay database, and no per-example deadline
-    to trip on a loaded machine. hypothesis is imported here, not at module
-    level, because the benchmark loads this module for its signal builders.
+    to trip on a loaded machine.
     """
     from hypothesis import settings
 
@@ -149,51 +154,3 @@ def build_session(rng, words=("accept", "update", "login"), gap_s=0.4, sr=SR):
     samples = np.concatenate(pieces)
     samples += NOISE_FLOOR_SIGMA * rng.standard_normal(len(samples))
     return AudioBuffer(samples, sr), spans
-
-
-@pytest.fixture(scope="session")
-def fixture_vocabulary():
-    return train_vocabulary(["accept", "reject", "update", "login"])
-
-
-@pytest.fixture(scope="session")
-def fixture_session():
-    rng = np.random.default_rng(202)
-    return build_session(rng)
-
-
-@pytest.fixture
-def transform_counts(monkeypatch):
-    """Count FrameSpec framings and the frames analyzed and resynthesized.
-
-    Counts are keyed by the length of the framed buffer, so a whole
-    recording's enhancement stays apart from the short pieces extract frames.
-    """
-    import collections
-
-    from revspeech.features import FrameSpec
-
-    counts = collections.defaultdict(lambda: {"framings": 0, "analyzed": 0, "synthesized": 0})
-    lengths = {}
-    segment, spectra, synthesize = FrameSpec.segment, FrameSpec.spectra, FrameSpec.synthesize
-
-    def counting_segment(self, buf):
-        frames = segment(self, buf)
-        lengths[id(frames)] = len(buf.samples)
-        counts[len(buf.samples)]["framings"] += 1
-        return frames
-
-    def counting_spectra(self, frames, rows=slice(None)):
-        out = spectra(self, frames, rows)
-        counts[lengths[id(frames)]]["analyzed"] += len(out)
-        return out
-
-    def counting_synthesize(self, block, frames):
-        out = synthesize(self, block, frames)
-        counts[lengths[id(frames)]]["synthesized"] += len(out)
-        return out
-
-    monkeypatch.setattr(FrameSpec, "segment", counting_segment)
-    monkeypatch.setattr(FrameSpec, "spectra", counting_spectra)
-    monkeypatch.setattr(FrameSpec, "synthesize", counting_synthesize)
-    return counts

@@ -237,6 +237,20 @@ class TestTrainCommand:
         assert err.startswith("error: ") and "distinct" in err
         assert not (tmp_path / "x.gmm").exists()
 
+    @pytest.mark.parametrize("label", [" yes", "yes\t", "ye\ns", "yes\r"])
+    def test_label_that_would_not_load_back_is_data_error(
+        self, workspace, tmp_path, capsys, label
+    ):
+        # load_model strips each value and splits lines, so such a label
+        # would come back changed or not at all
+        out = tmp_path / "x.gmm"
+        argv = ["train", "--label", label, "--components", "2", "--out", str(out),
+                "--in", str(workspace["takes"]["update"][0])]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(label) in err, err
+        assert not out.exists()
+
     def test_different_seed_changes_model(self, workspace, tmp_path):
         first = tmp_path / "s1.gmm"
         second = tmp_path / "s2.gmm"
@@ -414,6 +428,16 @@ class TestConfigAndErrors:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_lexicon_with_conflicting_relations_is_data_error(self, workspace, tmp_path, capsys):
+        lexicon = tmp_path / "conflict.csv"
+        lexicon.write_text("accept, antonym-of, reject\nreject, synonym-of, accept\n")
+        argv = ["analyze", "--in", str(workspace["session"]), *model_args(workspace),
+                "--out-dir", str(tmp_path / "out"), "--lexicon", str(lexicon)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2" in err and "'reject'" in err, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [

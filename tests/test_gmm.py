@@ -25,7 +25,6 @@ from revspeech import gmm
 from revspeech.gmm import (
     _e_step,
     _kmeans,
-    log_component_densities,
     log_joint_densities,
     logsumexp,
 )
@@ -36,10 +35,15 @@ def matrix(rows, fingerprint="synthetic"):
     return FeatureMatrix(rows, rows.shape[0], fingerprint)
 
 
+def one_component(mean, variance):
+    """A single diagonal Gaussian as a one-component mixture."""
+    mean, variance = np.atleast_2d(mean), np.atleast_2d(variance)
+    return GmmModel("one", mean.shape[1], [1.0], mean, variance, "synthetic")
+
+
 def component_density(x, mean, variance):
     """One diagonal Gaussian's density at x, from the log-density routine."""
-    log_density = log_component_densities(x, np.atleast_2d(mean), np.atleast_2d(variance))
-    return float(np.exp(log_density[0, 0]))
+    return float(np.exp(log_joint_densities(one_component(mean, variance), x)[0, 0]))
 
 
 def log_likelihood(model, features):
@@ -136,10 +140,11 @@ class TestQuadraticForm:
         near = means[rng.integers(k, size=200)] + np.sqrt(0.04) * rng.standard_normal(
             (200, dim)
         )
+        model = GmmModel("q", dim, np.full(k, 1.0 / k), means, variances, "synthetic")
         for x in (mfcc_rows, near):
             np.testing.assert_allclose(
-                log_component_densities(x, means, variances),
-                centred_log_densities(x, means, variances),
+                log_joint_densities(model, x),
+                centred_log_densities(x, means, variances) + np.log(model.weights),
                 rtol=1e-10,
             )
 
@@ -149,7 +154,7 @@ class TestQuadraticForm:
         # max_iter=1 returns the model after one M-step, max_iter=2 after two
         before, _ = train(rows, 4, seed=0, max_iter=1)
         after, _ = train(rows, 4, seed=0, max_iter=2)
-        resp, _ = _e_step(before, x, x * x)
+        resp, _ = _e_step(before, x)
         counts = resp.sum(axis=0)
         means = (resp.T @ x) / counts[:, None]
         centred = np.stack(
@@ -165,7 +170,7 @@ class TestQuadraticForm:
         truth = rng.uniform(20.0, 120.0, size=(5, 6))
         labels = np.repeat(np.arange(5), 40)
         x = truth[labels] + rng.standard_normal((200, 6))
-        centers, assignment = _kmeans(x, 5, np.random.default_rng(0))
+        (_, centers, _), assignment = _kmeans(x, x * x, 5, np.random.default_rng(0))
         exact = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         np.testing.assert_array_equal(assignment, np.argmin(exact, axis=1))
         # each recovered cluster is one planted cluster
@@ -181,10 +186,10 @@ class TestKmeans:
         # the second and third start centers are nearest to no frame at all
         start = np.array([[5.0, 5.0], [1e3, 1e3], [-1e3, 1e3]])
         monkeypatch.setattr(gmm, "_kmeans_plusplus", lambda x, k, rng: start.copy())
-        centers, assignment = _kmeans(x, 3, rng, max_iter=1)
+        (_, centers, _), assignment = _kmeans(x, x * x, 3, rng, max_iter=1)
         assert np.array_equal(np.bincount(assignment, minlength=3), [58, 1, 1])
         assert not np.array_equal(centers[1], centers[2])
-        _, assignment = _kmeans(x, 3, rng)
+        _, assignment = _kmeans(x, x * x, 3, rng)
         assert np.all(np.bincount(assignment, minlength=3) > 0)
 
     def test_reseed_never_takes_the_last_member_of_a_cluster(self, monkeypatch):
@@ -193,7 +198,7 @@ class TestKmeans:
         # the outlier, farthest of all from its center, is its cluster's only member
         start = np.array([[0.0, 0.0], [50.0, 0.0], [-1e3, -1e3]])
         monkeypatch.setattr(gmm, "_kmeans_plusplus", lambda x, k, rng: start.copy())
-        _, assignment = _kmeans(x, 3, rng, max_iter=1)
+        _, assignment = _kmeans(x, x * x, 3, rng, max_iter=1)
         assert assignment[-1] == 1
         assert np.array_equal(np.bincount(assignment, minlength=3), [29, 1, 1])
 
@@ -254,9 +259,7 @@ class TestLogLikelihood:
         model = GmmModel(
             "a", 2, np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)), "synthetic"
         )
-        expected = float(
-            np.sum(log_component_densities(rows, model.means, model.variances)[:, 0])
-        )
+        expected = float(np.sum(log_joint_densities(model, rows)[:, 0]))
         assert log_likelihood(model, matrix(rows)) == pytest.approx(expected, rel=1e-12)
 
     def test_duplicated_rows_double_the_value(self):
@@ -316,7 +319,7 @@ class TestTrain:
         x = mfcc_rows
         # max_iter=0 returns the start model; the same seed replays its k-means
         start, report = train(matrix(x), 4, seed=3, max_iter=0)
-        _, assignment = _kmeans(x, 4, np.random.default_rng(3))
+        _, assignment = _kmeans(x, x * x, 4, np.random.default_rng(3))
         assert report.iterations == 0
         for j in range(4):
             members = x[assignment == j]
@@ -372,7 +375,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(50, 2))
         model, _ = train(matrix(rows), 3, seed=3)
-        resp, _ = _e_step(model, rows, rows * rows)
+        resp, _ = _e_step(model, rows)
         np.testing.assert_allclose(resp.sum(axis=1), np.ones(50), atol=1e-12)
 
     def test_joint_density_serves_likelihood_and_responsibilities(self):
@@ -380,13 +383,13 @@ class TestTrain:
         rows = rng.standard_normal((40, 3))
         model, _ = train(matrix(rows), 3, seed=2)
         joint = log_joint_densities(model, rows)
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             joint,
-            log_component_densities(rows, model.means, model.variances)
-            + np.log(model.weights),
+            centred_log_densities(rows, model.means, model.variances) + np.log(model.weights),
+            rtol=1e-10,
         )
         frame_ll = logsumexp(joint)
-        resp, e_step_ll = _e_step(model, rows, rows * rows)
+        resp, e_step_ll = _e_step(model, rows)
         np.testing.assert_array_equal(resp, np.exp(joint - frame_ll[:, None]))
         np.testing.assert_array_equal(e_step_ll, frame_ll)
 
@@ -509,6 +512,21 @@ class TestPersistence:
         path.write_text(path.read_text() + extra + "\n")
         with pytest.raises(ModelFormatError, match=f"'{key}'"):
             load_model(path)
+
+    def test_rng_line_is_optional(self, tmp_path):
+        model, path = self.trained(tmp_path)
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("rng:")]
+        path.write_text("\n".join(lines) + "\n")
+        np.testing.assert_array_equal(load_model(path).means, model.means)
+
+    @pytest.mark.parametrize("label", [" word", "word ", "wo\nrd", "word\r"])
+    def test_label_that_would_not_load_back_is_never_written(self, tmp_path, label):
+        model, _ = self.trained(tmp_path)
+        model.label = label
+        path = tmp_path / "bad-label.gmm"
+        with pytest.raises(ModelFormatError, match="would not load back"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_negative_variance_rejected(self, tmp_path):
         _, path = self.trained(tmp_path)

@@ -92,3 +92,21 @@ def test_import_does_not_load_numpy_random():
     ).stdout
     lazy, loaded = out.split()
     assert lazy == "False" or loaded == "False"
+
+
+def test_benchmark_loads_conftest_without_pytest():
+    # perfbench/workloads.py:load_generators executes conftest.py for its
+    # signal builders; pytest and hypothesis would only add to its peak RSS
+    probe = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('generators', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))\n"
+    )
+    src = str(Path(revspeech.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "tests" / "conftest.py")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

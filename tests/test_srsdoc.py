@@ -85,6 +85,19 @@ class TestLexicon:
         with pytest.raises(LexiconFormatError, match="^line 3: unknown relation 'opposite-of'$"):
             Lexicon.from_text(text)
 
+    def test_a_pair_given_two_relations_is_an_error(self):
+        # otherwise the later line would win and the report depend on line order
+        text = "accept, synonym-of, approve\n# reversed\napprove, antonym-of, accept\n"
+        with pytest.raises(
+            LexiconFormatError,
+            match="^line 3: 'approve' and 'accept' are already synonyms, not antonyms$",
+        ):
+            Lexicon.from_text(text)
+
+    def test_a_repeated_entry_is_allowed(self):
+        lexicon = Lexicon.from_text("accept, synonym-of, approve\napprove, synonym-of, accept\n")
+        assert lexicon.relation("accept", "approve") == "synonym"
+
 
 class TestPairSegments:
     def test_identity_pairing(self):
