@@ -6,9 +6,9 @@ models, and assembles a requirements report that pairs forward transcripts
 with reversed-audio transcripts and flags inconsistencies.
 """
 
-from .audio import AudioBuffer, FrameSequence, read_wav, reverse, segment, write_wav
+from .audio import AudioBuffer, FrameSequence, read_wav, reverse, write_wav
 from .enhance import EnhanceConfig, NoiseProfile, denoise, estimate_and_denoise, estimate_noise
-from .features import FeatureConfig, FeatureMatrix, extract
+from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract
 from .gmm import GmmModel, TrainingReport, load_model, save_model, train
 from .recognizer import (
     EndpointConfig,
@@ -38,6 +38,7 @@ __all__ = [
     "FeatureConfig",
     "FeatureMatrix",
     "FrameSequence",
+    "FrameSpec",
     "GmmModel",
     "Lexicon",
     "NoiseProfile",
@@ -60,7 +61,6 @@ __all__ = [
     "render",
     "reverse",
     "save_model",
-    "segment",
     "segment_utterances",
     "train",
     "transcribe",

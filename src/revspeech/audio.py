@@ -1,4 +1,4 @@
-"""WAV ingestion/emission, mono conversion, time reversal, frame segmentation."""
+"""WAV ingestion/emission, mono conversion, time reversal, frame sequences."""
 
 import struct
 from collections.abc import Callable, Iterable, Iterator
@@ -232,25 +232,8 @@ def reverse(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(view, buf.sample_rate_hz)
 
 
-def segment(buf: AudioBuffer, frame_ms: float, overlap_fraction: float) -> FrameSequence:
-    """Cut a buffer into fixed-length frames with fractional overlap.
-
-    frame_len = round(frame_ms * rate / 1000) and
-    hop = frame_len - round(overlap_fraction * frame_len). The trailing
-    partial frame is zero-padded; a buffer shorter than one frame yields a
-    single zero-padded frame. The frames are a read-only strided view of the
-    buffer's own samples, plus that one padded frame (see FrameSequence).
-    """
-    frame_len, hop = frame_geometry(frame_ms, overlap_fraction, buf.sample_rate_hz)
-    return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
-
-
 def frame_geometry(frame_ms: float, overlap_fraction: float, sample_rate_hz: int) -> tuple[int, int]:
-    """(frame_len, hop) in samples, by the rule segment documents."""
-    if frame_ms <= 0:
-        raise ValueError("frame_ms must be positive")
-    if not 0 <= overlap_fraction < 1:
-        raise ValueError("overlap_fraction must be in [0, 1)")
+    """(frame_len, hop) in samples, by the rule FrameSpec.segment documents."""
     frame_len = int(frame_ms * sample_rate_hz / 1000 + 0.5)
     if frame_len < 1:
         raise ConfigError(
@@ -261,7 +244,7 @@ def frame_geometry(frame_ms: float, overlap_fraction: float, sample_rate_hz: int
 
 
 def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
-    """Frames segment cuts from num_samples samples: at least one."""
+    """Frames FrameSpec.segment cuts from num_samples samples: at least one."""
     return -(-max(num_samples - frame_len, 0) // hop) + 1
 
 

@@ -108,13 +108,11 @@ def _effective_config(args) -> ToolConfig:
 
 
 def _write_noise_profile(profile: enhance.NoiseProfile, path) -> None:
-    lines = [
-        "noise-profile-v1",
-        f"frames_used: {profile.frames_used}",
-        f"bins: {len(profile.mean_magnitude)}",
-    ]
-    lines += [f"{v:.17g}" for v in profile.mean_magnitude]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """noise-profile-v1 holds all fft_size bins: the half spectrum, then its mirror."""
+    half = profile.mean_magnitude
+    values = [f"{v:.17g}" for v in (*half, *half[-2:0:-1])]
+    header = ["noise-profile-v1", f"frames_used: {profile.frames_used}", f"bins: {len(values)}"]
+    Path(path).write_text("\n".join(header + values) + "\n", encoding="utf-8")
 
 
 def _transcript_text(transcript: recognizer.Transcript) -> str:
@@ -181,6 +179,7 @@ def _cmd_train(args, cfg: ToolConfig) -> int:
         raise ConfigError(f"--components must be >= 1, got {args.components}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    gmm.check_label(args.label)
     takes = (_read_audio(path) for path in args.inputs)
     matrices = list(features.extract_all(takes, cfg.features))  # one rate, or ConfigError
     rows = np.vstack([matrix.rows for matrix in matrices])

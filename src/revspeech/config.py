@@ -68,10 +68,11 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config(text: str, base: ToolConfig | None = None) -> ToolConfig:
-    """Apply key-value overrides from a config document onto a base config."""
+    """Apply a config document's key-value overrides, each key once, onto a base config."""
     base = base or ToolConfig()
     # every section is rebuilt, so the result shares no object with base
     changes = {section: {} for section, *_ in _KEYS.values()}
+    lines_of = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,6 +82,8 @@ def parse_config(text: str, base: ToolConfig | None = None) -> ToolConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
+        if lines_of.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {lines_of[key]}")
         section, name, *_ = _KEYS[key]
         changes[section][name] = _parse_value(key, value)
     top = changes.pop(None)

@@ -58,10 +58,10 @@ class EnhanceConfig:
 
 @dataclass
 class NoiseProfile:
-    """Per-bin mean magnitude of the noise spectrum (full fft_size bins).
+    """Per-bin mean magnitude of the noise's half spectrum (fft_size // 2 + 1 bins).
 
-    Real frames have conjugate-symmetric spectra, so bins above fft_size // 2
-    mirror those below; the shapers read the first fft_size // 2 + 1.
+    Real frames have conjugate-symmetric spectra, so these bins describe the
+    whole spectrum (Allen 1977); they are what the shapers read.
     """
 
     mean_magnitude: np.ndarray
@@ -85,7 +85,7 @@ def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig) -> NoiseProfile:
         np.abs(cfg.frame.spectra(frames, selected[part])).sum(axis=0)
         for part in frame_blocks(0, len(selected))
     ) / len(selected)
-    return NoiseProfile(np.concatenate([half, half[-2:0:-1]]), len(selected))
+    return NoiseProfile(half, len(selected))
 
 
 def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
@@ -160,7 +160,6 @@ def _denoise(
     it, so sorted spans hold only the overlap-adds one block reaches.
     """
     spec = cfg.frame
-    half = noise.mean_magnitude[: len(noise.mean_magnitude) // 2 + 1]
     num_samples = len(frames.samples)
     spans = [(max(lo, 0), min(hi, num_samples)) for lo, hi in spans]
     ranges = [frames.covering(lo, hi) for lo, hi in spans]
@@ -172,7 +171,8 @@ def _denoise(
     else:
         order, shape = np.flatnonzero(wanted), _subtracted
     parts = frame_blocks(0, len(order))
-    blocks = zip(parts, shape((spec.spectra(frames, order[p]) for p in parts), half, cfg))
+    spectra = (spec.spectra(frames, order[p]) for p in parts)
+    blocks = zip(parts, shape(spectra, noise.mean_magnitude, cfg))
     unreached = sorted(range(len(spans)), key=lambda k: ranges[k].start, reverse=True)
     sums = {}  # overlap-adds of the spans the walk has reached, by position in spans
     walked = 0  # the walk has passed every frame before this one
@@ -196,10 +196,10 @@ def _denoise(
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:
     """Check the profile's bin count, then denoise the one whole-buffer span."""
-    fft_size = cfg.frame.resolve_fft_size(buf.sample_rate_hz)
-    if len(noise.mean_magnitude) != fft_size:
+    bins = cfg.frame.resolve_fft_size(buf.sample_rate_hz) // 2 + 1
+    if len(noise.mean_magnitude) != bins:
         raise ConfigError(
-            f"noise profile has {len(noise.mean_magnitude)} bins, config expects {fft_size}"
+            f"noise profile has {len(noise.mean_magnitude)} bins, config expects {bins}"
         )
     (cleaned,) = _denoise(cfg.frame.segment(buf), noise, cfg, [(0, len(buf.samples))])
     return AudioBuffer(cleaned, buf.sample_rate_hz)

@@ -20,7 +20,6 @@ from .audio import (
     frame_count,
     frame_geometry,
     frame_groups,
-    segment,
 )
 from .errors import ConfigError
 
@@ -29,7 +28,7 @@ ENERGY_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Framing, window and FFT-size rule, shared by enhance and features."""
+    """Framing, window and FFT-size rule, shared by endpointing, enhance and features."""
 
     frame_ms: float = 25.0
     overlap_fraction: float = 0.5
@@ -56,8 +55,16 @@ class FrameSpec:
         return self.fft_size
 
     def segment(self, buf: AudioBuffer) -> FrameSequence:
-        """The buffer cut into this spec's frames."""
-        return segment(buf, self.frame_ms, self.overlap_fraction)
+        """Cut a buffer into fixed-length frames with fractional overlap.
+
+        frame_len = round(frame_ms * rate / 1000) and
+        hop = frame_len - round(overlap_fraction * frame_len). The trailing
+        partial frame is zero-padded; a buffer shorter than one frame yields a
+        single zero-padded frame. The frames are a read-only strided view of the
+        buffer's own samples, plus that one padded frame (see FrameSequence).
+        """
+        frame_len, hop = frame_geometry(self.frame_ms, self.overlap_fraction, buf.sample_rate_hz)
+        return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
 
     def spectra(self, frames: FrameSequence, rows=slice(None)) -> np.ndarray:
         """Windowed half spectra (fft_size // 2 + 1 bins) of frames[rows].

@@ -44,6 +44,12 @@ EXP_FAST_FLOOR = -700.0
 EXP_ZERO_CEILING = -746.0
 
 
+def check_label(label: str) -> None:
+    """Raise ModelFormatError for a label a model file would not load back as written."""
+    if label != label.strip() or "\n" in label or "\r" in label:
+        raise ModelFormatError(f"label {label!r} would not load back as written")
+
+
 @dataclass
 class GmmModel:
     label: str
@@ -63,8 +69,7 @@ class GmmModel:
         return len(self.weights)
 
     def validate(self) -> None:
-        if self.label != self.label.strip() or "\n" in self.label or "\r" in self.label:
-            raise ModelFormatError(f"label {self.label!r} would not load back as written")
+        check_label(self.label)
         m = self.num_components
         if self.means.shape != (m, self.dim) or self.variances.shape != (m, self.dim):
             raise ModelFormatError("model parameter shapes disagree")
@@ -83,7 +88,6 @@ class TrainingReport:
     iterations: int
     log_likelihood_trace: list = field(default_factory=list)
     converged: bool = False
-    seed: int = 0
 
 
 def _exp(values: np.ndarray) -> np.ndarray:
@@ -265,13 +269,7 @@ def train(
         model.weights, model.means, model.variances = _m_step(resp, x, x_sq)
 
     model.validate()
-    report = TrainingReport(
-        iterations=len(trace),
-        log_likelihood_trace=trace,
-        converged=converged,
-        seed=seed,
-    )
-    return model, report
+    return model, TrainingReport(len(trace), trace, converged)
 
 
 def _format_floats(values: np.ndarray) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_energies, frame_groups, reverse, segment
+from .audio import AudioBuffer, frame_energies, frame_groups, reverse
 from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
@@ -161,7 +161,7 @@ def segment_utterances(
     """
     cfg = cfg or EndpointConfig()
     whole = [(0.0, buf.duration_s)]
-    frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+    frames = FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
     energies = frame_energies(frames)
     if energies.min() == energies.max():
         raise InsufficientDataError(

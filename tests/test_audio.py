@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from revspeech import AudioBuffer, read_wav, reverse, segment, write_wav
+from revspeech import AudioBuffer, FrameSpec, read_wav, reverse, write_wav
 from revspeech.errors import ConfigError, UnsupportedWavError, WavFormatError
 
 QUANT_STEP = 1.0 / 32767
@@ -195,7 +195,7 @@ class TestReverse:
 class TestSegment:
     def test_enumerated_half_overlap(self):
         buf = AudioBuffer(np.arange(1000) / 1000.0, 1000)
-        frames = segment(buf, 100.0, 0.5)
+        frames = FrameSpec(100.0, 0.5).segment(buf)
         assert frames.frame_len == 100
         assert frames.hop == 50
         assert len(frames) == 19
@@ -208,17 +208,17 @@ class TestSegment:
 
     def test_zero_overlap_contiguous(self):
         buf = AudioBuffer(np.arange(30) / 30.0, 10)
-        frames = segment(buf, 1000.0, 0.0)
+        frames = FrameSpec(1000.0, 0.0).segment(buf)
         assert frames.hop == frames.frame_len == 10
         np.testing.assert_array_equal(frames[:].ravel(), buf.samples)
 
     def test_frame_len_arithmetic(self):
         buf = AudioBuffer(np.zeros(800), 16000)
-        assert segment(buf, 25.0, 0.5).frame_len == 400
+        assert FrameSpec(25.0, 0.5).segment(buf).frame_len == 400
 
     def test_short_buffer_zero_padded(self):
         buf = AudioBuffer([0.5, -0.5], 16000)
-        frames = segment(buf, 25.0, 0.5)
+        frames = FrameSpec(25.0, 0.5).segment(buf)
         assert frames[:].shape == (1, 400)
         np.testing.assert_array_equal(frames[0][:2], [0.5, -0.5])
         assert np.all(frames[0][2:] == 0)
@@ -230,7 +230,7 @@ class TestSegment:
             buf = AudioBuffer(np.zeros(n), 8000)
             frame_ms = float(rng.uniform(5, 50))
             overlap = float(rng.uniform(0, 0.9))
-            frames = segment(buf, frame_ms, overlap)
+            frames = FrameSpec(frame_ms, overlap).segment(buf)
             expected = int(np.ceil(max(n - frames.frame_len, 0) / frames.hop)) + 1
             assert len(frames) == expected
 
@@ -238,13 +238,13 @@ class TestSegment:
         rng = np.random.default_rng(6)
         samples = rng.uniform(-1, 1, size=1234)
         buf = AudioBuffer(samples, 16000)
-        frames = segment(buf, 25.0, 0.0)
+        frames = FrameSpec(25.0, 0.0).segment(buf)
         rebuilt = frames[:].ravel()[: len(samples)]
         np.testing.assert_array_equal(rebuilt, samples)
 
     def test_frames_are_a_read_only_view(self):
         buf = AudioBuffer(np.arange(1000) / 1000.0, 1000)
-        frames = segment(buf, 100.0, 0.5)[:]
+        frames = FrameSpec(100.0, 0.5).segment(buf)[:]
         # overlapping frames are windows on the samples, not copies
         assert not frames.flags.owndata
         assert np.shares_memory(frames[0], frames[1])
@@ -263,7 +263,7 @@ class TestSegment:
         # several frames, exact fits (no padded frame) included
         for n in range(1, 60):
             samples = np.arange(1, n + 1, dtype=np.float64)
-            frames = segment(AudioBuffer(samples, 1000), frame_ms, overlap)
+            frames = FrameSpec(frame_ms, overlap).segment(AudioBuffer(samples, 1000))
             frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
             padded = np.zeros((count - 1) * hop + frame_len)
             padded[:n] = samples
@@ -276,11 +276,11 @@ class TestSegment:
             np.testing.assert_array_equal(frames[index], old[index])
             for i in (0, count // 2, count - 1, -1):
                 np.testing.assert_array_equal(frames[i], old[i])
-        exact = segment(AudioBuffer(np.ones(8 + 3 * 4), 1000), 8.0, 0.5)
+        exact = FrameSpec(8.0, 0.5).segment(AudioBuffer(np.ones(8 + 3 * 4), 1000))
         assert len(exact) == 4 and np.shares_memory(exact[:], exact.samples)
 
     def test_index_arrays_count_from_the_end_and_stay_in_range(self):
-        frames = segment(AudioBuffer(np.arange(1.0, 10.0), 1000), 4.0, 0.5)  # 4 frames
+        frames = FrameSpec(4.0, 0.5).segment(AudioBuffer(np.arange(1.0, 10.0), 1000))  # 4 frames
         padded = np.append(np.arange(1.0, 10.0), 0.0)
         expected = np.lib.stride_tricks.sliding_window_view(padded, 4)[::2]
         index = np.array([-1, -4, 0, 3, -2])
@@ -293,7 +293,7 @@ class TestSegment:
     def test_gathering_rows_costs_no_more_than_the_rows(self):
         # a few rows of a long recording, as a block of noise frames reads
         # them: nothing of the frame count's size is built on the way
-        frames = segment(AudioBuffer(np.zeros(2_000_000), 1000), 4.0, 0.75)  # hop 1
+        frames = FrameSpec(4.0, 0.75).segment(AudioBuffer(np.zeros(2_000_000), 1000))  # hop 1
         index = np.array([5, len(frames) - 1, 17])
         tracemalloc.start()
         try:
@@ -306,12 +306,12 @@ class TestSegment:
 
     def test_invalid_arguments(self):
         buf = AudioBuffer(np.zeros(100), 8000)
-        with pytest.raises(ValueError):
-            segment(buf, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            segment(buf, 10.0, 1.0)
+        with pytest.raises(ConfigError, match="frame_ms must be positive"):
+            FrameSpec(0.0, 0.5).segment(buf)
+        with pytest.raises(ConfigError, match="overlap_fraction must be in"):
+            FrameSpec(10.0, 1.0).segment(buf)
         with pytest.raises(ConfigError, match="shorter than one sample"):
-            segment(buf, 0.01, 0.5)
+            FrameSpec(0.01, 0.5).segment(buf)
 
 
 @given(
@@ -336,7 +336,7 @@ def test_wav_round_trip_on_the_16_bit_grid(codes, rate):
 )
 def test_segment_covers_every_sample(n, rate, frame_ms, overlap):
     samples = np.arange(1, n + 1, dtype=np.float64)
-    frames = segment(AudioBuffer(samples, rate), frame_ms, overlap)
+    frames = FrameSpec(frame_ms, overlap).segment(AudioBuffer(samples, rate))
     frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
     assert frames[:].shape == (count, frame_len)
     # frame i starts at sample i*hop, so sample t sits at column t - i*hop of

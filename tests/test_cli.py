@@ -17,6 +17,7 @@ from revspeech import (
     FeatureMatrix,
     Vocabulary,
     analyze,
+    estimate_noise,
     extract,
     parse_report,
     read_wav,
@@ -112,6 +113,10 @@ class TestEnhanceCommand:
         magnitudes = [float(v) for v in lines[3:]]
         assert len(magnitudes) == 512
         assert all(m >= 0 for m in magnitudes)
+        # the file holds the profile's half spectrum, then its mirror
+        half = estimate_noise(noisy, ToolConfig().enhance).mean_magnitude[:257]
+        assert magnitudes[:257] == half.tolist()
+        assert magnitudes[257:] == magnitudes[255:0:-1]
 
     def test_wiener_method_flag(self, workspace, tmp_path):
         out = tmp_path / "clean_w.wav"
@@ -250,6 +255,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(label) in err, err
         assert not out.exists()
+
+    def test_label_is_checked_before_any_take_is_read(self, workspace, tmp_path, capsys):
+        # two sample rates would fail the takes; the label error comes first
+        other_rate = tmp_path / "slow.wav"
+        write_wav(AudioBuffer(np.zeros(8000) + 0.01, 8000), other_rate)
+        argv = ["train", "--label", " yes", "--components", "2",
+                "--out", str(tmp_path / "x.gmm"),
+                "--in", str(workspace["takes"]["update"][0]),
+                "--in", str(other_rate)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: label ' yes' would not load back as written\n", err
 
     def test_different_seed_changes_model(self, workspace, tmp_path):
         first = tmp_path / "s1.gmm"
@@ -416,6 +433,17 @@ class TestConfigAndErrors:
              "--out", str(out)]
         )
         assert code == 2
+
+    def test_config_key_given_twice_is_data_error(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "twice.cfg"
+        cfg_path.write_text("enhance.method = wiener\nenhance.method = spectral_subtraction\n")
+        out = tmp_path / "clean.wav"
+        argv = ["--config", str(cfg_path), "enhance",
+                "--in", str(workspace["takes"]["login"][0]), "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'enhance.method'" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["--config", "--lexicon", "--model"])
     def test_text_input_that_is_not_utf8_is_data_error(

@@ -27,6 +27,13 @@ class TestParseConfig:
         assert cfg.features.num_ceps == 13
         assert cfg.seed == 0
 
+    def test_key_given_twice_is_an_error(self):
+        # the last line must not win unnoticed
+        text = "enhance.method = wiener\nseed = 3\nenhance.method = spectral_subtraction\n"
+        message = "line 3: key 'enhance.method' is already set on line 1"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_section_overrides(self):
         text = """
         # tuning for a noisier room

@@ -18,7 +18,7 @@ from revspeech import (
     estimate_noise,
 )
 from revspeech import audio
-from revspeech.audio import frame_energies, segment
+from revspeech.audio import frame_energies, frame_count, frame_geometry
 from revspeech.enhance import (
     DD_SMOOTHING,
     POSTERIOR_SNR_CAP,
@@ -37,12 +37,12 @@ def rms(x):
 
 
 def expected_noise_magnitude(rng, sigma, cfg, sample_rate=SR, trials=3000):
-    """Mean windowed-FFT magnitude over independent noise frames."""
+    """Mean windowed half-spectrum magnitude over independent noise frames."""
     fft_size = cfg.frame.resolve_fft_size(sample_rate)
     frame_len = int(cfg.frame_ms * sample_rate / 1000 + 0.5)
     window = hamming_coefficients(frame_len, cfg.window_a)
     frames = sigma * rng.standard_normal((trials, frame_len)) * window
-    return np.abs(np.fft.fft(frames, n=fft_size, axis=1)).mean(axis=0)
+    return np.abs(np.fft.rfft(frames, n=fft_size, axis=1)).mean(axis=0)
 
 
 class TestEstimateNoise:
@@ -57,7 +57,7 @@ class TestEstimateNoise:
 
     def test_digital_silence_gives_zero_profile(self):
         profile = estimate_noise(AudioBuffer(np.zeros(SR), SR), EnhanceConfig())
-        np.testing.assert_array_equal(profile.mean_magnitude, np.zeros(512))
+        np.testing.assert_array_equal(profile.mean_magnitude, np.zeros(257))
         assert profile.frames_used >= 1
 
     def test_silence_leadin_recovers_noise_spectrum(self):
@@ -74,19 +74,20 @@ class TestEstimateNoise:
         profile = estimate_noise(AudioBuffer(mix, SR), cfg)
 
         lead = AudioBuffer(noise[: SR * 2], SR)
-        frames = segment(lead, cfg.frame_ms, cfg.overlap_fraction)
+        frames = cfg.frame.segment(lead)
         window = hamming_coefficients(frames.frame_len, cfg.window_a)
-        oracle = np.abs(np.fft.fft(frames[:] * window, n=512, axis=1)).mean(axis=0)
+        oracle = np.abs(np.fft.rfft(frames[:] * window, n=512, axis=1)).mean(axis=0)
 
         deviation = np.abs(profile.mean_magnitude - oracle) / oracle
         assert np.max(deviation) < 0.10
 
     def test_profile_length_matches_fft_size(self):
+        # the half spectrum: fft_size // 2 + 1 bins
         rng = np.random.default_rng(2)
         profile = estimate_noise(
             AudioBuffer(white_noise(rng, 0.5), SR), EnhanceConfig(fft_size=1024)
         )
-        assert len(profile.mean_magnitude) == 1024
+        assert len(profile.mean_magnitude) == 513
 
 
 class TestSpectralSubtract:
@@ -95,7 +96,7 @@ class TestSpectralSubtract:
         samples = tone(440, 2.0) + white_noise(rng, 2.0, sigma=0.05)
         buf = AudioBuffer(samples, SR)
         cfg = EnhanceConfig(method="spectral_subtraction")
-        out = denoise(buf, NoiseProfile(np.zeros(512), 1), cfg)
+        out = denoise(buf, NoiseProfile(np.zeros(257), 1), cfg)
         rel = np.linalg.norm(out.samples - samples) / np.linalg.norm(samples)
         assert rel < 1e-6
 
@@ -209,7 +210,7 @@ class TestWienerFilter:
         rng = np.random.default_rng(8)
         samples = tone(440, 2.0) + white_noise(rng, 2.0, sigma=0.05)
         buf = AudioBuffer(samples, SR)
-        out = denoise(buf, NoiseProfile(np.zeros(512), 1), EnhanceConfig(method="wiener"))
+        out = denoise(buf, NoiseProfile(np.zeros(257), 1), EnhanceConfig(method="wiener"))
         rel = np.linalg.norm(out.samples - samples) / np.linalg.norm(samples)
         assert rel < 1e-6
 
@@ -290,7 +291,8 @@ class TestSharedStft:
         samples[4000:9000] += tone(700.0, 5000 / SR)
         buf = AudioBuffer(samples, SR)
         cfg = EnhanceConfig(method=method)
-        num_frames = len(segment(buf, cfg.frame_ms, cfg.overlap_fraction))
+        geometry = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, SR)
+        num_frames = frame_count(len(buf.samples), *geometry)
         cleaned, profile = estimate_and_denoise(buf, cfg)
         shared = dict(transform_counts.pop(SR))
         separate_profile = estimate_noise(buf, cfg)
@@ -344,7 +346,7 @@ class TestBlocks:
         cfg = EnhanceConfig(method=method, overlap_fraction=overlap)
 
         def run():
-            frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+            frames = cfg.frame.segment(buf)
             return frame_energies(frames), *estimate_and_denoise(buf, cfg)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -434,7 +436,7 @@ class TestSpans:
         rng = np.random.default_rng(21)
         buf = AudioBuffer(white_noise(rng, 1.0, sigma=0.05), SR)
         cfg = EnhanceConfig(method=method)
-        frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+        frames = cfg.frame.segment(buf)
         spans = [(5000, 6000), (1000, 2000), (1900, 2100), (7000, 7001)]
         frames_used = estimate_noise(buf, cfg).frames_used
         transform_counts.clear()

@@ -110,3 +110,33 @@ def test_benchmark_loads_conftest_without_pytest():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imported names that the module never reads or exports."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on the package, so a deletion could leave a dead import
+    package = Path(revspeech.__file__).resolve().parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

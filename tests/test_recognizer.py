@@ -28,7 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revspeech import audio, features
-from revspeech.audio import segment
 from revspeech.gmm import log_joint_densities, logsumexp
 from revspeech.recognizer import DIRECTIONS, classify_segments
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
@@ -44,7 +43,7 @@ def rising_take(n=995, seed=19):
 
 def scanned_regions(buf, cfg):
     """segment_utterances by a per-frame scan, for buffers of >= smooth_frames frames."""
-    frames = segment(buf, cfg.frame_ms, cfg.overlap_fraction)
+    frames = features.FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
     energies = np.mean(frames[:] ** 2, axis=1)
     ones = np.ones(cfg.smooth_frames)
     smoothed = np.convolve(energies, ones, mode="same") / np.convolve(
@@ -391,15 +390,16 @@ class TestTranscribe:
 
     @staticmethod
     def check_transform_counts(fixture_vocabulary, fixture_session, transform_counts, method):
-        # enhancement frames each direction once and analyzes the noise frames
-        # once for the profile; each frame that covers a region is analyzed
-        # and resynthesized once per region it covers, except that the Wiener
-        # recursion analyzes every frame up to the last region frame once
+        # endpointing and enhancement each frame each direction once, and
+        # enhancement analyzes the noise frames once for the profile; each
+        # frame that covers a region is analyzed and resynthesized once per
+        # region it covers, except that the Wiener recursion analyzes every
+        # frame up to the last region frame once
         buf, _ = fixture_session
         cfg = EnhanceConfig(method=method)
         for direction in ("forward", "reverse"):
             work = reverse(buf) if direction == "reverse" else buf
-            frames = segment(work, cfg.frame_ms, cfg.overlap_fraction)
+            frames = cfg.frame.segment(work)
             starts = np.arange(len(frames)) * frames.hop
             covering = [
                 np.flatnonzero((starts < int(hi * SR + 0.5))
@@ -412,7 +412,7 @@ class TestTranscribe:
             transform_counts.clear()
             transcribe(buf, fixture_vocabulary, direction, cfg)
             assert transform_counts[len(buf.samples)] == {
-                "framings": 1, "analyzed": frames_used + walked,
+                "framings": 2, "analyzed": frames_used + walked,
                 "synthesized": region_frames,
             }
             assert region_frames < len(frames)
