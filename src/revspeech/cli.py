@@ -7,6 +7,7 @@ given, so identical invocations produce identical output files.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="revspeech", description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=None,
                         help="config file applied over built-in defaults")

@@ -66,13 +66,25 @@ class FrameSpec:
         frame_len, hop = frame_geometry(self.frame_ms, self.overlap_fraction, buf.sample_rate_hz)
         return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
 
-    def spectra(self, frames: FrameSequence, rows=slice(None)) -> np.ndarray:
+    def spectra(self, frames: FrameSequence, rows=slice(None), windowed=None) -> np.ndarray:
         """Windowed half spectra (fft_size // 2 + 1 bins) of frames[rows].
 
-        This is the one analysis transform; rows picks a block of frames.
+        The one analysis transform; rows (a slice or an index array) picks a
+        block of frames. Given windowed, one row per frame picked, the frames'
+        read-only views are windowed into it one run of consecutive rows at a
+        time, gathering none. Without it the rows are gathered and windowed
+        afresh, which costs less for rows scattered in many short runs.
         """
         fft_size = self.resolve_fft_size(frames.sample_rate_hz)
-        windowed = hamming_window(frames[rows], self.window_a)
+        if windowed is None:
+            windowed = hamming_window(frames[rows], self.window_a)
+        else:
+            window = hamming_coefficients(frames.frame_len, self.window_a)
+            picked = np.asarray(range(len(frames))[rows] if isinstance(rows, slice) else rows)
+            firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
+            for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
+                run = frames[picked[lo] : picked[hi - 1] + 1]
+                np.multiply(run, window, out=windowed[lo:hi])
         return np.fft.rfft(windowed, n=fft_size, axis=-1)
 
     def synthesize(self, spectra: np.ndarray, frames: FrameSequence) -> np.ndarray:
@@ -313,20 +325,23 @@ def mel_filterbank(
 ) -> np.ndarray:
     """Per-filter energies s(m) = sum_k w_m(k) * |X(k)|^2 over the half spectrum.
 
-    bounds splits stacked pieces' rows for the product (per_piece_product).
+    magnitudes holds exactly fft_size // 2 + 1 bins per frame. bounds splits
+    stacked pieces' rows for the product (per_piece_product).
     """
-    magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    return _mel_energies(np.asarray(magnitudes, dtype=np.float64) ** 2, cfg, sample_rate_hz, bounds)
+
+
+def _mel_energies(power: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int, bounds):
+    """mel_filterbank of a power spectrum |X(k)|^2 squared by the caller."""
     fft_size = cfg.frame.resolve_fft_size(sample_rate_hz)
     needed = fft_size // 2 + 1
-    if magnitudes.shape[-1] < needed:
-        raise ConfigError(
-            f"spectrum has {magnitudes.shape[-1]} bins, filterbank needs {needed}"
-        )
+    if power.shape[-1] != needed:
+        raise ConfigError(f"spectrum has {power.shape[-1]} bins, filterbank needs {needed}")
     high = cfg.resolve_high_freq(sample_rate_hz)
     weights = mel_filter_weights(
         cfg.num_filters, fft_size, sample_rate_hz, cfg.low_freq_hz, high
     )
-    return per_piece_product(magnitudes[..., :needed] ** 2, weights, bounds)
+    return per_piece_product(power, weights, bounds)
 
 
 @functools.lru_cache(maxsize=32)
@@ -400,7 +415,8 @@ def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[Fea
     then takes one window and rfft and one log10, and the batch one delta
     computation clamped at each piece's edges. Matrix products run per piece
     (per_piece_product), so every piece's rows equal extract of that piece
-    alone, bit for bit.
+    alone, bit for bit. Every batch writes its padded buffer, windowed frames
+    and power spectra into arrays of the call's own, made once and reused.
     """
     rate = None
 
@@ -414,11 +430,21 @@ def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[Fea
         frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, rate)
         return frame_count(len(buf.samples), frame_len, hop)
 
+    scratch = {}  # this call's block buffers, so concurrent calls share none
     for batch in frame_groups(bufs, frames_of):
-        yield from _extract_batch(batch, cfg)
+        yield from _extract_batch(batch, cfg, scratch)
 
 
-def _extract_batch(bufs: list[AudioBuffer], cfg: FeatureConfig) -> list[FeatureMatrix]:
+def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
+    """The first shape[0] rows of scratch[name], made anew only when it has fewer."""
+    if len(scratch.get(name, ())) < shape[0]:
+        scratch[name] = np.empty(shape)
+    return scratch[name][: shape[0]]
+
+
+def _extract_batch(
+    bufs: list[AudioBuffer], cfg: FeatureConfig, scratch: dict
+) -> list[FeatureMatrix]:
     sr = bufs[0].sample_rate_hz
     frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
     counts = np.array([frame_count(len(buf.samples), frame_len, hop) for buf in bufs])
@@ -426,7 +452,8 @@ def _extract_batch(bufs: list[AudioBuffer], cfg: FeatureConfig) -> list[FeatureM
     # each piece is followed by at least one zero past its last frame's end
     gap = -(-(frame_len + 1) // hop) - 1
     starts = np.concatenate(([0], np.cumsum(counts + gap)))
-    padded = np.zeros(starts[-1] * hop)
+    padded = _reused(scratch, "padded", (starts[-1] * hop,))
+    padded.fill(0.0)
     for buf, offset in zip(bufs, starts * hop):
         slot = padded[offset : offset + len(buf.samples)]
         slot[:] = buf.samples
@@ -438,8 +465,11 @@ def _extract_batch(bufs: list[AudioBuffer], cfg: FeatureConfig) -> list[FeatureM
     ceps = np.empty((bounds[-1], cfg.num_ceps))
     for part in frame_blocks(0, bounds[-1]):
         local = np.unique(np.clip(bounds, part.start, part.stop)) - part.start
-        magnitudes = np.abs(cfg.frame.spectra(frames, rows[part]))
-        ceps[part] = mfcc(mel_filterbank(magnitudes, cfg, sr, local), cfg.num_ceps, local)
+        windowed = _reused(scratch, "windowed", (part.stop - part.start, frame_len))
+        spectra = cfg.frame.spectra(frames, rows[part], windowed)
+        power = np.abs(spectra, out=_reused(scratch, "power", spectra.shape))
+        np.square(power, out=power)  # as ** 2, bit for bit
+        ceps[part] = mfcc(_mel_energies(power, cfg, sr, local), cfg.num_ceps, local)
     velocity = delta_features(ceps, cfg.delta_window, bounds)
     acceleration = delta_features(velocity, cfg.delta_window, bounds)
 

@@ -43,8 +43,8 @@ def transform_counts(monkeypatch):
         counts[len(buf.samples)]["framings"] += 1
         return frames
 
-    def counting_spectra(self, frames, rows=slice(None)):
-        out = spectra(self, frames, rows)
+    def counting_spectra(self, frames, rows=slice(None), windowed=None):
+        out = spectra(self, frames, rows, windowed)
         counts[lengths[id(frames)]]["analyzed"] += len(out)
         return out
 

@@ -281,6 +281,38 @@ class TestTrainCommand:
         # models may coincide numerically, but both must load cleanly
         assert load_model(first).label == load_model(second).label == "u"
 
+    def train_argv(self, workspace, out, *flags):
+        argv = ["train", "--label", "u", "--components", "4", "--out", str(out), *flags]
+        for p in workspace["takes"]["update"]:
+            argv += ["--in", str(p)]
+        return argv
+
+    def test_a_seed_does_not_carry_into_the_next_run(self, workspace, tmp_path):
+        # one parser serves every run in a process; a run without --seed
+        # still gets the default seed after a run that gave one
+        from revspeech import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        default = str(ToolConfig().seed)
+        paths = {name: tmp_path / f"{name}.gmm" for name in ("three", "omitted", "default")}
+        assert run(self.train_argv(workspace, paths["three"], "--seed", "3")) == 0
+        assert run(self.train_argv(workspace, paths["omitted"])) == 0
+        assert run(self.train_argv(workspace, paths["default"], "--seed", default)) == 0
+        assert paths["omitted"].read_bytes() == paths["default"].read_bytes()
+        assert paths["three"].read_bytes() != paths["default"].read_bytes()
+
+    def test_usage_error_between_runs_leaves_the_next_run_unchanged(
+        self, workspace, tmp_path, capsys
+    ):
+        before, after = tmp_path / "before.gmm", tmp_path / "after.gmm"
+        assert run(self.train_argv(workspace, before)) == 0
+        bad = ["--seed", "9", *self.train_argv(workspace, tmp_path / "bad.gmm", "--nope")]
+        assert run(bad) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert run(self.train_argv(workspace, after)) == 0
+        assert after.read_bytes() == before.read_bytes()
+        assert not (tmp_path / "bad.gmm").exists()
+
 
 class TestRecognizeCommand:
     def test_transcript_lines(self, workspace, tmp_path, capsys):

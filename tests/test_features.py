@@ -1,11 +1,12 @@
 """Cepstral front-end contracts, each checked against an independent oracle."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dft_magnitude
@@ -178,12 +179,12 @@ class TestMelFilterbank:
     SR = 16000
 
     def test_zero_spectrum_gives_zero_energies(self):
-        energies = mel_filterbank(np.zeros(512), self.CFG, self.SR)
+        energies = mel_filterbank(np.zeros(257), self.CFG, self.SR)
         np.testing.assert_array_equal(energies, np.zeros(self.CFG.num_filters))
 
     def test_flat_spectrum_gives_weight_sums(self):
         weights = mel_filter_weights(26, 512, self.SR, 0.0, self.SR / 2)
-        energies = mel_filterbank(np.ones(512), self.CFG, self.SR)
+        energies = mel_filterbank(np.ones(257), self.CFG, self.SR)
         np.testing.assert_allclose(energies, weights.sum(axis=1), rtol=1e-12)
 
     def test_each_bin_in_at_most_two_filters(self):
@@ -205,11 +206,16 @@ class TestMelFilterbank:
         with pytest.raises(ConfigError):
             mel_filterbank(np.ones(100), self.CFG, self.SR)
 
+    def test_too_many_bins_rejected(self):
+        # a whole 512-point spectrum is not a half spectrum; nothing cuts it down
+        with pytest.raises(ConfigError, match="512 bins"):
+            mel_filterbank(np.ones(512), self.CFG, self.SR)
+
     def test_uses_power_spectrum(self):
         rng = np.random.default_rng(4)
-        mags = rng.uniform(0, 2, size=512)
+        mags = rng.uniform(0, 2, size=257)
         weights = mel_filter_weights(26, 512, self.SR, 0.0, self.SR / 2)
-        expected = weights @ (mags[:257] ** 2)
+        expected = weights @ (mags**2)
         np.testing.assert_allclose(
             mel_filterbank(mags, self.CFG, self.SR), expected, rtol=1e-12
         )
@@ -315,6 +321,58 @@ def test_one_sample_rate_per_call(rates):
     bufs = (AudioBuffer(np.full(800, 0.1), rate) for rate in rates)
     with pytest.raises(ConfigError, match="disagree on sample rate"):
         list(features.extract_all(bufs, FeatureConfig()))
+
+
+# a take shorter than one frame, word-length takes, and takes of more than
+# BLOCK_FRAMES frames at either rate
+TAKE_LENGTHS = st.one_of(
+    st.integers(0, 199), st.integers(200, 4000), st.integers(52_000, 60_000)
+)
+
+
+@settings(max_examples=30)
+@given(
+    lengths=st.lists(TAKE_LENGTHS, min_size=1, max_size=10),
+    rate=st.sampled_from([8000, 16000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reused_block_buffers_leave_no_stale_rows(lengths, rate, seed):
+    # extract_all writes every batch into the same padded buffer, windowed
+    # frames and power spectra, at the real BLOCK_FRAMES; a row left over
+    # from an earlier batch or block would change a take's features
+    rng = np.random.default_rng(seed)
+    bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n in lengths]
+    cfg = FeatureConfig()
+    batched = list(features.extract_all(iter(bufs), cfg))
+    assert len(batched) == len(bufs)
+    for buf, got in zip(bufs, batched):
+        np.testing.assert_array_equal(got.rows, extract(buf, cfg).rows)
+
+
+def test_concurrent_calls_share_no_buffers():
+    # analyze extracts both directions at once; each call owns its buffers
+    rng = np.random.default_rng(25)
+    lengths = rng.integers(100, 20_000, 60).tolist() + [60_000]
+    bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), 16000) for n in lengths]
+    cfg = FeatureConfig()
+    alone = [m.rows for m in features.extract_all(bufs, cfg)]
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(k):
+        start.wait(timeout=60)
+        results[k] = [m.rows for m in features.extract_all(bufs[k:] + bufs[:k], cfg)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    for k, rows in enumerate(results):
+        assert len(rows) == len(bufs)
+        for got, want in zip(rows, alone[k:] + alone[:k]):
+            np.testing.assert_array_equal(got, want)
 
 
 def extract_alone(buf, cfg):
@@ -489,6 +547,19 @@ class TestFrameSpec:
                 np.abs(spectra[i]), dft_magnitude(windowed, 512)[:257], rtol=1e-12, atol=1e-12
             )
 
+    @pytest.mark.parametrize("rows", [
+        slice(None), slice(3, 9), [0, 1, 2, 5, 6, 13, 14], [14, 13, 2, 2], [4],
+    ], ids=["all", "slice", "runs-to-the-padded-tail", "unordered", "one"])
+    def test_a_window_buffer_gives_the_gathered_spectra(self, rows):
+        # written run by run into the caller's buffer, bit for bit the
+        # gathered rows' spectra; the stale contents of the buffer do not leak
+        rng = np.random.default_rng(26)
+        frames = FrameSpec().segment(AudioBuffer(rng.standard_normal(3050), 16000))
+        assert len(frames) == 15  # the last frame runs past the end
+        expected = FrameSpec().spectra(frames, rows)
+        buffer = np.full((len(expected), 400), np.nan)
+        np.testing.assert_array_equal(FrameSpec().spectra(frames, rows, buffer), expected)
+
 
 def per_frame_overlap_add(spectra, frames, window_a, out_len):
     """Reference synthesis: one frame at a time, window-power normalized."""
@@ -579,13 +650,13 @@ class TestPerFrameFunctionsOnMatrices:
         frames = rng.standard_normal((5, 400))
         cfg = FeatureConfig()
         windowed = hamming_window(frames, 0.46)
-        mags = dft_magnitude(windowed, 512)
+        mags = dft_magnitude(windowed, 512)[:, :257]
         energies = mel_filterbank(mags, cfg, 16000)
         ceps = mfcc(energies, 13)
         assert ceps.shape == (5, 13)
         for i in range(5):
             np.testing.assert_array_equal(windowed[i], hamming_window(frames[i], 0.46))
-            np.testing.assert_array_equal(mags[i], dft_magnitude(windowed[i], 512))
+            np.testing.assert_array_equal(mags[i], dft_magnitude(windowed[i], 512)[:257])
             np.testing.assert_allclose(
                 energies[i], mel_filterbank(mags[i], cfg, 16000), rtol=1e-12
             )
@@ -610,15 +681,27 @@ class TestExtractComposition:
 
             monkeypatch.setattr(features, name, wrapper)
 
-        for name in ("hamming_window", "mel_filterbank", "mfcc"):
+        spectra = features.FrameSpec.spectra
+
+        def spectra_spy(self, *args):
+            out = spectra(self, *args)
+            calls.append(("spectra", out.shape))
+            return out
+
+        monkeypatch.setattr(features.FrameSpec, "spectra", spectra_spy)
+        for name in ("per_piece_product", "mfcc"):
             spy(name)
         rows = extract(buf, cfg).rows
         np.testing.assert_array_equal(rows, expected)
         num_frames = rows.shape[0]
-        # the spectrum is FrameSpec.spectra's half spectrum
+        # the window and spectrum are FrameSpec.spectra's, which writes the
+        # windowed frames into a buffer, so hamming_window is not called; the
+        # power spectrum is squared in place and takes mel_filterbank's
+        # product, then mfcc's
         assert calls == [
-            ("hamming_window", (num_frames, 400)),
-            ("mel_filterbank", (num_frames, 26)),
+            ("spectra", (num_frames, 257)),
+            ("per_piece_product", (num_frames, 26)),
+            ("per_piece_product", (num_frames, 13)),
             ("mfcc", (num_frames, 13)),
         ]
 
