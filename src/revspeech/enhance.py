@@ -75,15 +75,19 @@ class NoiseProfile:
             raise ValueError("frames_used must be >= 1")
 
 
-def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig) -> NoiseProfile:
-    energies = frame_energies(frames)
+def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig, energies=None) -> NoiseProfile:
+    """estimate_noise of the framed buffer; energies, if given, are frame_energies(frames)."""
+    if energies is None:
+        energies = frame_energies(frames)
     threshold = cfg.vad_energy_ratio * np.percentile(energies, 10)
     selected = np.flatnonzero(energies < threshold)
     if len(selected) == 0:
         selected = np.array([np.argmin(energies)])
+    parts = frame_blocks(0, len(selected))
+    windowed = cfg.frame.window_buffer(frames, parts[0].stop)  # the longest block
     half = sum(
-        np.abs(cfg.frame.spectra(frames, selected[part])).sum(axis=0)
-        for part in frame_blocks(0, len(selected))
+        np.abs(cfg.frame.spectra(frames, selected[p], windowed[: p.stop - p.start])).sum(axis=0)
+        for p in parts
     ) / len(selected)
     return NoiseProfile(half, len(selected))
 
@@ -98,20 +102,27 @@ def estimate_noise(buf: AudioBuffer, cfg: EnhanceConfig) -> NoiseProfile:
     return _noise_profile(cfg.frame.segment(buf), cfg)
 
 
-def subtract_magnitudes(
-    magnitudes: np.ndarray, noise: np.ndarray, alpha: float, beta: float
-) -> np.ndarray:
-    """Oversubtraction with a spectral floor: max(|Y| - alpha*n, beta*|Y|)."""
-    return np.maximum(magnitudes - alpha * noise, beta * magnitudes)
-
-
 def _subtracted(blocks: Iterator[np.ndarray], noise: np.ndarray, cfg: EnhanceConfig):
-    """Per-bin gain subtract_magnitudes(|Y|) / |Y|; a zero-magnitude bin gets gain 0."""
+    """Per-bin gain max(|Y| - alpha*n, beta*|Y|) / |Y|; a zero-magnitude bin gets gain 0.
+
+    The walk shapes each block in place: alpha*n is scaled once, and |Y|,
+    the floor beta*|Y| (then the subtracted magnitude) and the gain go into
+    buffers of the walk's own, made anew only for a block longer than any
+    before it (a denoising walk's first block is its longest).
+    """
+    scaled_noise = cfg.alpha * noise
+    buffers = np.empty((3, 0, len(noise)))
     for spectra in blocks:
-        magnitudes = np.abs(spectra)
-        enhanced = subtract_magnitudes(magnitudes, noise, cfg.alpha, cfg.beta)
-        gain = np.zeros_like(magnitudes)
-        spectra *= np.divide(enhanced, magnitudes, out=gain, where=magnitudes > 0)
+        if buffers.shape[1] < len(spectra):
+            buffers = np.empty((3,) + spectra.shape)
+        magnitudes, enhanced, gain = buffers[:, : len(spectra)]
+        np.abs(spectra, out=magnitudes)
+        np.multiply(magnitudes, cfg.beta, out=enhanced)
+        np.subtract(magnitudes, scaled_noise, out=gain)
+        np.maximum(gain, enhanced, out=enhanced)
+        gain.fill(0.0)
+        np.divide(enhanced, magnitudes, out=gain, where=magnitudes > 0)
+        spectra *= gain
         yield spectra
 
 
@@ -171,7 +182,8 @@ def _denoise(
     else:
         order, shape = np.flatnonzero(wanted), _subtracted
     parts = frame_blocks(0, len(order))
-    spectra = (spec.spectra(frames, order[p]) for p in parts)
+    windowed = spec.window_buffer(frames, parts[0].stop if parts else 0)  # the longest block
+    spectra = (spec.spectra(frames, order[p], windowed[: p.stop - p.start]) for p in parts)
     blocks = zip(parts, shape(spectra, noise.mean_magnitude, cfg))
     unreached = sorted(range(len(spans)), key=lambda k: ranges[k].start, reverse=True)
     sums = {}  # overlap-adds of the spans the walk has reached, by position in spans

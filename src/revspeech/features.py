@@ -24,6 +24,12 @@ from .audio import (
 from .errors import ConfigError
 
 ENERGY_FLOOR = 1e-10
+# FrameSpec.spectra gathers the rows it windows when they average fewer
+# consecutive frames per run than this, and windows the frames' views one run
+# at a time otherwise: on 256-row blocks of 400-sample frames each run costs
+# about 3.5 us, which a gather's copy repays below about 16 frames per run
+# (2-vCPU x86-64 host, numpy 2.4)
+GATHER_BELOW_RUN_FRAMES = 16
 
 
 @dataclass(frozen=True)
@@ -66,36 +72,51 @@ class FrameSpec:
         frame_len, hop = frame_geometry(self.frame_ms, self.overlap_fraction, buf.sample_rate_hz)
         return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
 
+    def window_buffer(self, frames: FrameSequence, rows: int) -> np.ndarray:
+        """A zeroed (rows, fft_size) buffer for spectra to window frames into."""
+        return np.zeros((rows, self.resolve_fft_size(frames.sample_rate_hz)))
+
     def spectra(self, frames: FrameSequence, rows=slice(None), windowed=None) -> np.ndarray:
         """Windowed half spectra (fft_size // 2 + 1 bins) of frames[rows].
 
         The one analysis transform; rows (a slice or an index array) picks a
-        block of frames. Given windowed, one row per frame picked, the frames'
-        read-only views are windowed into it one run of consecutive rows at a
-        time, gathering none. Without it the rows are gathered and windowed
-        afresh, which costs less for rows scattered in many short runs.
+        block of frames. windowed is a (rows picked, fft_size) buffer whose
+        columns from frame_len on are zero: each picked frame is windowed
+        into the first frame_len columns of its row, and the rest are never
+        written, so rfft takes the buffer as it stands instead of copying
+        every block into a zero-padded array of its own. A caller that walks
+        many blocks makes the buffer once (window_buffer) and passes a slice
+        of it per block; without one, a buffer is made for the call. The
+        frames' read-only views are windowed into it one run of consecutive
+        rows at a time, gathering none, unless the runs are short
+        (GATHER_BELOW_RUN_FRAMES): then the rows are gathered and windowed in
+        one multiplication.
         """
-        fft_size = self.resolve_fft_size(frames.sample_rate_hz)
+        window = hamming_coefficients(frames.frame_len, self.window_a)
+        picked = np.asarray(range(len(frames))[rows] if isinstance(rows, slice) else rows)
         if windowed is None:
-            windowed = hamming_window(frames[rows], self.window_a)
+            windowed = self.window_buffer(frames, len(picked))
+        head = windowed[:, : frames.frame_len]
+        firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
+        if len(picked) < GATHER_BELOW_RUN_FRAMES * len(firsts):
+            np.multiply(frames[picked], window, out=head)
         else:
-            window = hamming_coefficients(frames.frame_len, self.window_a)
-            picked = np.asarray(range(len(frames))[rows] if isinstance(rows, slice) else rows)
-            firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
             for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
                 run = frames[picked[lo] : picked[hi - 1] + 1]
-                np.multiply(run, window, out=windowed[lo:hi])
-        return np.fft.rfft(windowed, n=fft_size, axis=-1)
+                np.multiply(run, window, out=head[lo:hi])
+        return np.fft.rfft(windowed, axis=-1)
 
     def synthesize(self, spectra: np.ndarray, frames: FrameSequence) -> np.ndarray:
         """Frames back from a block of (modified) half spectra, windowed again.
 
         This is the one synthesis transform: each inverse DFT is cut to one
-        frame and multiplied by the analysis window.
+        frame and multiplied by the analysis window in place.
         """
         fft_size = self.resolve_fft_size(frames.sample_rate_hz)
         window = hamming_coefficients(frames.frame_len, self.window_a)
-        return np.fft.irfft(spectra, n=fft_size, axis=-1)[:, : frames.frame_len] * window
+        synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, : frames.frame_len]
+        synthesized *= window
+        return synthesized
 
 
 class OverlapAdd:
@@ -105,12 +126,16 @@ class OverlapAdd:
     in frame order, in blocks of any size; the whole buffer is the range
     (0, len(frames.samples)). So each sample sums its frames in frame order,
     and a range's samples equal the same samples of the whole buffer's.
-    samples() divides them by the summed window power wherever that is >= 1e-8.
+    samples() divides them by the summed window power wherever that is
+    >= 1e-8. Every row that all pieces of a frame reach has the same power,
+    which is built once per framing and window (_full_window_power), so all
+    those rows take one division; only the rows at the buffer's start and
+    past its last frame sum the power of the frames that reach them.
     """
 
     def __init__(self, spec: FrameSpec, frames: FrameSequence, lo: int, hi: int):
         self.frames, self.lo, self.hi = frames, lo, hi
-        self.window = hamming_coefficients(frames.frame_len, spec.window_a)
+        self.window_a = spec.window_a
         # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
         self.row_lo = lo // frames.hop
         self.rows = np.zeros((max(-(-hi // frames.hop), self.row_lo) - self.row_lo, frames.hop))
@@ -122,19 +147,49 @@ class OverlapAdd:
     def samples(self) -> np.ndarray:
         """The normalized samples, once every covering frame has been added."""
         frame_len, hop, num_frames = self.frames.frame_len, self.frames.hop, len(self.frames)
-        pieces = -(-frame_len // hop)
-        row_lo = self.row_lo
-        # the window power is the overlap-add of the squared window over the
-        # frames that reach each block of rows, added in frame order as above
-        squared = self.window * self.window
-        for part in frame_blocks(row_lo, row_lo + len(self.rows)):
-            first = max(part.start - pieces + 1, 0)
-            n = min(part.stop, num_frames) - first
-            power = np.zeros((part.stop - part.start, hop))
-            _overlap_add(power, np.broadcast_to(squared, (n, frame_len)), hop, first - part.start)
-            rows = self.rows[part.start - row_lo : part.stop - row_lo]
+        row_lo, row_hi = self.row_lo, self.row_lo + len(self.rows)
+        # rows pieces - 1 .. num_frames - 1 hold a piece of every frame
+        full_lo = min(max(-(-frame_len // hop) - 1, row_lo), row_hi)
+        full_hi = max(min(num_frames, row_hi), full_lo)
+        parts = [
+            (start, stop, _window_power(frame_len, hop, self.window_a, start, stop, num_frames))
+            for start, stop in ((row_lo, full_lo), (full_hi, row_hi))
+            if start < stop
+        ]
+        parts.append((full_lo, full_hi, _full_window_power(frame_len, hop, self.window_a)))
+        for start, stop, power in parts:
+            rows = self.rows[start - row_lo : stop - row_lo]
             np.divide(rows, power, out=rows, where=power >= 1e-8)
         return self.rows.reshape(-1)[self.lo - row_lo * hop : self.hi - row_lo * hop]
+
+
+def _window_power(
+    frame_len: int, hop: int, a: float, start: int, stop: int, num_frames: int
+) -> np.ndarray:
+    """Window power of overlap-add rows start .. stop - 1, shape (stop - start, hop).
+
+    The squared window overlap-added over the frames of num_frames that
+    reach those rows, in frame order, as OverlapAdd adds the frames.
+    """
+    window = hamming_coefficients(frame_len, a)
+    pieces = -(-frame_len // hop)
+    first = max(start - pieces + 1, 0)
+    reaching = np.broadcast_to(window * window, (min(stop, num_frames) - first, frame_len))
+    power = np.zeros((stop - start, hop))
+    _overlap_add(power, reaching, hop, first - start)
+    return power
+
+
+@functools.lru_cache(maxsize=32)
+def _full_window_power(frame_len: int, hop: int, a: float) -> np.ndarray:
+    """Window power (hop values) of a row that every piece of a frame reaches.
+
+    Built once per argument tuple; the shared result is read-only.
+    """
+    pieces = -(-frame_len // hop)
+    (power,) = _window_power(frame_len, hop, a, pieces - 1, pieces, pieces)
+    power.flags.writeable = False
+    return power
 
 
 def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int, offset: int) -> None:
@@ -257,12 +312,6 @@ def hamming_coefficients(n: int, a: float) -> np.ndarray:
         weights = (1.0 - a) - a * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     weights.flags.writeable = False
     return weights
-
-
-def hamming_window(frame: np.ndarray, a: float) -> np.ndarray:
-    """Apply the tapered window elementwise to each frame (last axis)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    return frame * hamming_coefficients(frame.shape[-1], a)
 
 
 def hz_to_mel(f: float) -> float:
@@ -409,14 +458,18 @@ def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[Fea
     is a ConfigError. Consecutive buffers with at most BLOCK_FRAMES frames
     in all make a batch (audio.frame_groups); a longer buffer is a batch of
     its own, run BLOCK_FRAMES frames at a time. Each piece of a batch is
-    pre-emphasized in its own slot of one zero-padded buffer, at a
-    hop-aligned offset far enough from the next that no frame holds samples
-    of two, so one framing gives every piece's frames. Each block of frames
-    then takes one window and rfft and one log10, and the batch one delta
-    computation clamped at each piece's edges. Matrix products run per piece
-    (per_piece_product), so every piece's rows equal extract of that piece
-    alone, bit for bit. Every batch writes its padded buffer, windowed frames
-    and power spectra into arrays of the call's own, made once and reused.
+    copied into its own slot of one zero-padded buffer, at a hop-aligned
+    offset far enough from the next that no frame holds samples of two, and
+    the whole buffer is pre-emphasized in one pass; the first zero after
+    each piece, the one sample the filter carries a piece into, is then set
+    back to zero. So one framing gives every piece's frames, each as if
+    pre-emphasized alone. Each block of frames then takes one window and
+    rfft and one log10, and the batch one delta computation clamped at each
+    piece's edges. Matrix products run per piece (per_piece_product), so
+    every piece's rows equal extract of that piece alone, bit for bit. Every
+    batch writes its padded buffer, windowed frames (fft_size columns, the
+    ones past the frame zero, as FrameSpec.spectra takes them) and power
+    spectra into arrays of the call's own, made once, zeroed, and reused.
     """
     rate = None
 
@@ -436,9 +489,9 @@ def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[Fea
 
 
 def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
-    """The first shape[0] rows of scratch[name], made anew only when it has fewer."""
+    """The first shape[0] rows of scratch[name], made anew, zeroed, only when it has fewer."""
     if len(scratch.get(name, ())) < shape[0]:
-        scratch[name] = np.empty(shape)
+        scratch[name] = np.zeros(shape)
     return scratch[name][: shape[0]]
 
 
@@ -447,6 +500,7 @@ def _extract_batch(
 ) -> list[FeatureMatrix]:
     sr = bufs[0].sample_rate_hz
     frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
+    fft_size = cfg.frame.resolve_fft_size(sr)
     counts = np.array([frame_count(len(buf.samples), frame_len, hop) for buf in bufs])
     # piece p's frames are rows starts[p] onward of the padded buffer's framing;
     # each piece is followed by at least one zero past its last frame's end
@@ -454,10 +508,14 @@ def _extract_batch(
     starts = np.concatenate(([0], np.cumsum(counts + gap)))
     padded = _reused(scratch, "padded", (starts[-1] * hop,))
     padded.fill(0.0)
-    for buf, offset in zip(bufs, starts * hop):
-        slot = padded[offset : offset + len(buf.samples)]
-        slot[:] = buf.samples
-        _preemphasize_in_place(slot, cfg.preemphasis_a)
+    ends = starts[:-1] * hop + [len(buf.samples) for buf in bufs]
+    for buf, end in zip(bufs, ends):
+        padded[end - len(buf.samples) : end] = buf.samples
+    # one pass filters every piece: a piece's first sample reads a zero of
+    # the gap before it, so it stays as it was, and of each gap only the
+    # first sample, which reads the piece's last, is set back to zero
+    _preemphasize_in_place(padded, cfg.preemphasis_a)
+    padded[ends] = 0.0
     frames = cfg.frame.segment(AudioBuffer(padded, sr))
 
     bounds = np.concatenate(([0], np.cumsum(counts)))  # piece edges among the rows
@@ -465,7 +523,7 @@ def _extract_batch(
     ceps = np.empty((bounds[-1], cfg.num_ceps))
     for part in frame_blocks(0, bounds[-1]):
         local = np.unique(np.clip(bounds, part.start, part.stop)) - part.start
-        windowed = _reused(scratch, "windowed", (part.stop - part.start, frame_len))
+        windowed = _reused(scratch, "windowed", (part.stop - part.start, fft_size))
         spectra = cfg.frame.spectra(frames, rows[part], windowed)
         power = np.abs(spectra, out=_reused(scratch, "power", spectra.shape))
         np.square(power, out=power)  # as ** 2, bit for bit

@@ -125,7 +125,25 @@ def logsumexp(values: np.ndarray) -> np.ndarray:
     return np.log(np.sum(_exp(values - peak[:, None]), axis=1)) + peak
 
 
-def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.ndarray:
+def density_constants(model: GmmModel) -> tuple:
+    """The terms of log_joint_densities that depend on the model alone.
+
+    A caller that scores many blocks against one model builds them once and
+    passes them to each call.
+    """
+    precisions = 1.0 / model.variances
+    dim = model.means.shape[1]
+    log_norm = -0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(model.variances), axis=1))
+    scaled_means = model.means * precisions
+    return (
+        log_norm, precisions, scaled_means, np.sum(model.means * scaled_means, axis=1),
+        np.log(model.weights),
+    )
+
+
+def log_joint_densities(
+    model: GmmModel, rows: np.ndarray, bounds=None, constants=None
+) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components).
 
     Classification, EM's log-likelihoods and its memberships all score here.
@@ -133,21 +151,22 @@ def log_joint_densities(model: GmmModel, rows: np.ndarray, bounds=None) -> np.nd
     P = 1/variance: sum (x-mu)^2 P = x^2 . P - 2 x . (mu P) + sum mu^2 P.
     bounds splits the rows of stacked pieces for the two products
     (features.per_piece_product), so each piece's densities equal its
-    densities computed alone.
+    densities computed alone. constants are density_constants(model),
+    built here when not given.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     dim = x.shape[1]
     if model.means.shape[1] != dim:
         raise ValueError(f"feature dim {dim} does not match model dim {model.means.shape[1]}")
-    precisions = 1.0 / model.variances
-    log_norm = -0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(model.variances), axis=1))
-    scaled_means = model.means * precisions
+    log_norm, precisions, scaled_means, mean_term, log_weights = (
+        constants or density_constants(model)
+    )
     mahal = (
         per_piece_product(x * x, precisions, bounds)
         - 2.0 * per_piece_product(x, scaled_means, bounds)
-        + np.sum(model.means * scaled_means, axis=1)
+        + mean_term
     )
-    return log_norm - 0.5 * mahal + np.log(model.weights)
+    return log_norm - 0.5 * mahal + log_weights
 
 
 def _e_step(model: GmmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, frame_energies, frame_groups, reverse
-from .enhance import EnhanceConfig, denoise_spans
+from .audio import (
+    AudioBuffer,
+    FrameSequence,
+    frame_energies,
+    frame_geometry,
+    frame_groups,
+    reverse,
+)
+from .enhance import EnhanceConfig, _denoise, _noise_profile
 from .errors import (
     ConfigError,
     FingerprintMismatchError,
@@ -20,7 +27,7 @@ from .errors import (
     VocabularyError,
 )
 from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract_all
-from .gmm import GmmModel, log_joint_densities, logsumexp
+from .gmm import GmmModel, density_constants, log_joint_densities, logsumexp
 
 DIRECTIONS = ("forward", "reverse")
 
@@ -113,12 +120,14 @@ def classify_segments(
     """classify_segment of each feature matrix in turn, a batch at a time.
 
     Consecutive matrices with at most BLOCK_FRAMES frames in all make a batch
-    (audio.frame_groups). Each model's density constants are built once per
-    batch, its products run per segment (features.per_piece_product), one
-    logsumexp covers the batch's rows, and each segment sums its own frames,
-    so every result equals the segment scored alone.
+    (audio.frame_groups). Each model's density constants
+    (gmm.density_constants) are built once per call, its products run per
+    segment (features.per_piece_product), one logsumexp covers the batch's
+    rows, and each segment sums its own frames, so every result equals the
+    segment scored alone.
     """
     dim = next(iter(vocab.entries.values())).dim
+    constants = {label: density_constants(model) for label, model in vocab.entries.items()}
     for batch in frame_groups(features, lambda matrix: matrix.num_frames):
         for matrix in batch:
             if matrix.num_frames == 0:
@@ -136,7 +145,7 @@ def classify_segments(
         bounds = np.cumsum([0] + [matrix.num_frames for matrix in batch])
         totals = {}
         for label, model in vocab.entries.items():
-            frame_ll = logsumexp(log_joint_densities(model, rows, bounds))
+            frame_ll = logsumexp(log_joint_densities(model, rows, bounds, constants[label]))
             totals[label] = [np.sum(frame_ll[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         for k, matrix in enumerate(batch):
             scores = {label: float(total[k]) / matrix.num_frames for label, total in totals.items()}
@@ -160,9 +169,16 @@ def segment_utterances(
             no region stands out from the rest.
     """
     cfg = cfg or EndpointConfig()
-    whole = [(0.0, buf.duration_s)]
     frames = FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
-    energies = frame_energies(frames)
+    return _find_regions(frames, frame_energies(frames), cfg)
+
+
+def _find_regions(
+    frames: FrameSequence, energies: np.ndarray, cfg: EndpointConfig
+) -> list[tuple[float, float]]:
+    """segment_utterances of the framed buffer, from its frame_energies."""
+    num_samples, sr = len(frames.samples), frames.sample_rate_hz
+    whole = [(0.0, num_samples / sr)]
     if energies.min() == energies.max():
         raise InsufficientDataError(
             f"all {len(energies)} endpoint frames of the recording have the same "
@@ -188,11 +204,10 @@ def segment_utterances(
     if not np.any(kept_runs):
         return whole
 
-    sr = buf.sample_rate_hz
     hop, frame_len = frames.hop, frames.frame_len
     lo, hi = loud[first[kept_runs]], loud[stop[kept_runs] - 1]
     starts_s = (lo * hop / sr).tolist()
-    ends_s = (np.minimum(hi * hop + frame_len, len(buf.samples)) / sr).tolist()
+    ends_s = (np.minimum(hi * hop + frame_len, num_samples) / sr).tolist()
     regions = list(zip(starts_s, ends_s))
 
     merged = [regions[0]]
@@ -224,6 +239,10 @@ def transcribe(
     block of frames at a time, so the input samples are the only
     full-length array held. Each region's result equals extract and
     classify_segment on its slice of the whole recording's enhancement.
+    When endpointing and enhancement cut frames of the same length and hop
+    (as they do by default), one framing and one pass of frame energies
+    serve both endpointing and the noise selection; otherwise each frames
+    the recording and takes its energies itself.
 
     Safe to call from several threads at once (analyze runs one per
     direction): it writes only arrays it creates, and only reads what calls
@@ -236,17 +255,27 @@ def transcribe(
         raise InsufficientDataError("recording has no samples to transcribe")
     enhance_cfg = enhance_cfg or EnhanceConfig()
     feature_cfg = feature_cfg or FeatureConfig()
+    endpoint_cfg = endpoint_cfg or EndpointConfig()
 
     sr = buf.sample_rate_hz
     work = reverse(buf) if direction == "reverse" else buf
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
-    regions = segment_utterances(work, endpoint_cfg)
+    frames = FrameSpec(endpoint_cfg.frame_ms, endpoint_cfg.overlap_fraction).segment(work)
+    energies = frame_energies(frames)
+    regions = _find_regions(frames, energies, endpoint_cfg)
     spans = [(int(start_s * sr + 0.5), int(end_s * sr + 0.5)) for start_s, end_s in regions]
+    # noise selection reuses the endpoint frames and energies when both frame alike
+    geometry = frame_geometry(enhance_cfg.frame_ms, enhance_cfg.overlap_fraction, sr)
+    if geometry != (frames.frame_len, frames.hop):
+        frames = enhance_cfg.frame.segment(work)
+        energies = frame_energies(frames)
+    profile = _noise_profile(frames, enhance_cfg, energies)
 
     # each stage takes its input a block of frames at a time and yields per
     # region, so only a block's regions are held between stages
-    cleaned = (AudioBuffer(piece, sr) for piece in denoise_spans(work, enhance_cfg, spans))
+    pieces = _denoise(frames, profile, enhance_cfg, spans)
+    cleaned = (AudioBuffer(piece, sr) for piece in pieces)
     results = classify_segments(extract_all(cleaned, feature_cfg), vocab)
     segments = [
         SegmentHypothesis(start_s, end_s, label, score, margin, direction)

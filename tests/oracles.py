@@ -11,10 +11,45 @@ def dft_magnitude(frame: np.ndarray, fft_size: int) -> np.ndarray:
     return np.abs(np.fft.fft(frame, n=fft_size, axis=-1))
 
 
+def hamming_window(frame: np.ndarray, a: float) -> np.ndarray:
+    """Each frame (last axis) times w(k) = (1-a) - a*cos(2*pi*k/(n-1)), k = 0..n-1."""
+    frame = np.asarray(frame, dtype=np.float64)
+    n = frame.shape[-1]
+    if n == 1:
+        return frame * (1.0 - 2.0 * a)
+    return frame * ((1.0 - a) - a * np.cos(2.0 * np.pi * np.arange(n) / (n - 1)))
+
+
+def overlap_add_normalized(rows, row_lo, window, hop, num_frames):
+    """Overlap-add rows (hop samples each, from row row_lo on) divided by the window power.
+
+    Row r sums, in frame order, the hop-long piece of the squared window of
+    every frame i that reaches it (max(r - pieces + 1, 0) <= i <= r, i below
+    num_frames), one row at a time; rows whose power is below 1e-8 are left
+    as they are.
+    """
+    squared = window * window
+    pieces = -(-len(window) // hop)
+    power = np.zeros(rows.shape)
+    for j in range(len(rows)):
+        r = row_lo + j
+        for i in range(max(r - pieces + 1, 0), min(r + 1, num_frames)):
+            piece = squared[(r - i) * hop : (r - i + 1) * hop]
+            power[j, : len(piece)] += piece
+    return np.divide(rows, power, out=rows.copy(), where=power >= 1e-8)
+
+
+def subtract_magnitudes(
+    magnitudes: np.ndarray, noise: np.ndarray, alpha: float, beta: float
+) -> np.ndarray:
+    """Oversubtraction with a spectral floor: max(|Y| - alpha*n, beta*|Y|)."""
+    return np.maximum(magnitudes - alpha * noise, beta * magnitudes)
+
+
 def subtraction_shaped(spectra: np.ndarray, noise: np.ndarray, alpha: float, beta: float):
     """Spectra scaled by max(|Y| - alpha*n, beta*|Y|) / |Y|, masking zero magnitudes to gain 0."""
     magnitudes = np.abs(spectra)
-    enhanced = np.maximum(magnitudes - alpha * noise, beta * magnitudes)
+    enhanced = subtract_magnitudes(magnitudes, noise, alpha, beta)
     positive = magnitudes > 0
     shaped = spectra.copy()
     shaped *= np.where(positive, enhanced / np.where(positive, magnitudes, 1.0), 0.0)

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import SR, segmental_snr, tone, white_noise
-from oracles import subtraction_shaped, wiener_shaped
+from oracles import subtract_magnitudes, subtraction_shaped, wiener_shaped
 from revspeech import (
     AudioBuffer,
     EnhanceConfig,
@@ -26,7 +26,6 @@ from revspeech.enhance import (
     _subtracted,
     _wiener,
     denoise_spans,
-    subtract_magnitudes,
 )
 from revspeech.errors import ConfigError
 from revspeech.features import hamming_coefficients
@@ -427,6 +426,25 @@ class TestSpans:
         assert len(pieces) == len(bounds)
         for (lo, hi), piece in zip(bounds, pieces):
             np.testing.assert_array_equal(piece, whole.samples[lo:hi])
+
+    @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
+    def test_a_full_first_block_and_a_short_last_block(self, method):
+        # at the real BLOCK_FRAMES the walk makes its window, magnitude, floor
+        # and gain buffers at its first, full block and reuses them for the
+        # short last one, so a row left over from the first would show
+        rng = np.random.default_rng(27)
+        buf = AudioBuffer(white_noise(rng, 4.0, sigma=0.02), SR)
+        buf.samples[SR : 2 * SR] += tone(700.0, 1.0)
+        cfg = EnhanceConfig(method=method)
+        frames = cfg.frame.segment(buf)
+        spans = [(44_000, 60_000), (0, 40_000)]
+        covering = [frames.covering(lo, hi) for lo, hi in spans]
+        walked = (max(r.stop for r in covering) if method == "wiener"
+                  else sum(len(range(len(frames))[r]) for r in covering))
+        assert audio.BLOCK_FRAMES < walked < 2 * audio.BLOCK_FRAMES
+        whole, _ = estimate_and_denoise(buf, cfg)
+        for (lo, hi), piece in zip(spans, denoise_spans(buf, cfg, spans)):
+            assert piece.tobytes() == whole.samples[lo:hi].tobytes()
 
     @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
     def test_walks_each_frame_once(self, transform_counts, method):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dft_magnitude
+from oracles import dft_magnitude, hamming_window, overlap_add_normalized
 from revspeech import AudioBuffer, FeatureConfig, extract, reverse
 from revspeech import audio, features
 from revspeech.errors import ConfigError
@@ -18,7 +18,6 @@ from revspeech.features import (
     OverlapAdd,
     delta_features,
     hamming_coefficients,
-    hamming_window,
     hz_to_mel,
     mel_filter_weights,
     mel_filterbank,
@@ -336,6 +335,10 @@ TAKE_LENGTHS = st.one_of(
     rate=st.sampled_from([8000, 16000]),
     seed=st.integers(0, 2**32 - 1),
 )
+# pieces that end exactly at a block edge at 16 kHz: 100 + 156 frames fill a
+# batch, then 512 and 256 frames are two blocks and one
+@example(lengths=[20_200, 31_400, 4_000], rate=16000, seed=0)
+@example(lengths=[102_600, 51_400, 20_200, 31_400, 150], rate=16000, seed=1)
 def test_reused_block_buffers_leave_no_stale_rows(lengths, rate, seed):
     # extract_all writes every batch into the same padded buffer, windowed
     # frames and power spectra, at the real BLOCK_FRAMES; a row left over
@@ -551,14 +554,20 @@ class TestFrameSpec:
         slice(None), slice(3, 9), [0, 1, 2, 5, 6, 13, 14], [14, 13, 2, 2], [4],
     ], ids=["all", "slice", "runs-to-the-padded-tail", "unordered", "one"])
     def test_a_window_buffer_gives_the_gathered_spectra(self, rows):
-        # written run by run into the caller's buffer, bit for bit the
-        # gathered rows' spectra; the stale contents of the buffer do not leak
+        # windowed into the caller's (rows, fft_size) buffer and transformed
+        # as it stands, bit for bit the gathered rows windowed and zero-padded
+        # by rfft; stale windowed frames do not leak into the next call, and
+        # the columns past the frame are still zero after each call
         rng = np.random.default_rng(26)
         frames = FrameSpec().segment(AudioBuffer(rng.standard_normal(3050), 16000))
         assert len(frames) == 15  # the last frame runs past the end
-        expected = FrameSpec().spectra(frames, rows)
-        buffer = np.full((len(expected), 400), np.nan)
-        np.testing.assert_array_equal(FrameSpec().spectra(frames, rows, buffer), expected)
+        expected = np.fft.rfft(hamming_window(frames[rows], 0.46), n=512, axis=-1)
+        buffer = np.zeros((len(expected), 512))
+        buffer[:, :400] = np.nan
+        for _ in range(2):
+            np.testing.assert_array_equal(FrameSpec().spectra(frames, rows, buffer), expected)
+            assert not buffer[:, 400:].any()
+        np.testing.assert_array_equal(FrameSpec().spectra(frames, rows), expected)
 
 
 def per_frame_overlap_add(spectra, frames, window_a, out_len):
@@ -640,6 +649,48 @@ def test_istft_matches_a_per_frame_overlap_add(
         patch.setattr(audio, "BLOCK_FRAMES", block)
         ranged = istft(blocks, lo, hi)
     np.testing.assert_array_equal(ranged, expected[lo:hi])
+
+
+@given(
+    num_samples=st.integers(1, 3000),
+    frame_ms=st.floats(0.5, 30.0),
+    overlap=st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.75]),
+    where=st.sampled_from(["start", "interior", "end", "under-a-hop"]),
+    span=st.tuples(st.integers(0, 3000), st.integers(0, 3000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# frame_len 200, hop 140 at 0.3, 80 at 0.6, 50 at 0.75: no hop divides the frame
+@example(num_samples=2950, frame_ms=25.0, overlap=0.3, where="end", span=(1000, 0), seed=0)
+@example(num_samples=2950, frame_ms=25.0, overlap=0.6, where="start", span=(0, 1999), seed=1)
+@example(num_samples=2950, frame_ms=25.0, overlap=0.75, where="interior", span=(700, 1400),
+         seed=2)
+@example(num_samples=2950, frame_ms=25.0, overlap=0.75, where="under-a-hop", span=(2910, 3),
+         seed=3)
+def test_normalizing_with_the_shared_window_power_matches_each_row_alone(
+    num_samples, frame_ms, overlap, where, span, seed
+):
+    # the rows every piece of a frame reaches divide by one cached power; the
+    # rows the first frames reach and those past the last frame sum their own
+    rng = np.random.default_rng(seed)
+    spec = FrameSpec(frame_ms, overlap)
+    frames = spec.segment(AudioBuffer(np.zeros(num_samples), 8000))
+    hop = frames.hop
+    lo, hi = span[0] % num_samples, span[1]
+    if where == "start":
+        lo, hi = 0, 1 + hi % num_samples
+    elif where == "end":
+        hi = num_samples
+    elif where == "under-a-hop":
+        hi = min(lo + 1 + hi % hop, num_samples)
+    else:
+        hi = lo + 1 + hi % (num_samples - lo)
+    acc = OverlapAdd(spec, frames, lo, hi)
+    acc.rows[:] = rng.uniform(-1.0, 1.0, acc.rows.shape)
+    window = hamming_coefficients(frames.frame_len, spec.window_a)
+    expected = overlap_add_normalized(acc.rows, acc.row_lo, window, hop, len(frames))
+    offset = acc.row_lo * hop
+    got = acc.samples()
+    assert got.tobytes() == expected.reshape(-1)[lo - offset : hi - offset].tobytes()
 
 
 class TestPerFrameFunctionsOnMatrices:

@@ -378,25 +378,48 @@ class TestTranscribe:
             sys.setswitchinterval(interval)
         assert results == [expected[d] for d in jobs]
 
-    def test_one_stft_per_direction(self, fixture_vocabulary, fixture_session, transform_counts):
-        self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,
-                                    "spectral_subtraction")
-
-    def test_wiener_walks_to_the_last_region_once(
-        self, fixture_vocabulary, fixture_session, transform_counts
+    def test_one_stft_per_direction(
+        self, fixture_vocabulary, fixture_session, transform_counts, monkeypatch
     ):
         self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,
-                                    "wiener")
+                                    monkeypatch, "spectral_subtraction", 25.0)
+
+    def test_endpoints_framed_apart_take_their_own_energies(
+        self, fixture_vocabulary, fixture_session, transform_counts, monkeypatch
+    ):
+        self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,
+                                    monkeypatch, "spectral_subtraction", 20.0)
+
+    def test_wiener_walks_to_the_last_region_once(
+        self, fixture_vocabulary, fixture_session, transform_counts, monkeypatch
+    ):
+        self.check_transform_counts(fixture_vocabulary, fixture_session, transform_counts,
+                                    monkeypatch, "wiener", 25.0)
 
     @staticmethod
-    def check_transform_counts(fixture_vocabulary, fixture_session, transform_counts, method):
-        # endpointing and enhancement each frame each direction once, and
-        # enhancement analyzes the noise frames once for the profile; each
-        # frame that covers a region is analyzed and resynthesized once per
-        # region it covers, except that the Wiener recursion analyzes every
-        # frame up to the last region frame once
+    def check_transform_counts(
+        fixture_vocabulary, fixture_session, transform_counts, monkeypatch, method, endpoint_ms
+    ):
+        # endpointing and noise selection share one framing and one pass of
+        # frame energies per direction when they frame alike, and take one
+        # each otherwise; enhancement analyzes the noise frames once for the
+        # profile; each frame that covers a region is analyzed and
+        # resynthesized once per region it covers, except that the Wiener
+        # recursion analyzes every frame up to the last region frame once
+        from revspeech import enhance, recognizer
+
+        energy_passes = []
+
+        def counting_energies(frames):
+            energy_passes.append(len(frames))
+            return audio.frame_energies(frames)
+
+        for module in (enhance, recognizer):
+            monkeypatch.setattr(module, "frame_energies", counting_energies)
         buf, _ = fixture_session
         cfg = EnhanceConfig(method=method)
+        endpoint_cfg = EndpointConfig(frame_ms=endpoint_ms)
+        passes = 1 if endpoint_ms == cfg.frame_ms else 2
         for direction in ("forward", "reverse"):
             work = reverse(buf) if direction == "reverse" else buf
             frames = cfg.frame.segment(work)
@@ -404,17 +427,19 @@ class TestTranscribe:
             covering = [
                 np.flatnonzero((starts < int(hi * SR + 0.5))
                                & (starts + frames.frame_len > int(lo * SR + 0.5)))
-                for lo, hi in segment_utterances(work)
+                for lo, hi in segment_utterances(work, endpoint_cfg)
             ]
             region_frames = sum(len(c) for c in covering)
             walked = covering[-1][-1] + 1 if method == "wiener" else region_frames
             frames_used = estimate_noise(work, cfg).frames_used
             transform_counts.clear()
-            transcribe(buf, fixture_vocabulary, direction, cfg)
+            energy_passes.clear()
+            transcribe(buf, fixture_vocabulary, direction, cfg, endpoint_cfg=endpoint_cfg)
             assert transform_counts[len(buf.samples)] == {
-                "framings": 2, "analyzed": frames_used + walked,
+                "framings": passes, "analyzed": frames_used + walked,
                 "synthesized": region_frames,
             }
+            assert len(energy_passes) == passes
             assert region_frames < len(frames)
 
     @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
