@@ -228,14 +228,19 @@ def estimate_and_denoise(
 
 
 def denoise_spans(
-    buf: AudioBuffer, cfg: EnhanceConfig, spans: Sequence[tuple[int, int]]
+    frames: FrameSequence,
+    cfg: EnhanceConfig,
+    spans: Sequence[tuple[int, int]],
+    energies: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The cleaned samples lo .. hi - 1 of each span, one span at a time.
 
-    The noise profile comes from the whole buffer at the call; each span's
-    samples then equal estimate_and_denoise(buf, cfg)[0].samples[lo:hi]
-    exactly, but the silence between spans is never resynthesized and no
-    full-length output is held.
+    frames is cfg.frame.segment(buf) of the buffer to clean; energies, if
+    given, are frame_energies(frames), as a caller that has already taken
+    them passes them on. The noise profile comes from the whole buffer at
+    the call; each span's samples then equal
+    estimate_and_denoise(buf, cfg)[0].samples[lo:hi] exactly, but the
+    silence between spans is never resynthesized and no full-length output
+    is held.
     """
-    frames = cfg.frame.segment(buf)
-    return _denoise(frames, _noise_profile(frames, cfg), cfg, spans)
+    return _denoise(frames, _noise_profile(frames, cfg, energies), cfg, spans)

@@ -24,12 +24,6 @@ from .audio import (
 from .errors import ConfigError
 
 ENERGY_FLOOR = 1e-10
-# FrameSpec.spectra gathers the rows it windows when they average fewer
-# consecutive frames per run than this, and windows the frames' views one run
-# at a time otherwise: on 256-row blocks of 400-sample frames each run costs
-# about 3.5 us, which a gather's copy repays below about 16 frames per run
-# (2-vCPU x86-64 host, numpy 2.4)
-GATHER_BELOW_RUN_FRAMES = 16
 
 
 @dataclass(frozen=True)
@@ -88,9 +82,7 @@ class FrameSpec:
         many blocks makes the buffer once (window_buffer) and passes a slice
         of it per block; without one, a buffer is made for the call. The
         frames' read-only views are windowed into it one run of consecutive
-        rows at a time, gathering none, unless the runs are short
-        (GATHER_BELOW_RUN_FRAMES): then the rows are gathered and windowed in
-        one multiplication.
+        rows at a time, gathering none.
         """
         window = hamming_coefficients(frames.frame_len, self.window_a)
         picked = np.asarray(range(len(frames))[rows] if isinstance(rows, slice) else rows)
@@ -98,12 +90,9 @@ class FrameSpec:
             windowed = self.window_buffer(frames, len(picked))
         head = windowed[:, : frames.frame_len]
         firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
-        if len(picked) < GATHER_BELOW_RUN_FRAMES * len(firsts):
-            np.multiply(frames[picked], window, out=head)
-        else:
-            for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
-                run = frames[picked[lo] : picked[hi - 1] + 1]
-                np.multiply(run, window, out=head[lo:hi])
+        for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
+            run = frames[picked[lo] : picked[hi - 1] + 1]
+            np.multiply(run, window, out=head[lo:hi])
         return np.fft.rfft(windowed, axis=-1)
 
     def synthesize(self, spectra: np.ndarray, frames: FrameSequence) -> np.ndarray:

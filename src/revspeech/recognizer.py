@@ -15,11 +15,10 @@ from .audio import (
     AudioBuffer,
     FrameSequence,
     frame_energies,
-    frame_geometry,
     frame_groups,
     reverse,
 )
-from .enhance import EnhanceConfig, _denoise, _noise_profile
+from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
     FingerprintMismatchError,
@@ -239,10 +238,10 @@ def transcribe(
     block of frames at a time, so the input samples are the only
     full-length array held. Each region's result equals extract and
     classify_segment on its slice of the whole recording's enhancement.
-    When endpointing and enhancement cut frames of the same length and hop
-    (as they do by default), one framing and one pass of frame energies
-    serve both endpointing and the noise selection; otherwise each frames
-    the recording and takes its energies itself.
+    Endpointing and enhancement each frame the recording; when their frames
+    have the same length and hop (as they do by default), the one pass of
+    frame energies that endpointing takes also selects the noise frames
+    (enhance.denoise_spans), and otherwise enhancement takes its own.
 
     Safe to call from several threads at once (analyze runs one per
     direction): it writes only arrays it creates, and only reads what calls
@@ -261,20 +260,18 @@ def transcribe(
     work = reverse(buf) if direction == "reverse" else buf
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
-    frames = FrameSpec(endpoint_cfg.frame_ms, endpoint_cfg.overlap_fraction).segment(work)
-    energies = frame_energies(frames)
-    regions = _find_regions(frames, energies, endpoint_cfg)
+    endpoint_spec = FrameSpec(endpoint_cfg.frame_ms, endpoint_cfg.overlap_fraction)
+    endpoint_frames = endpoint_spec.segment(work)
+    energies = frame_energies(endpoint_frames)
+    regions = _find_regions(endpoint_frames, energies, endpoint_cfg)
     spans = [(int(start_s * sr + 0.5), int(end_s * sr + 0.5)) for start_s, end_s in regions]
-    # noise selection reuses the endpoint frames and energies when both frame alike
-    geometry = frame_geometry(enhance_cfg.frame_ms, enhance_cfg.overlap_fraction, sr)
-    if geometry != (frames.frame_len, frames.hop):
-        frames = enhance_cfg.frame.segment(work)
-        energies = frame_energies(frames)
-    profile = _noise_profile(frames, enhance_cfg, energies)
+    frames = enhance_cfg.frame.segment(work)
+    # noise selection reuses the endpoint energies when both frame alike
+    alike = (frames.frame_len, frames.hop) == (endpoint_frames.frame_len, endpoint_frames.hop)
 
     # each stage takes its input a block of frames at a time and yields per
     # region, so only a block's regions are held between stages
-    pieces = _denoise(frames, profile, enhance_cfg, spans)
+    pieces = denoise_spans(frames, enhance_cfg, spans, energies if alike else None)
     cleaned = (AudioBuffer(piece, sr) for piece in pieces)
     results = classify_segments(extract_all(cleaned, feature_cfg), vocab)
     segments = [

@@ -422,7 +422,7 @@ class TestSpans:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(audio, "BLOCK_FRAMES", block)
             whole, _ = estimate_and_denoise(buf, cfg)
-            pieces = list(denoise_spans(buf, cfg, bounds))
+            pieces = list(denoise_spans(cfg.frame.segment(buf), cfg, bounds))
         assert len(pieces) == len(bounds)
         for (lo, hi), piece in zip(bounds, pieces):
             np.testing.assert_array_equal(piece, whole.samples[lo:hi])
@@ -443,8 +443,9 @@ class TestSpans:
                   else sum(len(range(len(frames))[r]) for r in covering))
         assert audio.BLOCK_FRAMES < walked < 2 * audio.BLOCK_FRAMES
         whole, _ = estimate_and_denoise(buf, cfg)
-        for (lo, hi), piece in zip(spans, denoise_spans(buf, cfg, spans)):
-            assert piece.tobytes() == whole.samples[lo:hi].tobytes()
+        for energies in (None, frame_energies(frames)):
+            for (lo, hi), piece in zip(spans, denoise_spans(frames, cfg, spans, energies)):
+                assert piece.tobytes() == whole.samples[lo:hi].tobytes()
 
     @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
     def test_walks_each_frame_once(self, transform_counts, method):
@@ -458,7 +459,7 @@ class TestSpans:
         spans = [(5000, 6000), (1000, 2000), (1900, 2100), (7000, 7001)]
         frames_used = estimate_noise(buf, cfg).frames_used
         transform_counts.clear()
-        list(denoise_spans(buf, cfg, spans))
+        list(denoise_spans(cfg.frame.segment(buf), cfg, spans))
         covering = [frames.covering(lo, hi) for lo, hi in spans]
         union = len(set().union(*(range(r.start, r.stop) for r in covering)))
         walked = max(r.stop for r in covering) if method == "wiener" else union

@@ -550,17 +550,28 @@ class TestFrameSpec:
                 np.abs(spectra[i]), dft_magnitude(windowed, 512)[:257], rtol=1e-12, atol=1e-12
             )
 
-    @pytest.mark.parametrize("rows", [
-        slice(None), slice(3, 9), [0, 1, 2, 5, 6, 13, 14], [14, 13, 2, 2], [4],
-    ], ids=["all", "slice", "runs-to-the-padded-tail", "unordered", "one"])
-    def test_a_window_buffer_gives_the_gathered_spectra(self, rows):
-        # windowed into the caller's (rows, fft_size) buffer and transformed
-        # as it stands, bit for bit the gathered rows windowed and zero-padded
-        # by rfft; stale windowed frames do not leak into the next call, and
-        # the columns past the frame are still zero after each call
+    @pytest.mark.parametrize("num_frames, rows", [
+        (15, slice(None)),
+        (15, slice(3, 9)),
+        (15, [0, 1, 2, 5, 6, 13, 14]),
+        (15, [14, 13, 2, 2]),
+        (15, [4]),
+        (60, slice(None)),
+        (60, list(range(2, 22)) + list(range(35, 60))),
+        (60, list(range(0, 15)) + list(range(44, 60))),
+        (60, list(range(59, 40, -1)) + list(range(5, 25))),
+    ], ids=["all", "slice", "runs-to-the-padded-tail", "unordered", "one", "long-all",
+            "long-runs-to-the-padded-tail", "runs-of-15-and-16", "long-reversed-run"])
+    def test_a_window_buffer_gives_the_gathered_spectra(self, num_frames, rows):
+        # windowed run by run into the caller's (rows, fft_size) buffer and
+        # transformed as it stands, bit for bit the gathered rows windowed
+        # and zero-padded by rfft, for short and long runs alike; stale
+        # windowed frames do not leak into the next call, and the columns
+        # past the frame are still zero after each call
         rng = np.random.default_rng(26)
-        frames = FrameSpec().segment(AudioBuffer(rng.standard_normal(3050), 16000))
-        assert len(frames) == 15  # the last frame runs past the end
+        samples = rng.standard_normal((num_frames - 1) * 200 + 250)
+        frames = FrameSpec().segment(AudioBuffer(samples, 16000))
+        assert len(frames) == num_frames  # the last frame runs past the end
         expected = np.fft.rfft(hamming_window(frames[rows], 0.46), n=512, axis=-1)
         buffer = np.zeros((len(expected), 512))
         buffer[:, :400] = np.nan

@@ -400,12 +400,13 @@ class TestTranscribe:
     def check_transform_counts(
         fixture_vocabulary, fixture_session, transform_counts, monkeypatch, method, endpoint_ms
     ):
-        # endpointing and noise selection share one framing and one pass of
-        # frame energies per direction when they frame alike, and take one
-        # each otherwise; enhancement analyzes the noise frames once for the
-        # profile; each frame that covers a region is analyzed and
-        # resynthesized once per region it covers, except that the Wiener
-        # recursion analyzes every frame up to the last region frame once
+        # endpointing and enhancement frame the recording once each per
+        # direction, and share one pass of frame energies when they frame
+        # alike, taking one each otherwise; enhancement analyzes the noise
+        # frames once for the profile; each frame that covers a region is
+        # analyzed and resynthesized once per region it covers, except that
+        # the Wiener recursion analyzes every frame up to the last region
+        # frame once
         from revspeech import enhance, recognizer
 
         energy_passes = []
@@ -436,7 +437,7 @@ class TestTranscribe:
             energy_passes.clear()
             transcribe(buf, fixture_vocabulary, direction, cfg, endpoint_cfg=endpoint_cfg)
             assert transform_counts[len(buf.samples)] == {
-                "framings": passes, "analyzed": frames_used + walked,
+                "framings": 2, "analyzed": frames_used + walked,
                 "synthesized": region_frames,
             }
             assert len(energy_passes) == passes
