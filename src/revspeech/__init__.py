@@ -6,7 +6,7 @@ models, and assembles a requirements report that pairs forward transcripts
 with reversed-audio transcripts and flags inconsistencies.
 """
 
-from .audio import AudioBuffer, FrameSequence, read_wav, reverse, write_wav
+from .audio import AudioBuffer, read_wav, reverse, write_wav
 from .enhance import EnhanceConfig, NoiseProfile, denoise, estimate_and_denoise, estimate_noise
 from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract
 from .gmm import GmmModel, TrainingReport, load_model, save_model, train
@@ -37,7 +37,6 @@ __all__ = [
     "EnhanceConfig",
     "FeatureConfig",
     "FeatureMatrix",
-    "FrameSequence",
     "FrameSpec",
     "GmmModel",
     "Lexicon",

@@ -44,29 +44,26 @@ class AudioBuffer:
 class FrameSequence:
     """Fixed-length windows cut from samples; frame i starts at sample i*hop.
 
+    FrameSpec.segment builds these; num_samples is the length of the samples
+    cut. run(lo, hi) reads frames lo .. hi - 1 as rows of frame_len samples.
     The frames that fit inside the samples are a read-only strided view of
-    them, so overlapping frames share memory and nothing is copied. The one
-    frame that may run past the last sample (or the only frame, when there
-    are fewer samples than one frame) comes from a zero-padded copy of the
-    tail. frames[rows] gives the frames of a slice, an index or an index
-    array as rows of frame_len samples; an index array is gathered in time
-    proportional to its length.
+    them, so overlapping frames share memory and a run of them is not
+    copied. The one frame that may run past the last sample (or the only
+    frame, when there are fewer samples than one frame) comes from a
+    zero-padded copy of the tail, so a run that reaches it is a new array.
     """
 
     def __init__(self, samples: np.ndarray, frame_len: int, hop: int, sample_rate_hz: int):
-        if not 0 < hop <= frame_len:
-            raise ValueError("hop must satisfy 0 < hop <= frame_len")
-        self.samples = samples
+        self.num_samples = n = len(samples)
         self.frame_len = frame_len
         self.hop = hop
         self.sample_rate_hz = sample_rate_hz
-        n = len(samples)
         self._count = frame_count(n, frame_len, hop)
         inside = max((n - frame_len) // hop + 1, 0)
         if inside:
             self._inside = sliding_window_view(samples, frame_len)[::hop]
         else:
-            self._inside = np.empty((0, frame_len))
+            self._inside = np.broadcast_to(0.0, (0, frame_len))  # read-only, as the view is
         # count - inside is 0 or 1: only the last frame can run past the end
         self._tail = np.zeros((self._count - inside, frame_len))
         if self._count > inside:
@@ -76,27 +73,16 @@ class FrameSequence:
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, rows) -> np.ndarray:
+    def run(self, lo: int, hi: int) -> np.ndarray:
+        """Frames lo .. hi - 1, read-only; a view unless they include the padded frame."""
+        if not 0 <= lo <= hi <= self._count:
+            raise IndexError(f"frames {lo} .. {hi} are out of range for {self._count} frames")
         inside = len(self._inside)
-        if isinstance(rows, slice):
-            start, stop, step = rows.indices(self._count)
-            if step == 1 and stop <= inside:
-                return self._inside[start:stop]
-            index = np.arange(start, stop, step)
-        else:
-            index = np.asarray(rows)
-            if index.dtype.kind not in "iu":
-                raise IndexError("frames are read by a slice, an integer or an integer array")
-            if index.size and not -self._count <= index.min() <= index.max() < self._count:
-                raise IndexError(f"frame index out of range for {self._count} frames")
-            index = np.where(index < 0, index + self._count, index)
-        within = index < inside
-        if within.all():
-            return self._inside[index]
-        out = np.empty(index.shape + (self.frame_len,))
-        out[within] = self._inside[index[within]]
-        out[~within] = self._tail[index[~within] - inside]
-        return out
+        if hi <= inside:
+            return self._inside[lo:hi]
+        rows = np.concatenate((self._inside[lo:], self._tail[max(lo - inside, 0) :]))
+        rows.flags.writeable = False
+        return rows
 
     def covering(self, lo: int, hi: int) -> slice:
         """The frames that hold at least one of the samples lo .. hi - 1."""
@@ -279,5 +265,5 @@ def frame_energies(frames: FrameSequence) -> np.ndarray:
     """
     energies = np.empty(len(frames))
     for part in frame_blocks(0, len(energies)):
-        energies[part] = np.mean(frames[part] ** 2, axis=1)
+        energies[part] = np.mean(frames.run(part.start, part.stop) ** 2, axis=1)
     return energies

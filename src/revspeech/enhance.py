@@ -171,8 +171,7 @@ def _denoise(
     it, so sorted spans hold only the overlap-adds one block reaches.
     """
     spec = cfg.frame
-    num_samples = len(frames.samples)
-    spans = [(max(lo, 0), min(hi, num_samples)) for lo, hi in spans]
+    spans = [(max(lo, 0), min(hi, frames.num_samples)) for lo, hi in spans]
     ranges = [frames.covering(lo, hi) for lo, hi in spans]
     wanted = np.zeros(max((r.stop for r in ranges), default=0), dtype=bool)
     for r in ranges:

@@ -71,18 +71,18 @@ class FrameSpec:
         return np.zeros((rows, self.resolve_fft_size(frames.sample_rate_hz)))
 
     def spectra(self, frames: FrameSequence, rows=slice(None), windowed=None) -> np.ndarray:
-        """Windowed half spectra (fft_size // 2 + 1 bins) of frames[rows].
+        """Windowed half spectra (fft_size // 2 + 1 bins) of the frames rows picks.
 
-        The one analysis transform; rows (a slice or an index array) picks a
-        block of frames. windowed is a (rows picked, fft_size) buffer whose
-        columns from frame_len on are zero: each picked frame is windowed
-        into the first frame_len columns of its row, and the rest are never
-        written, so rfft takes the buffer as it stands instead of copying
-        every block into a zero-padded array of its own. A caller that walks
-        many blocks makes the buffer once (window_buffer) and passes a slice
-        of it per block; without one, a buffer is made for the call. The
-        frames' read-only views are windowed into it one run of consecutive
-        rows at a time, gathering none.
+        The one analysis transform; rows (a slice or an index array of frame
+        numbers) picks a block of frames. windowed is a (rows picked,
+        fft_size) buffer whose columns from frame_len on are zero: each
+        picked frame is windowed into the first frame_len columns of its
+        row, and the rest are never written, so rfft takes the buffer as it
+        stands instead of copying every block into a zero-padded array of
+        its own. A caller that walks many blocks makes the buffer once
+        (window_buffer) and passes a slice of it per block; without one, a
+        buffer is made for the call. Each run of consecutive picked frames
+        is read with frames.run and windowed into it, so none is gathered.
         """
         window = hamming_coefficients(frames.frame_len, self.window_a)
         picked = np.asarray(range(len(frames))[rows] if isinstance(rows, slice) else rows)
@@ -91,8 +91,7 @@ class FrameSpec:
         head = windowed[:, : frames.frame_len]
         firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
         for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
-            run = frames[picked[lo] : picked[hi - 1] + 1]
-            np.multiply(run, window, out=head[lo:hi])
+            np.multiply(frames.run(picked[lo], picked[hi - 1] + 1), window, out=head[lo:hi])
         return np.fft.rfft(windowed, axis=-1)
 
     def synthesize(self, spectra: np.ndarray, frames: FrameSequence) -> np.ndarray:
@@ -113,7 +112,7 @@ class OverlapAdd:
 
     Each frame that covers the range (frames.covering(lo, hi)) is added once,
     in frame order, in blocks of any size; the whole buffer is the range
-    (0, len(frames.samples)). So each sample sums its frames in frame order,
+    (0, frames.num_samples). So each sample sums its frames in frame order,
     and a range's samples equal the same samples of the whole buffer's.
     samples() divides them by the summed window power wherever that is
     >= 1e-8. Every row that all pieces of a frame reach has the same power,

@@ -176,7 +176,7 @@ def _find_regions(
     frames: FrameSequence, energies: np.ndarray, cfg: EndpointConfig
 ) -> list[tuple[float, float]]:
     """segment_utterances of the framed buffer, from its frame_energies."""
-    num_samples, sr = len(frames.samples), frames.sample_rate_hz
+    num_samples, sr = frames.num_samples, frames.sample_rate_hz
     whole = [(0.0, num_samples / sr)]
     if energies.min() == energies.max():
         raise InsufficientDataError(
@@ -257,6 +257,13 @@ def transcribe(
     endpoint_cfg = endpoint_cfg or EndpointConfig()
 
     sr = buf.sample_rate_hz
+    # refuse models of another config or rate before any signal work
+    fingerprint = feature_cfg.fingerprint(sr)
+    if fingerprint != vocab.feature_fingerprint:
+        raise FingerprintMismatchError(
+            f"vocabulary fingerprint {vocab.feature_fingerprint} does not match "
+            f"features fingerprint {fingerprint} of the {sr} Hz recording"
+        )
     work = reverse(buf) if direction == "reverse" else buf
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on

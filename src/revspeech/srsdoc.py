@@ -363,13 +363,16 @@ def parse_report(text: str) -> SrsReport:
     """Rebuild a report from its structured rendering."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ReportFormatError(f"not valid structured text: {exc}") from exc
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != REPORT_FORMAT_VERSION:
         raise ReportFormatError(
             f"expected format {REPORT_FORMAT_VERSION!r}, got {found!r}"
         )
+    for key in ("source_file", "tool_config_fingerprint", "timestamp"):
+        if not isinstance(payload.get(key), str):
+            raise ReportFormatError(f"malformed report document: {key} is not a string")
     try:
         report = SrsReport(
             source_file=payload["source_file"],

@@ -110,7 +110,14 @@ def utterance(word, rng, pad_s=0.15, sr=SR) -> AudioBuffer:
 
 
 def word_features(buf, enhance_cfg, feature_cfg) -> FeatureMatrix:
-    """Enhance, endpoint, and extract the loudest region: transcribe's front end."""
+    """Features of the first endpointed region of the whole take, enhanced.
+
+    Enhances the whole take, endpoints the raw take with the default
+    EndpointConfig, cuts the first region from the enhanced samples at
+    int(start_s * sr) .. int(end_s * sr) and extracts it. This is not
+    transcribe's path: transcribe denoises only the regions, keeps every
+    region, and rounds each bound with int(t * sr + 0.5).
+    """
     from revspeech import segment_utterances
 
     cleaned, _ = estimate_and_denoise(buf, enhance_cfg)

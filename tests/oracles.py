@@ -1,6 +1,22 @@
 """Reference computations the tests check the library against (numpy only)."""
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def padded_frames(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Every frame of samples as rows: frame i is samples i*hop .. i*hop + frame_len - 1.
+
+    The rows are windows on one zero-padded copy, just long enough for
+    ceil(max(n - frame_len, 0) / hop) + 1 frames, so the last frame reaches
+    the last sample and a buffer shorter than a frame gives one frame.
+    """
+    count = math.ceil(max(len(samples) - frame_len, 0) / hop) + 1
+    padded = np.zeros((count - 1) * hop + frame_len)
+    padded[: len(samples)] = samples
+    return sliding_window_view(padded, frame_len)[::hop]
 
 
 def dft_magnitude(frame: np.ndarray, fft_size: int) -> np.ndarray:

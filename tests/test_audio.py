@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import padded_frames
 from revspeech import AudioBuffer, FrameSpec, read_wav, reverse, write_wav
 from revspeech.errors import ConfigError, UnsupportedWavError, WavFormatError
 
@@ -199,18 +200,19 @@ class TestSegment:
         assert frames.frame_len == 100
         assert frames.hop == 50
         assert len(frames) == 19
+        assert frames.num_samples == 1000
         for i in range(19):
             start = i * 50
             expected = np.zeros(100)
             chunk = buf.samples[start : start + 100]
             expected[: len(chunk)] = chunk
-            np.testing.assert_array_equal(frames[i], expected)
+            np.testing.assert_array_equal(frames.run(i, i + 1), [expected])
 
     def test_zero_overlap_contiguous(self):
         buf = AudioBuffer(np.arange(30) / 30.0, 10)
         frames = FrameSpec(1000.0, 0.0).segment(buf)
         assert frames.hop == frames.frame_len == 10
-        np.testing.assert_array_equal(frames[:].ravel(), buf.samples)
+        np.testing.assert_array_equal(frames.run(0, len(frames)).ravel(), buf.samples)
 
     def test_frame_len_arithmetic(self):
         buf = AudioBuffer(np.zeros(800), 16000)
@@ -219,9 +221,10 @@ class TestSegment:
     def test_short_buffer_zero_padded(self):
         buf = AudioBuffer([0.5, -0.5], 16000)
         frames = FrameSpec(25.0, 0.5).segment(buf)
-        assert frames[:].shape == (1, 400)
-        np.testing.assert_array_equal(frames[0][:2], [0.5, -0.5])
-        assert np.all(frames[0][2:] == 0)
+        (only,) = frames.run(0, 1)
+        assert len(frames) == 1 and only.shape == (400,)
+        np.testing.assert_array_equal(only[:2], [0.5, -0.5])
+        assert np.all(only[2:] == 0)
 
     def test_frame_count_formula(self):
         rng = np.random.default_rng(5)
@@ -239,12 +242,12 @@ class TestSegment:
         samples = rng.uniform(-1, 1, size=1234)
         buf = AudioBuffer(samples, 16000)
         frames = FrameSpec(25.0, 0.0).segment(buf)
-        rebuilt = frames[:].ravel()[: len(samples)]
+        rebuilt = frames.run(0, len(frames)).ravel()[: len(samples)]
         np.testing.assert_array_equal(rebuilt, samples)
 
     def test_frames_are_a_read_only_view(self):
         buf = AudioBuffer(np.arange(1000) / 1000.0, 1000)
-        frames = FrameSpec(100.0, 0.5).segment(buf)[:]
+        frames = FrameSpec(100.0, 0.5).segment(buf).run(0, 18)  # all but the padded one
         # overlapping frames are windows on the samples, not copies
         assert not frames.flags.owndata
         assert np.shares_memory(frames[0], frames[1])
@@ -258,46 +261,39 @@ class TestSegment:
     @pytest.mark.parametrize("frame_ms, overlap", [(8.0, 0.625), (8.0, 0.5), (8.0, 0.0), (1.0, 0.0)])
     def test_frames_equal_a_padded_copy(self, frame_ms, overlap):
         # the frames that fit are views of the samples and the last one is
-        # padded on its own; every way of reading them equals the frames of
-        # one zero-padded copy of the whole buffer, from one sample to
-        # several frames, exact fits (no padded frame) included
+        # padded on its own; runs from the start, in the middle and up to
+        # the end equal the rows of one zero-padded copy of the whole
+        # buffer, from one sample to several frames, exact fits (no padded
+        # frame) included
         for n in range(1, 60):
             samples = np.arange(1, n + 1, dtype=np.float64)
             frames = FrameSpec(frame_ms, overlap).segment(AudioBuffer(samples, 1000))
             frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
-            padded = np.zeros((count - 1) * hop + frame_len)
-            padded[:n] = samples
-            old = np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop]
+            old = padded_frames(samples, frame_len, hop)
             assert old.shape == (count, frame_len)
-            np.testing.assert_array_equal(frames[:], old)
-            np.testing.assert_array_equal(frames[1:-1], old[1:-1])
-            np.testing.assert_array_equal(frames[::2], old[::2])
-            index = np.array([count - 1, 0, count - 1, count // 2])
-            np.testing.assert_array_equal(frames[index], old[index])
-            for i in (0, count // 2, count - 1, -1):
-                np.testing.assert_array_equal(frames[i], old[i])
-        exact = FrameSpec(8.0, 0.5).segment(AudioBuffer(np.ones(8 + 3 * 4), 1000))
-        assert len(exact) == 4 and np.shares_memory(exact[:], exact.samples)
+            for lo in range(count + 1):
+                # empty, one frame, all but the last, and up to the end
+                for hi in {lo, min(lo + 1, count), max(count - 1, lo), count}:
+                    np.testing.assert_array_equal(frames.run(lo, hi), old[lo:hi])
+        fits = AudioBuffer(np.ones(8 + 3 * 4), 1000)
+        exact = FrameSpec(8.0, 0.5).segment(fits)
+        assert len(exact) == 4 and np.shares_memory(exact.run(0, 4), fits.samples)
 
-    def test_index_arrays_count_from_the_end_and_stay_in_range(self):
+    def test_runs_outside_the_frames_raise_index_error(self):
         frames = FrameSpec(4.0, 0.5).segment(AudioBuffer(np.arange(1.0, 10.0), 1000))  # 4 frames
-        padded = np.append(np.arange(1.0, 10.0), 0.0)
-        expected = np.lib.stride_tricks.sliding_window_view(padded, 4)[::2]
-        index = np.array([-1, -4, 0, 3, -2])
-        np.testing.assert_array_equal(frames[index], expected[index])
-        np.testing.assert_array_equal(frames[[[-1], [1]]], expected[[[-1], [1]]])
-        for rows in ([4], [0, -5], np.array([2, 9]), 4, -5):
+        for lo, hi in ((-1, 2), (0, 5), (3, 2), (5, 5), (-5, -1)):
             with pytest.raises(IndexError):
-                frames[rows]
+                frames.run(lo, hi)
+        assert frames.run(4, 4).shape == (0, 4)
 
-    def test_gathering_rows_costs_no_more_than_the_rows(self):
-        # a few rows of a long recording, as a block of noise frames reads
-        # them: nothing of the frame count's size is built on the way
+    def test_a_run_costs_no_more_than_its_rows(self):
+        # the last rows of a long recording, padded frame included, as a
+        # block at its end reads them: nothing of the frame count's size is
+        # built on the way
         frames = FrameSpec(4.0, 0.75).segment(AudioBuffer(np.zeros(2_000_000), 1000))  # hop 1
-        index = np.array([5, len(frames) - 1, 17])
         tracemalloc.start()
         try:
-            rows = frames[index]
+            rows = frames.run(len(frames) - 3, len(frames))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,17 +334,39 @@ def test_segment_covers_every_sample(n, rate, frame_ms, overlap):
     samples = np.arange(1, n + 1, dtype=np.float64)
     frames = FrameSpec(frame_ms, overlap).segment(AudioBuffer(samples, rate))
     frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
-    assert frames[:].shape == (count, frame_len)
+    every = frames.run(0, count)
+    assert every.shape == (count, frame_len)
     # frame i starts at sample i*hop, so sample t sits at column t - i*hop of
     # frame i = t // hop, or of the last frame once t // hop runs past it
     t = np.arange(n)
     i = np.minimum(t // hop, count - 1)
-    np.testing.assert_array_equal(frames[i][t, t - i * hop], samples)
+    np.testing.assert_array_equal(every[i, t - i * hop], samples)
     # the frames reach the last sample, and none starts past it but the first
     assert (count - 1) * hop + frame_len >= n
     assert count == 1 or (count - 1) * hop < n
     # whatever lies beyond the buffer is zero padding
-    for i in range(count):
-        np.testing.assert_array_equal(
-            frames[i], np.pad(samples, (0, frame_len))[i * hop : i * hop + frame_len]
-        )
+    np.testing.assert_array_equal(every, padded_frames(samples, frame_len, hop))
+
+
+@given(
+    st.integers(1, 200),
+    st.floats(1.0, 40.0),
+    st.floats(0.0, 0.95),
+    st.data(),
+)
+def test_runs_equal_the_padded_frames(n, frame_ms, overlap, data):
+    samples = np.arange(1, n + 1, dtype=np.float64)
+    frames = FrameSpec(frame_ms, overlap).segment(AudioBuffer(samples, 1000))
+    frame_len, hop, count = frames.frame_len, frames.hop, len(frames)
+    lo = data.draw(st.integers(-2, count + 2), label="lo")
+    hi = data.draw(st.integers(-2, count + 2), label="hi")
+    if not 0 <= lo <= hi <= count:
+        with pytest.raises(IndexError):
+            frames.run(lo, hi)
+        return
+    run = frames.run(lo, hi)
+    np.testing.assert_array_equal(run, padded_frames(samples, frame_len, hop)[lo:hi])
+    assert not run.flags.writeable
+    # a view of the samples unless the run holds the zero-padded last frame
+    padded_last = (count - 1) * hop + frame_len > n
+    assert np.shares_memory(run, samples) == (lo < hi and not (padded_last and hi == count))

@@ -24,6 +24,7 @@ from revspeech import (
     render,
     write_wav,
 )
+from revspeech import audio, enhance, recognizer
 from revspeech.cli import run
 from revspeech.config import ToolConfig
 from revspeech.errors import InsufficientDataError
@@ -375,6 +376,32 @@ class TestAnalyzeCommand:
         assert self.analyze(workspace, out_dir, ["--timestamp", "2026-08-08T12:00:00Z"]) == 0
         report = parse_report((out_dir / "report.json").read_text())
         assert report.timestamp == "2026-08-08T12:00:00Z"
+
+
+@pytest.mark.parametrize("command", ["analyze", "recognize"])
+def test_models_of_another_rate_refused_before_signal_work(
+    workspace, tmp_path, monkeypatch, capsys, command
+):
+    # 16 kHz models and an 8 kHz recording: exit 2 before one frame energy
+    slow = tmp_path / "slow.wav"
+    write_wav(AudioBuffer(read_wav(workspace["session"]).samples[::2], 8000), slow)
+    calls = []
+
+    def spy(frames):
+        calls.append(len(frames))
+        return audio.frame_energies(frames)
+
+    for module in (recognizer, enhance):
+        monkeypatch.setattr(module, "frame_energies", spy)
+    argv = [command, "--in", str(slow), *model_args(workspace)]
+    if command == "analyze":
+        argv += ["--out-dir", str(tmp_path / "report")]
+    assert run(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    for rate in (16000, 8000):
+        assert FeatureConfig().fingerprint(rate) in err
+    assert "8000 Hz" in err
 
 
 def test_library_analyze_renders_what_the_command_writes(tmp_path):

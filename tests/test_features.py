@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dft_magnitude, hamming_window, overlap_add_normalized
+from oracles import dft_magnitude, hamming_window, overlap_add_normalized, padded_frames
 from revspeech import AudioBuffer, FeatureConfig, extract, reverse
 from revspeech import audio, features
 from revspeech.errors import ConfigError
@@ -544,8 +544,9 @@ class TestFrameSpec:
         frames = FrameSpec().segment(buf)
         spectra = FrameSpec().spectra(frames)
         assert spectra.shape == (len(frames), 257)
+        every = padded_frames(buf.samples, 400, 200)
         for i in (0, 7, len(frames) - 1):
-            windowed = hamming_window(frames[i], 0.46)
+            windowed = hamming_window(every[i], 0.46)
             np.testing.assert_allclose(
                 np.abs(spectra[i]), dft_magnitude(windowed, 512)[:257], rtol=1e-12, atol=1e-12
             )
@@ -572,7 +573,8 @@ class TestFrameSpec:
         samples = rng.standard_normal((num_frames - 1) * 200 + 250)
         frames = FrameSpec().segment(AudioBuffer(samples, 16000))
         assert len(frames) == num_frames  # the last frame runs past the end
-        expected = np.fft.rfft(hamming_window(frames[rows], 0.46), n=512, axis=-1)
+        gathered = padded_frames(samples, 400, 200)[rows]
+        expected = np.fft.rfft(hamming_window(gathered, 0.46), n=512, axis=-1)
         buffer = np.zeros((len(expected), 512))
         buffer[:, :400] = np.nan
         for _ in range(2):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SR, tone, train_vocabulary, utterance, word_features
+from oracles import padded_frames
 from revspeech import (
     AudioBuffer,
     EndpointConfig,
@@ -44,7 +45,7 @@ def rising_take(n=995, seed=19):
 def scanned_regions(buf, cfg):
     """segment_utterances by a per-frame scan, for buffers of >= smooth_frames frames."""
     frames = features.FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
-    energies = np.mean(frames[:] ** 2, axis=1)
+    energies = np.mean(padded_frames(buf.samples, frames.frame_len, frames.hop) ** 2, axis=1)
     ones = np.ones(cfg.smooth_frames)
     smoothed = np.convolve(energies, ones, mode="same") / np.convolve(
         np.ones_like(energies), ones, mode="same"

@@ -447,6 +447,18 @@ class TestRender:
         with pytest.raises(ReportFormatError):
             parse_report('{"format": "srs-v0"}')
 
+    def test_parse_rejects_nesting_too_deep_to_decode(self):
+        with pytest.raises(ReportFormatError, match="not valid structured text"):
+            parse_report("[" * 100000)
+
+    @pytest.mark.parametrize("key", ["source_file", "timestamp", "tool_config_fingerprint"])
+    @pytest.mark.parametrize("value", [5, [1], None])
+    def test_parse_rejects_header_fields_that_are_not_strings(self, key, value):
+        payload = json.loads(render(build_fixture_report(), "structured"))
+        payload[key] = value
+        with pytest.raises(ReportFormatError, match=f"{key} is not a string"):
+            parse_report(json.dumps(payload))
+
     @pytest.mark.parametrize("flagged", [[], [0, 1], [1], "all", None])
     def test_parse_rejects_flagged_disagreeing_with_categories(self, flagged):
         payload = json.loads(render(build_fixture_report(), "structured"))
