@@ -239,16 +239,18 @@ def frame_blocks(start: int, stop: int) -> list[slice]:
     return [slice(lo, min(lo + BLOCK_FRAMES, stop)) for lo in range(start, stop, BLOCK_FRAMES)]
 
 
-def frame_groups(items: Iterable, frames_of: Callable) -> Iterator[list]:
-    """Runs of consecutive items with at most BLOCK_FRAMES frames in all.
+def frame_groups(items: Iterable, frames_of: Callable, blocks: int = 1) -> Iterator[list]:
+    """Runs of consecutive items with at most blocks * BLOCK_FRAMES frames in all.
 
     frames_of(item) counts an item's frames; an item with more frames than
-    a block makes a run of its own. Items are drawn only as a run fills.
+    that makes a run of its own. Items are drawn only as a run fills, and
+    each run is a new list that the caller may empty.
     """
+    limit = blocks * BLOCK_FRAMES
     group, total = [], 0
     for item in items:
         count = frames_of(item)
-        if group and total + count > BLOCK_FRAMES:
+        if group and total + count > limit:
             yield group
             group, total = [], 0
         group.append(item)

@@ -24,6 +24,10 @@ from .audio import (
 from .errors import ConfigError
 
 ENERGY_FLOOR = 1e-10
+# the longest utterance the recognizer is built to score (longer segments are
+# worth splitting upstream); windows that follow the signal within one
+# utterance, the endpoint smoothing and the delta regression, fit in it
+MAX_UTTERANCE_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,13 @@ class FrameSpec:
                 f"fft_size {self.fft_size} smaller than frame length {frame_len}"
             )
         return self.fft_size
+
+    def frames_within(self, seconds: float) -> int:
+        """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
+
+        Rate-free: at a given rate the hop is that length rounded to samples.
+        """
+        return int(seconds * 1000.0 / (self.frame_ms * (1.0 - self.overlap_fraction))) + 1
 
     def segment(self, buf: AudioBuffer) -> FrameSequence:
         """Cut a buffer into fixed-length frames with fractional overlap.
@@ -224,6 +235,13 @@ class FeatureConfig:
             raise ConfigError("need 0 < num_ceps <= num_filters")
         if self.delta_window < 1:
             raise ConfigError("delta_window must be >= 1")
+        # the regression's 2 * delta_window + 1 frames must fit in one utterance
+        widest = (self.frame.frames_within(MAX_UTTERANCE_S) - 1) // 2
+        if self.delta_window > widest:
+            raise ConfigError(
+                f"delta_window must be <= {widest}: its 2 * delta_window + 1 frames "
+                f"must fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
+            )
         if self.low_freq_hz < 0:
             raise ConfigError("low_freq_hz must be >= 0")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
@@ -440,7 +458,23 @@ def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
 
 
 def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[FeatureMatrix]:
-    """extract of each buffer in turn, computed a batch of buffers at a time.
+    """extract of each buffer in turn: each extract_batches batch cut into its pieces."""
+    for batch, bounds in extract_batches(bufs, cfg):
+        edges = bounds.tolist()
+        for lo, hi in zip(edges, edges[1:]):
+            yield FeatureMatrix(batch.rows[lo:hi], hi - lo, batch.config_fingerprint)
+
+
+def extract_batches(
+    bufs: Iterable[AudioBuffer], cfg: FeatureConfig
+) -> Iterator[tuple[FeatureMatrix, np.ndarray]]:
+    """Each batch of buffers as one FeatureMatrix of their stacked rows, and its bounds.
+
+    bounds are the row offsets where the buffers' rows meet, from 0 to the
+    batch's row count, so rows bounds[p] .. bounds[p + 1] - 1 are extract of
+    the batch's buffer p; the rows are checked finite once per batch.
+    extract_all cuts the batches into one matrix per buffer, and transcribe
+    scores them as they come.
 
     One call serves one sample rate: a buffer at another rate than the first
     is a ConfigError. Consecutive buffers with at most BLOCK_FRAMES frames
@@ -457,7 +491,8 @@ def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[Fea
     every piece's rows equal extract of that piece alone, bit for bit. Every
     batch writes its padded buffer, windowed frames (fft_size columns, the
     ones past the frame zero, as FrameSpec.spectra takes them) and power
-    spectra into arrays of the call's own, made once, zeroed, and reused.
+    spectra into arrays of the call's own, made once, zeroed, and reused;
+    the rows it yields are its own.
     """
     rate = None
 
@@ -473,7 +508,7 @@ def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[Fea
 
     scratch = {}  # this call's block buffers, so concurrent calls share none
     for batch in frame_groups(bufs, frames_of):
-        yield from _extract_batch(batch, cfg, scratch)
+        yield _extract_batch(batch, cfg, scratch)
 
 
 def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
@@ -485,7 +520,7 @@ def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
 
 def _extract_batch(
     bufs: list[AudioBuffer], cfg: FeatureConfig, scratch: dict
-) -> list[FeatureMatrix]:
+) -> tuple[FeatureMatrix, np.ndarray]:
     sr = bufs[0].sample_rate_hz
     frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
     fft_size = cfg.frame.resolve_fft_size(sr)
@@ -520,6 +555,4 @@ def _extract_batch(
     acceleration = delta_features(velocity, cfg.delta_window, bounds)
 
     stacked = np.hstack([ceps, velocity, acceleration])
-    fingerprint = cfg.fingerprint(sr)
-    edges = bounds.tolist()
-    return [FeatureMatrix(stacked[lo:hi], hi - lo, fingerprint) for lo, hi in zip(edges, edges[1:])]
+    return FeatureMatrix(stacked, len(stacked), cfg.fingerprint(sr)), bounds

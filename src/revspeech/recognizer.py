@@ -2,8 +2,9 @@
 
 Utterances are located by energy endpointing, scored against every model in
 the vocabulary by average per-frame log-likelihood, and emitted as ordered
-transcript segments. Segments beyond roughly 30 seconds are worth splitting
-upstream; the endpointing rules below never enforce a maximum length.
+transcript segments. Segments beyond MAX_UTTERANCE_S (30 seconds) are worth
+splitting upstream; the endpointing rules below never enforce a maximum
+length.
 """
 
 from collections.abc import Iterable, Iterator
@@ -25,10 +26,20 @@ from .errors import (
     InsufficientDataError,
     VocabularyError,
 )
-from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract_all
+from .features import (
+    MAX_UTTERANCE_S,
+    FeatureConfig,
+    FeatureMatrix,
+    FrameSpec,
+    extract_batches,
+)
 from .gmm import GmmModel, density_constants, log_joint_densities, logsumexp
 
 DIRECTIONS = ("forward", "reverse")
+# feature blocks per scoring batch: 4,096 rows (1.3 MB of features) at the
+# default BLOCK_FRAMES, so each model's per-batch numpy calls run on
+# thousands of rows at once
+SCORE_BLOCKS = 16
 
 
 @dataclass
@@ -43,9 +54,17 @@ class EndpointConfig:
     min_utterance_ms: float = 250.0
 
     def __post_init__(self):
-        FrameSpec(self.frame_ms, self.overlap_fraction)  # validates the framing fields
+        spec = FrameSpec(self.frame_ms, self.overlap_fraction)  # validates the framing fields
         if self.smooth_frames < 1:
             raise ConfigError("smooth_frames must be >= 1")
+        # the smoothing follows the energy within an utterance; a wider window
+        # would average whole utterances with the silence around them
+        widest = spec.frames_within(MAX_UTTERANCE_S)
+        if self.smooth_frames > widest:
+            raise ConfigError(
+                f"smooth_frames must be <= {widest}, the endpoint frames in "
+                f"{MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
+            )
         if self.energy_ratio <= 0:
             raise ConfigError("energy_ratio must be positive")
         if self.merge_gap_ms < 0 or self.min_utterance_ms < 0:
@@ -118,39 +137,87 @@ def classify_segments(
 ) -> Iterator[tuple[str, float, float]]:
     """classify_segment of each feature matrix in turn, a batch at a time.
 
-    Consecutive matrices with at most BLOCK_FRAMES frames in all make a batch
-    (audio.frame_groups). Each model's density constants
-    (gmm.density_constants) are built once per call, its products run per
-    segment (features.per_piece_product), one logsumexp covers the batch's
-    rows, and each segment sums its own frames, so every result equals the
-    segment scored alone.
+    Each matrix is checked against the vocabulary as it is drawn, then
+    scored by the scorer transcribe uses (_scored), each matrix one piece:
+    consecutive matrices with at most SCORE_BLOCKS * BLOCK_FRAMES rows in
+    all are stacked and scored as one batch.
     """
-    dim = next(iter(vocab.entries.values())).dim
-    constants = {label: density_constants(model) for label, model in vocab.entries.items()}
-    for batch in frame_groups(features, lambda matrix: matrix.num_frames):
-        for matrix in batch:
-            if matrix.num_frames == 0:
-                raise ValueError("cannot classify an empty feature matrix")
-            if matrix.config_fingerprint != vocab.feature_fingerprint:
-                raise FingerprintMismatchError(
-                    f"features fingerprint {matrix.config_fingerprint} does not match "
-                    f"vocabulary fingerprint {vocab.feature_fingerprint}"
-                )
-            if matrix.dim != dim:
-                raise FingerprintMismatchError(
-                    f"features have dimension {matrix.dim}, vocabulary models have {dim}"
-                )
-        rows = np.concatenate([matrix.rows for matrix in batch])
-        bounds = np.cumsum([0] + [matrix.num_frames for matrix in batch])
-        totals = {}
-        for label, model in vocab.entries.items():
-            frame_ll = logsumexp(log_joint_densities(model, rows, bounds, constants[label]))
-            totals[label] = [np.sum(frame_ll[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        for k, matrix in enumerate(batch):
-            scores = {label: float(total[k]) / matrix.num_frames for label, total in totals.items()}
-            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-            (best_label, best_score), (_, runner_up) = ranked[:2]  # a Vocabulary has >= 2 labels
-            yield best_label, best_score, best_score - runner_up
+
+    def checked(matrix: FeatureMatrix) -> tuple[np.ndarray, list[int]]:
+        if matrix.num_frames == 0:
+            raise ValueError("cannot classify an empty feature matrix")
+        _check_features(vocab, matrix.config_fingerprint, matrix.dim)
+        return matrix.rows, [0, matrix.num_frames]
+
+    return _scored(map(checked, features), vocab)
+
+
+def _check_features(vocab: Vocabulary, fingerprint: str, dim: int, source: str = "") -> None:
+    """FingerprintMismatchError unless features of this fingerprint and width fit vocab.
+
+    source, when given, names where the features come from in the message.
+    """
+    if fingerprint != vocab.feature_fingerprint:
+        raise FingerprintMismatchError(
+            f"vocabulary fingerprint {vocab.feature_fingerprint} does not match "
+            f"features fingerprint {fingerprint}{source}"
+        )
+    vocab_dim = next(iter(vocab.entries.values())).dim
+    if dim != vocab_dim:
+        raise FingerprintMismatchError(
+            f"features{source} have dimension {dim}, vocabulary models have {vocab_dim}"
+        )
+
+
+def _scored(
+    batches: Iterable[tuple[np.ndarray, list]], vocab: Vocabulary
+) -> Iterator[tuple[str, float, float]]:
+    """(label, score, margin) of each piece of each batch, in order.
+
+    A batch is stacked feature rows, already checked against vocab, and the
+    offsets where its pieces meet, from 0 to its row count. Consecutive
+    batches with at most SCORE_BLOCKS * BLOCK_FRAMES rows in all are
+    stacked and scored as one (audio.frame_groups); a longer batch is
+    scored alone. Each model's density constants (gmm.density_constants)
+    are built once per call and its products run per piece
+    (features.per_piece_product). Each model writes its per-frame
+    log-likelihoods (one logsumexp over the scoring batch's rows) into its
+    row of one (models, rows) array, and each piece then sums every
+    model's frames in one np.sum over its columns. That equals np.sum of
+    each model's frames alone, bit for bit: each row reduces along its own
+    contiguous axis, in np.sum's pairwise order (np.add.reduceat sums in
+    plain order and differs in the last bits). So every result equals the
+    piece scored alone.
+    """
+    labels, models = list(vocab.entries), list(vocab.entries.values())
+    constants = [density_constants(model) for model in models]
+    for group in frame_groups(batches, lambda batch: len(batch[0]), SCORE_BLOCKS):
+        yield from _scored_group(group, labels, models, constants)
+
+
+def _scored_group(
+    group: list, labels: list, models: list, constants: list
+) -> Iterator[tuple[str, float, float]]:
+    """_scored of one scoring batch, made of the batches in group.
+
+    The group's rows are stacked, then the group is emptied, so only the
+    stacked copy stays held; and everything this holds is let go when its
+    last result is taken, before the next group's batches are drawn.
+    """
+    rows = group[0][0] if len(group) == 1 else np.concatenate([part for part, _ in group])
+    bounds, offset = [0], 0
+    for part, edges in group:
+        bounds += [offset + edge for edge in edges[1:]]
+        offset += len(part)
+    group.clear()
+    frame_ll = np.empty((len(models), len(rows)))
+    for ll, model, model_constants in zip(frame_ll, models, constants):
+        ll[:] = logsumexp(log_joint_densities(model, rows, bounds, model_constants))
+    for lo, hi in zip(bounds, bounds[1:]):
+        scores = [total / (hi - lo) for total in np.sum(frame_ll[:, lo:hi], axis=1).tolist()]
+        ranked = sorted(zip(labels, scores), key=lambda item: (-item[1], item[0]))
+        (best_label, best_score), (_, runner_up) = ranked[:2]  # a Vocabulary has >= 2 labels
+        yield best_label, best_score, best_score - runner_up
 
 
 def segment_utterances(
@@ -232,12 +299,17 @@ def transcribe(
 
     direction="reverse" reads the buffer through audio.reverse, a read-only
     view, not a copy; segment times then refer to the reversed timeline
-    (forward time is duration minus the mirrored bounds). The noise profile
+    (forward time is duration minus the mirrored bounds). The feature
+    fingerprint at the buffer's rate and the feature width are checked
+    against the vocabulary first, before any signal work. The noise profile
     comes from the whole recording, but only the endpointed regions are
-    denoised, and denoising, features and scoring each batch the regions a
-    block of frames at a time, so the input samples are the only
-    full-length array held. Each region's result equals extract and
-    classify_segment on its slice of the whole recording's enhancement.
+    denoised, and denoising and features each batch the regions a block of
+    frames at a time. Scoring takes the feature batches as they come
+    (features.extract_batches: stacked rows and piece bounds, no matrix per
+    region) and scores up to SCORE_BLOCKS of them at once (_scored), so
+    the input samples are the only full-length array held. Each region's
+    result equals extract and classify_segment on its slice of the whole
+    recording's enhancement, bit for bit.
     Endpointing and enhancement each frame the recording; when their frames
     have the same length and hop (as they do by default), the one pass of
     frame energies that endpointing takes also selects the noise frames
@@ -257,13 +329,9 @@ def transcribe(
     endpoint_cfg = endpoint_cfg or EndpointConfig()
 
     sr = buf.sample_rate_hz
-    # refuse models of another config or rate before any signal work
-    fingerprint = feature_cfg.fingerprint(sr)
-    if fingerprint != vocab.feature_fingerprint:
-        raise FingerprintMismatchError(
-            f"vocabulary fingerprint {vocab.feature_fingerprint} does not match "
-            f"features fingerprint {fingerprint} of the {sr} Hz recording"
-        )
+    # refuse models of another config, rate or width before any signal work
+    _check_features(vocab, feature_cfg.fingerprint(sr), 3 * feature_cfg.num_ceps,
+                    f" of the {sr} Hz recording")
     work = reverse(buf) if direction == "reverse" else buf
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
@@ -276,11 +344,13 @@ def transcribe(
     # noise selection reuses the endpoint energies when both frame alike
     alike = (frames.frame_len, frames.hop) == (endpoint_frames.frame_len, endpoint_frames.hop)
 
-    # each stage takes its input a block of frames at a time and yields per
-    # region, so only a block's regions are held between stages
+    # denoising and features take their input a block of frames at a time,
+    # so only a block's regions are held between them; scoring holds up to
+    # SCORE_BLOCKS blocks' feature rows
     pieces = denoise_spans(frames, enhance_cfg, spans, energies if alike else None)
     cleaned = (AudioBuffer(piece, sr) for piece in pieces)
-    results = classify_segments(extract_all(cleaned, feature_cfg), vocab)
+    batches = extract_batches(cleaned, feature_cfg)
+    results = _scored(((batch.rows, bounds.tolist()) for batch, bounds in batches), vocab)
     segments = [
         SegmentHypothesis(start_s, end_s, label, score, margin, direction)
         for (start_s, end_s), (label, score, margin) in zip(regions, results)

@@ -24,7 +24,7 @@ from revspeech import (
     render,
     write_wav,
 )
-from revspeech import audio, enhance, recognizer
+from revspeech import audio, enhance, features, recognizer
 from revspeech.cli import run
 from revspeech.config import ToolConfig
 from revspeech.errors import InsufficientDataError
@@ -618,6 +618,7 @@ class TestConfigAndErrors:
         "endpoint.overlap_fraction = 1.5",
         "endpoint.energy_ratio = -1",
         "features.low_freq_hz = -100",
+        "endpoint.smooth_frames = 1000000000000",
     ])
     def test_invalid_config_value_is_data_error(self, workspace, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
@@ -627,6 +628,29 @@ class TestConfigAndErrors:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["features", "analyze"])
+    def test_unbounded_delta_window_is_data_error_before_any_work(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
+        # delta_features loops delta_window times per batch, so an unbounded
+        # window runs on long past any input's cost
+        def refuse(*args):
+            raise AssertionError("delta_features ran")
+
+        monkeypatch.setattr(features, "delta_features", refuse)
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text("features.delta_window = 1000000000\n")
+        extra = {
+            "features": ["--out", str(tmp_path / "f.json")],
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        argv = ["--config", str(cfg_path), command,
+                "--in", str(workspace["takes"]["login"][0]), *extra]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta_window must be <= 1200" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
 
     @pytest.mark.parametrize("command, line", [
         ("features", "features.frame_ms = 0.01"),
@@ -667,9 +691,20 @@ class TestConfigAndErrors:
         assert not (tmp_path / "x.gmm").exists()
 
     @pytest.mark.parametrize("command", ["recognize", "analyze"])
-    def test_model_dimension_mismatch_is_data_error(self, workspace, tmp_path, capsys, command):
+    def test_model_dimension_mismatch_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
         # the models load, agree with each other and carry the features'
-        # fingerprint, but have 2 dimensions where the features have 39
+        # fingerprint, but have 2 dimensions where the features have 39:
+        # exit 2 before one frame energy
+        calls = []
+
+        def spy(frames):
+            calls.append(len(frames))
+            return audio.frame_energies(frames)
+
+        for module in (recognizer, enhance):
+            monkeypatch.setattr(module, "frame_energies", spy)
         argv = [command, "--in", str(workspace["session"])]
         for word in ("accept", "reject"):
             model = load_model(workspace["models"][word])
@@ -681,6 +716,7 @@ class TestConfigAndErrors:
         if command == "analyze":
             argv += ["--out-dir", str(tmp_path / "out")]
         assert run(argv) == 2
+        assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dimension 39" in err
 

@@ -103,6 +103,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize("build, key, widest", [
+        # 2,401 endpoint frames start within 30 s at a 12.5 ms hop, 1,201 at 25 ms
+        pytest.param(lambda n, ms: EndpointConfig(frame_ms=ms, smooth_frames=n),
+                     "smooth_frames", {25.0: 2401, 50.0: 1201}, id="smooth_frames"),
+        # 2 * 1,200 + 1 feature frames fit in those, and 2 * 600 + 1
+        pytest.param(lambda n, ms: FeatureConfig(frame_ms=ms, delta_window=n),
+                     "delta_window", {25.0: 1200, 50.0: 600}, id="delta_window"),
+    ])
+    def test_windows_fit_in_the_longest_utterance(self, build, key, widest):
+        # the bound counts frames, so frames twice as long halve it
+        for frame_ms, n in widest.items():
+            build(n, frame_ms)
+            for too_wide in (n + 1, 10**12):
+                with pytest.raises(ConfigError, match=f"{key} must be <= {n}"):
+                    build(too_wide, frame_ms)
+
     def test_endpoint_edge_values_accepted(self):
         cfg = parse_config(
             "endpoint.smooth_frames = 1\nendpoint.merge_gap_ms = 0\n"

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from revspeech import audio, features
 from revspeech.gmm import log_joint_densities, logsumexp
-from revspeech.recognizer import DIRECTIONS, classify_segments
+from revspeech.recognizer import DIRECTIONS, SCORE_BLOCKS, classify_segments
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
@@ -169,30 +169,79 @@ class TestClassifySegment:
             classify_segment(FeatureMatrix(np.zeros((0, 3)), 0, "fp"), vocab)
 
     @given(
-        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        lengths=st.lists(st.integers(1, 12) | st.integers(13, 130), min_size=1, max_size=12),
         block=st.integers(1, 7),
+        mixed=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batches_score_each_segment_alone(self, fixture_vocabulary, lengths, block, seed):
-        # the densities of a batch's rows come from one set of constants per
-        # model, one logsumexp and per-segment products; each result must
+    def test_batches_score_each_segment_alone(
+        self, fixture_vocabulary, lengths, block, mixed, seed
+    ):
+        # scoring stacks matrices up to SCORE_BLOCKS * BLOCK_FRAMES rows (16
+        # to 112 here) and scores them with one set of constants per model,
+        # one logsumexp per model and per-segment products; each result must
         # still be the average log-likelihood ranking of the segment alone
         rng = np.random.default_rng(seed)
         fingerprint = fixture_vocabulary.feature_fingerprint
+        vocab = mixed_vocabulary(fingerprint) if mixed else fixture_vocabulary
         feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
-        with pytest.MonkeyPatch.context() as patch:
+        assert batch_scored(feats, vocab, block) == scored_alone(feats, vocab)
+
+    @pytest.mark.parametrize("block", [1, 5, None])
+    @pytest.mark.parametrize("case", [
+        "exactly the limit", "one under the limit", "one over the limit",
+        "well over the limit", "one segment longer than the limit", "runs of 1-frame segments",
+    ])
+    def test_exact_across_the_row_limit(self, fixture_vocabulary, block, case):
+        # None is the real BLOCK_FRAMES; every model count 1, 2, 4 and 16
+        # scores each segment as it scores it alone, wherever the limit cuts
+        limit = SCORE_BLOCKS * (block or audio.BLOCK_FRAMES)
+        third = limit // 3
+        lengths = {
+            "exactly the limit": [third, limit - third],
+            "one under the limit": [third, limit - third - 1, 2],
+            "one over the limit": [third, limit - third + 1, 2],
+            "well over the limit": [third + 1] * 7,
+            "one segment longer than the limit": [3, limit + 5, 1, limit, 2],
+            "runs of 1-frame segments": [1] * (limit + 1) + [7] + [1] * 9,
+        }[case]
+        rng = np.random.default_rng(len(lengths))
+        fingerprint = fixture_vocabulary.feature_fingerprint
+        feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
+        for vocab in (fixture_vocabulary, mixed_vocabulary(fingerprint)):
+            assert batch_scored(feats, vocab, block) == scored_alone(feats, vocab)
+
+
+def mixed_vocabulary(fingerprint):
+    """Four random 39-dimensional models, of 1, 2, 4 and 16 components."""
+    rng = np.random.default_rng(5)
+    return Vocabulary.from_models([
+        GmmModel(label, 39, rng.dirichlet(np.full(k, 5.0)), rng.normal(0.0, 3.0, (k, 39)),
+                 rng.uniform(0.5, 4.0, (k, 39)), fingerprint)
+        for label, k in (("one", 1), ("two", 2), ("four", 4), ("sixteen", 16))
+    ])
+
+
+def batch_scored(feats, vocab, block=None):
+    """classify_segments of the matrices, with BLOCK_FRAMES patched to block if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
             patch.setattr(audio, "BLOCK_FRAMES", block)
-            got = list(classify_segments(iter(feats), fixture_vocabulary))
-        expected = []
-        for matrix in feats:
-            scores = {
-                label: float(np.sum(logsumexp(log_joint_densities(model, matrix.rows))))
-                / matrix.num_frames
-                for label, model in fixture_vocabulary.entries.items()
-            }
-            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-            expected.append((ranked[0][0], ranked[0][1], ranked[0][1] - ranked[1][1]))
-        assert got == expected
+        return list(classify_segments(iter(feats), vocab))
+
+
+def scored_alone(feats, vocab):
+    """(label, score, margin) of each matrix from its own rows, one model at a time."""
+    expected = []
+    for matrix in feats:
+        scores = {
+            label: float(np.sum(logsumexp(log_joint_densities(model, matrix.rows))))
+            / matrix.num_frames
+            for label, model in vocab.entries.items()
+        }
+        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        expected.append((ranked[0][0], ranked[0][1], ranked[0][1] - ranked[1][1]))
+    return expected
 
 
 class TestSegmentUtterances:
@@ -444,6 +493,40 @@ class TestTranscribe:
             assert len(energy_passes) == passes
             assert region_frames < len(frames)
 
+    @pytest.mark.parametrize("block", [3, 8, None])
+    def test_one_scoring_pass_per_model_per_row_limit(
+        self, fixture_vocabulary, fixture_session, monkeypatch, block
+    ):
+        # each direction's 3 regions of 41 feature rows take
+        # ceil(123 / limit) scoring batches of one logsumexp per model: 3 at a
+        # 48-row limit; 1 at 128, where scoring each 8-frame extraction batch
+        # on its own would take 3; 1 at the real limit
+        from revspeech import recognizer
+
+        passes = []
+
+        def counting_logsumexp(values):
+            passes.append(len(values))
+            return logsumexp(values)
+
+        monkeypatch.setattr(recognizer, "logsumexp", counting_logsumexp)
+        if block is not None:
+            monkeypatch.setattr(audio, "BLOCK_FRAMES", block)
+        limit = SCORE_BLOCKS * audio.BLOCK_FRAMES
+        buf, _ = fixture_session
+        frame_len, hop = audio.frame_geometry(25.0, 0.5, SR)
+        models = len(fixture_vocabulary.entries)
+        for direction in DIRECTIONS:
+            work = reverse(buf) if direction == "reverse" else buf
+            rows = sum(
+                audio.frame_count(int(hi * SR + 0.5) - int(lo * SR + 0.5), frame_len, hop)
+                for lo, hi in segment_utterances(work)
+            )
+            passes.clear()
+            transcribe(buf, fixture_vocabulary, direction)
+            assert len(passes) == models * -(-rows // limit)
+            assert sum(passes) == models * rows
+
     @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
     def test_equals_denoising_the_whole_recording(
         self, fixture_vocabulary, fixture_session, method
@@ -479,11 +562,18 @@ class TestTranscribe:
              bursts=[(100, 10), (100, 15), (100, 10), (300, 150), (80, 12)])
     @example(seed=1, block=6, method="wiener", direction="reverse",
              bursts=[(100, 10), (100, 15), (100, 10), (300, 150), (80, 12)])
+    # scoring batches of 16 and 32 rows: regions stacked across the limit, one
+    # region longer than it
+    @example(seed=2, block=1, method="spectral_subtraction", direction="forward",
+             bursts=[(100, 10), (100, 150), (100, 15), (300, 300), (80, 40)])
+    @example(seed=3, block=2, method="wiener", direction="reverse",
+             bursts=[(50, 150), (60, 150), (70, 160), (80, 12), (90, 300)])
     def test_batched_regions_equal_each_region_alone(
         self, fixture_vocabulary, seed, block, method, direction, bursts
     ):
-        # denoising, features and scoring each batch the regions a block of
-        # frames at a time, splitting long regions and gathering short ones;
+        # denoising and features each batch the regions a block of frames at
+        # a time, splitting long regions and gathering short ones, and scoring
+        # takes up to SCORE_BLOCKS * BLOCK_FRAMES rows (16 to 112 here);
         # every region still gets what extract and classify_segment give
         # its slice of the whole recording's enhancement
         rng = np.random.default_rng(seed)
