@@ -14,6 +14,10 @@ INT16_FULL_SCALE = 32768
 # default 25 ms frames at 50% overlap, and 1 MB of 512-point half spectra, so
 # a block's working arrays stay in cache; bounds each pass's transient memory
 BLOCK_FRAMES = 256
+# feature blocks per scoring batch: 4,096 rows (1.3 MB of features) at the
+# default BLOCK_FRAMES, so each batch's delta pass and each model's scoring
+# calls run on thousands of rows at once
+SCORE_BLOCKS = 16
 # samples per block when writing: 512 KB of float64
 BLOCK_SAMPLES = 1 << 16
 

@@ -184,9 +184,10 @@ def _cmd_train(args, cfg: ToolConfig) -> int:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     gmm.check_label(args.label)
     takes = (_read_audio(path) for path in args.inputs)
-    matrices = list(features.extract_all(takes, cfg.features))  # one rate, or ConfigError
-    rows = np.vstack([matrix.rows for matrix in matrices])
-    merged = features.FeatureMatrix(rows, len(rows), matrices[0].config_fingerprint)
+    # one sample rate, or ConfigError
+    batches = [batch for batch, _ in features.extract_batches(takes, cfg.features)]
+    rows = np.vstack([batch.rows for batch in batches])
+    merged = features.FeatureMatrix(rows, len(rows), batches[0].config_fingerprint)
     model, report = gmm.train(
         merged, args.components, cfg.seed, label=args.label
     )

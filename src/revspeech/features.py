@@ -7,6 +7,7 @@ rows (per_piece_product).
 
 import functools
 import hashlib
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .audio import (
     BLOCK_SAMPLES,
+    SCORE_BLOCKS,
     AudioBuffer,
     FrameSequence,
     frame_blocks,
@@ -460,39 +462,41 @@ def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
 def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[FeatureMatrix]:
     """extract of each buffer in turn: each extract_batches batch cut into its pieces."""
     for batch, bounds in extract_batches(bufs, cfg):
-        edges = bounds.tolist()
-        for lo, hi in zip(edges, edges[1:]):
+        for lo, hi in zip(bounds, bounds[1:]):
             yield FeatureMatrix(batch.rows[lo:hi], hi - lo, batch.config_fingerprint)
 
 
 def extract_batches(
     bufs: Iterable[AudioBuffer], cfg: FeatureConfig
-) -> Iterator[tuple[FeatureMatrix, np.ndarray]]:
+) -> Iterator[tuple[FeatureMatrix, list[int]]]:
     """Each batch of buffers as one FeatureMatrix of their stacked rows, and its bounds.
 
     bounds are the row offsets where the buffers' rows meet, from 0 to the
     batch's row count, so rows bounds[p] .. bounds[p + 1] - 1 are extract of
-    the batch's buffer p; the rows are checked finite once per batch.
-    extract_all cuts the batches into one matrix per buffer, and transcribe
-    scores them as they come.
+    the batch's buffer p. A batch is a scoring batch (stack_batches): its
+    buffers have at most SCORE_BLOCKS * BLOCK_FRAMES frames in all, or it
+    is one longer buffer. extract_all cuts the batches into one matrix per
+    buffer, and transcribe scores each as it comes.
 
     One call serves one sample rate: a buffer at another rate than the first
-    is a ConfigError. Consecutive buffers with at most BLOCK_FRAMES frames
-    in all make a batch (audio.frame_groups); a longer buffer is a batch of
-    its own, run BLOCK_FRAMES frames at a time. Each piece of a batch is
-    copied into its own slot of one zero-padded buffer, at a hop-aligned
-    offset far enough from the next that no frame holds samples of two, and
-    the whole buffer is pre-emphasized in one pass; the first zero after
-    each piece, the one sample the filter carries a piece into, is then set
-    back to zero. So one framing gives every piece's frames, each as if
-    pre-emphasized alone. Each block of frames then takes one window and
-    rfft and one log10, and the batch one delta computation clamped at each
-    piece's edges. Matrix products run per piece (per_piece_product), so
-    every piece's rows equal extract of that piece alone, bit for bit. Every
-    batch writes its padded buffer, windowed frames (fft_size columns, the
-    ones past the frame zero, as FrameSpec.spectra takes them) and power
-    spectra into arrays of the call's own, made once, zeroed, and reused;
-    the rows it yields are its own.
+    is a ConfigError. Cepstra are computed per extraction batch: consecutive
+    buffers with at most BLOCK_FRAMES frames in all (audio.frame_groups), or
+    one longer buffer, run BLOCK_FRAMES frames at a time. Each piece of an
+    extraction batch is copied into its own slot of one zero-padded buffer,
+    at a hop-aligned offset far enough from the next that no frame holds
+    samples of two, and the whole buffer is pre-emphasized in one pass; the
+    first zero after each piece, the one sample the filter carries a piece
+    into, is then set back to zero. So one framing gives every piece's
+    frames, each as if pre-emphasized alone. Each block of frames then takes
+    one window and rfft and one log10. Matrix products run per piece
+    (per_piece_product), so every piece's rows equal extract of that piece
+    alone, bit for bit. Every extraction batch writes its padded buffer,
+    windowed frames (fft_size columns, the ones past the frame zero, as
+    FrameSpec.spectra takes them) and power spectra into arrays of the
+    call's own, made once, zeroed, and reused. The cepstra of a scoring
+    batch are then stacked and take one delta computation clamped at each
+    piece's edges, one finite-value check and one fingerprint; the rows a
+    batch yields are its own.
     """
     rate = None
 
@@ -506,9 +510,39 @@ def extract_batches(
         frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, rate)
         return frame_count(len(buf.samples), frame_len, hop)
 
+    def with_deltas(ceps: np.ndarray, bounds: list[int]) -> tuple[FeatureMatrix, list[int]]:
+        velocity = delta_features(ceps, cfg.delta_window, bounds)
+        acceleration = delta_features(velocity, cfg.delta_window, bounds)
+        rows = np.hstack([ceps, velocity, acceleration])
+        return FeatureMatrix(rows, len(rows), cfg.fingerprint(rate)), bounds
+
     scratch = {}  # this call's block buffers, so concurrent calls share none
-    for batch in frame_groups(bufs, frames_of):
-        yield _extract_batch(batch, cfg, scratch)
+    cepstra = (_cepstra(batch, cfg, scratch) for batch in frame_groups(bufs, frames_of))
+    return itertools.starmap(with_deltas, stack_batches(cepstra))
+
+
+def stack_batches(
+    batches: Iterable[tuple[np.ndarray, list[int]]],
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Runs of consecutive (rows, bounds) batches, each stacked into one such batch.
+
+    bounds are the offsets where a batch's pieces meet, from 0 to its row
+    count. A run holds at most SCORE_BLOCKS * BLOCK_FRAMES rows in all, or
+    is one longer batch (audio.frame_groups). Batches are drawn only as a
+    run fills, and a stacked run holds no reference to its parts.
+    """
+    return map(_stacked, frame_groups(batches, lambda batch: len(batch[0]), SCORE_BLOCKS))
+
+
+def _stacked(group: list) -> tuple[np.ndarray, list[int]]:
+    """stack_batches of one run; the run is emptied, so only the stacked copy stays held."""
+    rows = group[0][0] if len(group) == 1 else np.concatenate([part for part, _ in group])
+    bounds, offset = [0], 0
+    for part, edges in group:
+        bounds += [offset + edge for edge in edges[1:]]
+        offset += len(part)
+    group.clear()
+    return rows, bounds
 
 
 def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
@@ -518,9 +552,10 @@ def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
     return scratch[name][: shape[0]]
 
 
-def _extract_batch(
+def _cepstra(
     bufs: list[AudioBuffer], cfg: FeatureConfig, scratch: dict
-) -> tuple[FeatureMatrix, np.ndarray]:
+) -> tuple[np.ndarray, list[int]]:
+    """The stacked cepstra of one extraction batch, and its piece bounds."""
     sr = bufs[0].sample_rate_hz
     frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
     fft_size = cfg.frame.resolve_fft_size(sr)
@@ -551,8 +586,4 @@ def _extract_batch(
         power = np.abs(spectra, out=_reused(scratch, "power", spectra.shape))
         np.square(power, out=power)  # as ** 2, bit for bit
         ceps[part] = mfcc(_mel_energies(power, cfg, sr, local), cfg.num_ceps, local)
-    velocity = delta_features(ceps, cfg.delta_window, bounds)
-    acceleration = delta_features(velocity, cfg.delta_window, bounds)
-
-    stacked = np.hstack([ceps, velocity, acceleration])
-    return FeatureMatrix(stacked, len(stacked), cfg.fingerprint(sr)), bounds
+    return ceps, bounds.tolist()

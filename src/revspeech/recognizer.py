@@ -7,6 +7,7 @@ splitting upstream; the endpointing rules below never enforce a maximum
 length.
 """
 
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -16,7 +17,6 @@ from .audio import (
     AudioBuffer,
     FrameSequence,
     frame_energies,
-    frame_groups,
     reverse,
 )
 from .enhance import EnhanceConfig, denoise_spans
@@ -32,14 +32,11 @@ from .features import (
     FeatureMatrix,
     FrameSpec,
     extract_batches,
+    stack_batches,
 )
 from .gmm import GmmModel, density_constants, log_joint_densities, logsumexp
 
 DIRECTIONS = ("forward", "reverse")
-# feature blocks per scoring batch: 4,096 rows (1.3 MB of features) at the
-# default BLOCK_FRAMES, so each model's per-batch numpy calls run on
-# thousands of rows at once
-SCORE_BLOCKS = 16
 
 
 @dataclass
@@ -140,7 +137,7 @@ def classify_segments(
     Each matrix is checked against the vocabulary as it is drawn, then
     scored by the scorer transcribe uses (_scored), each matrix one piece:
     consecutive matrices with at most SCORE_BLOCKS * BLOCK_FRAMES rows in
-    all are stacked and scored as one batch.
+    all are stacked and scored as one batch (features.stack_batches).
     """
 
     def checked(matrix: FeatureMatrix) -> tuple[np.ndarray, list[int]]:
@@ -149,7 +146,7 @@ def classify_segments(
         _check_features(vocab, matrix.config_fingerprint, matrix.dim)
         return matrix.rows, [0, matrix.num_frames]
 
-    return _scored(map(checked, features), vocab)
+    return _scored(stack_batches(map(checked, features)), vocab)
 
 
 def _check_features(vocab: Vocabulary, fingerprint: str, dim: int, source: str = "") -> None:
@@ -175,49 +172,33 @@ def _scored(
     """(label, score, margin) of each piece of each batch, in order.
 
     A batch is stacked feature rows, already checked against vocab, and the
-    offsets where its pieces meet, from 0 to its row count. Consecutive
-    batches with at most SCORE_BLOCKS * BLOCK_FRAMES rows in all are
-    stacked and scored as one (audio.frame_groups); a longer batch is
-    scored alone. Each model's density constants (gmm.density_constants)
+    offsets where its pieces meet, from 0 to its row count; each is scored
+    as it stands. Each model's density constants (gmm.density_constants)
     are built once per call and its products run per piece
     (features.per_piece_product). Each model writes its per-frame
-    log-likelihoods (one logsumexp over the scoring batch's rows) into its
-    row of one (models, rows) array, and each piece then sums every
-    model's frames in one np.sum over its columns. That equals np.sum of
-    each model's frames alone, bit for bit: each row reduces along its own
-    contiguous axis, in np.sum's pairwise order (np.add.reduceat sums in
-    plain order and differs in the last bits). So every result equals the
-    piece scored alone.
+    log-likelihoods (one logsumexp over the batch's rows) into its row of
+    one (models, rows) array, and each piece then sums every model's frames
+    in one np.sum over its columns. That equals np.sum of each model's
+    frames alone, bit for bit: each row reduces along its own contiguous
+    axis, in np.sum's pairwise order (np.add.reduceat sums in plain order
+    and differs in the last bits). So every result equals the piece scored
+    alone. A batch is let go when its last result is taken, before the
+    next is drawn.
     """
     labels, models = list(vocab.entries), list(vocab.entries.values())
     constants = [density_constants(model) for model in models]
-    for group in frame_groups(batches, lambda batch: len(batch[0]), SCORE_BLOCKS):
-        yield from _scored_group(group, labels, models, constants)
 
+    def scored(rows: np.ndarray, bounds: list) -> Iterator[tuple[str, float, float]]:
+        frame_ll = np.empty((len(models), len(rows)))
+        for ll, model, model_constants in zip(frame_ll, models, constants):
+            ll[:] = logsumexp(log_joint_densities(model, rows, bounds, model_constants))
+        for lo, hi in zip(bounds, bounds[1:]):
+            scores = [total / (hi - lo) for total in np.sum(frame_ll[:, lo:hi], axis=1).tolist()]
+            ranked = sorted(zip(labels, scores), key=lambda item: (-item[1], item[0]))
+            (best_label, best_score), (_, runner_up) = ranked[:2]  # a Vocabulary has >= 2 labels
+            yield best_label, best_score, best_score - runner_up
 
-def _scored_group(
-    group: list, labels: list, models: list, constants: list
-) -> Iterator[tuple[str, float, float]]:
-    """_scored of one scoring batch, made of the batches in group.
-
-    The group's rows are stacked, then the group is emptied, so only the
-    stacked copy stays held; and everything this holds is let go when its
-    last result is taken, before the next group's batches are drawn.
-    """
-    rows = group[0][0] if len(group) == 1 else np.concatenate([part for part, _ in group])
-    bounds, offset = [0], 0
-    for part, edges in group:
-        bounds += [offset + edge for edge in edges[1:]]
-        offset += len(part)
-    group.clear()
-    frame_ll = np.empty((len(models), len(rows)))
-    for ll, model, model_constants in zip(frame_ll, models, constants):
-        ll[:] = logsumexp(log_joint_densities(model, rows, bounds, model_constants))
-    for lo, hi in zip(bounds, bounds[1:]):
-        scores = [total / (hi - lo) for total in np.sum(frame_ll[:, lo:hi], axis=1).tolist()]
-        ranked = sorted(zip(labels, scores), key=lambda item: (-item[1], item[0]))
-        (best_label, best_score), (_, runner_up) = ranked[:2]  # a Vocabulary has >= 2 labels
-        yield best_label, best_score, best_score - runner_up
+    return itertools.chain.from_iterable(itertools.starmap(scored, batches))
 
 
 def segment_utterances(
@@ -304,10 +285,11 @@ def transcribe(
     against the vocabulary first, before any signal work. The noise profile
     comes from the whole recording, but only the endpointed regions are
     denoised, and denoising and features each batch the regions a block of
-    frames at a time. Scoring takes the feature batches as they come
-    (features.extract_batches: stacked rows and piece bounds, no matrix per
-    region) and scores up to SCORE_BLOCKS of them at once (_scored), so
-    the input samples are the only full-length array held. Each region's
+    frames at a time. Scoring takes the feature batches of up to
+    SCORE_BLOCKS blocks' rows as they come (features.extract_batches:
+    stacked rows and piece bounds, no matrix per region) and scores each
+    as it stands (_scored), so the input samples are the only full-length
+    array held. Each region's
     result equals extract and classify_segment on its slice of the whole
     recording's enhancement, bit for bit.
     Endpointing and enhancement each frame the recording; when their frames
@@ -349,8 +331,9 @@ def transcribe(
     # SCORE_BLOCKS blocks' feature rows
     pieces = denoise_spans(frames, enhance_cfg, spans, energies if alike else None)
     cleaned = (AudioBuffer(piece, sr) for piece in pieces)
-    batches = extract_batches(cleaned, feature_cfg)
-    results = _scored(((batch.rows, bounds.tolist()) for batch, bounds in batches), vocab)
+    # map, unlike a generator expression, keeps no batch while the next is made
+    batches = map(lambda batch: (batch[0].rows, batch[1]), extract_batches(cleaned, feature_cfg))
+    results = _scored(batches, vocab)
     segments = [
         SegmentHypothesis(start_s, end_s, label, score, margin, direction)
         for (start_s, end_s), (label, score, margin) in zip(regions, results)

@@ -29,8 +29,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revspeech import audio, features
+from revspeech.audio import SCORE_BLOCKS
 from revspeech.gmm import log_joint_densities, logsumexp
-from revspeech.recognizer import DIRECTIONS, SCORE_BLOCKS, classify_segments
+from revspeech.recognizer import DIRECTIONS, classify_segments
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
@@ -526,6 +527,31 @@ class TestTranscribe:
             transcribe(buf, fixture_vocabulary, direction)
             assert len(passes) == models * -(-rows // limit)
             assert sum(passes) == models * rows
+
+    @pytest.mark.parametrize("block, batches", [(3, 3), (8, 1), (None, 1)])
+    def test_deltas_once_per_scoring_batch(
+        self, fixture_vocabulary, fixture_session, monkeypatch, block, batches
+    ):
+        # each direction's 3 regions of 41 rows are 3 extraction batches at
+        # BLOCK_FRAMES 3 and 8 and one at the real size; the deltas and
+        # delta-deltas run once per scoring batch of up to SCORE_BLOCKS
+        # blocks' rows (48, 128 and 4,096), not once per extraction batch
+        calls = []
+
+        def counting_deltas(ceps, window, bounds=None):
+            calls.append(len(ceps))
+            return delta_features(ceps, window, bounds)
+
+        delta_features = features.delta_features
+        monkeypatch.setattr(features, "delta_features", counting_deltas)
+        if block is not None:
+            monkeypatch.setattr(audio, "BLOCK_FRAMES", block)
+        buf, _ = fixture_session
+        for direction in DIRECTIONS:
+            calls.clear()
+            transcribe(buf, fixture_vocabulary, direction)
+            assert len(calls) == 2 * batches
+            assert sum(calls) == 2 * 123
 
     @pytest.mark.parametrize("method", ["spectral_subtraction", "wiener"])
     def test_equals_denoising_the_whole_recording(
