@@ -1,8 +1,11 @@
 """MFCC front end: pre-emphasis, windowing, spectrum, mel filterbank, cepstra, deltas.
 
 Per-frame functions act on the last axis; extract_all runs them on blocks of
-frames gathered from many pieces, with each matrix product on one piece's
-rows (per_piece_product).
+frames gathered from many pieces, one matrix product per block. OpenBLAS may
+round a product's rows differently in matrices of other heights, so a
+piece's rows equal the piece processed alone to within rounding (1e-12
+relative to its largest value), not bit for bit; elementwise and row-wise
+steps, the FFT and the deltas do not depend on what else shares the block.
 """
 
 import functools
@@ -334,25 +337,6 @@ def mel_to_hz(m: float) -> float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def per_piece_product(rows: np.ndarray, matrix: np.ndarray, bounds=None) -> np.ndarray:
-    """rows @ matrix.T, one matrix product per piece of rows.
-
-    bounds are the row offsets where stacked pieces meet, from 0 to
-    len(rows); None makes all rows one piece. Products are never run across
-    pieces: OpenBLAS rounds the same rows differently in matrices of other
-    heights, so a piece's rows come out bit-identical to its rows processed
-    alone only when each product runs on exactly the rows it would have
-    alone. Elementwise and row-wise steps, and the FFT, do not depend on
-    the row count and run on all pieces at once.
-    """
-    if bounds is None:
-        return rows @ matrix.T
-    out = np.empty((len(rows), len(matrix)))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[lo:hi] = rows[lo:hi] @ matrix.T
-    return out
-
-
 @functools.lru_cache(maxsize=32)
 def mel_filter_weights(
     num_filters: int, fft_size: int, sample_rate_hz: int, low_hz: float, high_hz: float
@@ -377,18 +361,15 @@ def mel_filter_weights(
     return weights
 
 
-def mel_filterbank(
-    magnitudes: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int, bounds=None
-) -> np.ndarray:
+def mel_filterbank(magnitudes: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     """Per-filter energies s(m) = sum_k w_m(k) * |X(k)|^2 over the half spectrum.
 
-    magnitudes holds exactly fft_size // 2 + 1 bins per frame. bounds splits
-    stacked pieces' rows for the product (per_piece_product).
+    magnitudes holds exactly fft_size // 2 + 1 bins per frame.
     """
-    return _mel_energies(np.asarray(magnitudes, dtype=np.float64) ** 2, cfg, sample_rate_hz, bounds)
+    return _mel_energies(np.asarray(magnitudes, dtype=np.float64) ** 2, cfg, sample_rate_hz)
 
 
-def _mel_energies(power: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int, bounds):
+def _mel_energies(power: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     """mel_filterbank of a power spectrum |X(k)|^2 squared by the caller."""
     fft_size = cfg.frame.resolve_fft_size(sample_rate_hz)
     needed = fft_size // 2 + 1
@@ -398,7 +379,7 @@ def _mel_energies(power: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int, bo
     weights = mel_filter_weights(
         cfg.num_filters, fft_size, sample_rate_hz, cfg.low_freq_hz, high
     )
-    return per_piece_product(power, weights, bounds)
+    return power @ weights.T
 
 
 @functools.lru_cache(maxsize=32)
@@ -411,16 +392,13 @@ def _dct_basis(num_ceps: int, num_filters: int) -> np.ndarray:
     return basis
 
 
-def mfcc(energies: np.ndarray, num_ceps: int, bounds=None) -> np.ndarray:
-    """Cepstra c(n) = sum_m log10(max(s(m), eps)) * cos(pi*n*(m+0.5)/M).
-
-    bounds splits stacked pieces' rows for the product (per_piece_product).
-    """
+def mfcc(energies: np.ndarray, num_ceps: int) -> np.ndarray:
+    """Cepstra c(n) = sum_m log10(max(s(m), eps)) * cos(pi*n*(m+0.5)/M)."""
     energies = np.asarray(energies, dtype=np.float64)
     if np.any(energies < 0):
         raise ValueError("filterbank energies must be nonnegative")
     logs = np.log10(np.maximum(energies, ENERGY_FLOOR))
-    return per_piece_product(logs, _dct_basis(num_ceps, energies.shape[-1]), bounds)
+    return logs @ _dct_basis(num_ceps, energies.shape[-1]).T
 
 
 def delta_features(ceps: np.ndarray, window: int, bounds=None) -> np.ndarray:
@@ -488,9 +466,9 @@ def extract_batches(
     first zero after each piece, the one sample the filter carries a piece
     into, is then set back to zero. So one framing gives every piece's
     frames, each as if pre-emphasized alone. Each block of frames then takes
-    one window and rfft and one log10. Matrix products run per piece
-    (per_piece_product), so every piece's rows equal extract of that piece
-    alone, bit for bit. Every extraction batch writes its padded buffer,
+    one window and rfft, one mel product, one log10 and one DCT product, so
+    every piece's rows equal extract of that piece alone to within rounding
+    (see the module docstring). Every extraction batch writes its padded buffer,
     windowed frames (fft_size columns, the ones past the frame zero, as
     FrameSpec.spectra takes them) and power spectra into arrays of the
     call's own, made once, zeroed, and reused. The cepstra of a scoring
@@ -580,10 +558,9 @@ def _cepstra(
     rows = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
     ceps = np.empty((bounds[-1], cfg.num_ceps))
     for part in frame_blocks(0, bounds[-1]):
-        local = np.unique(np.clip(bounds, part.start, part.stop)) - part.start
         windowed = _reused(scratch, "windowed", (part.stop - part.start, fft_size))
         spectra = cfg.frame.spectra(frames, rows[part], windowed)
         power = np.abs(spectra, out=_reused(scratch, "power", spectra.shape))
         np.square(power, out=power)  # as ** 2, bit for bit
-        ceps[part] = mfcc(_mel_energies(power, cfg, sr, local), cfg.num_ceps, local)
+        ceps[part] = mfcc(_mel_energies(power, cfg, sr), cfg.num_ceps)
     return ceps, bounds.tolist()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ModelFormatError, read_text
-from .features import FeatureMatrix, per_piece_product
+from .features import FeatureMatrix
 
 MODEL_FORMAT_VERSION = "gmm-v1"
 RNG_ALGORITHM = "numpy-pcg64"
@@ -142,17 +142,17 @@ def density_constants(model: GmmModel) -> tuple:
 
 
 def log_joint_densities(
-    model: GmmModel, rows: np.ndarray, bounds=None, constants=None
+    model: GmmModel, rows: np.ndarray, squared=None, constants=None
 ) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components).
 
     Classification, EM's log-likelihoods and its memberships all score here.
     The Mahalanobis term is expanded into matrix products with precisions
     P = 1/variance: sum (x-mu)^2 P = x^2 . P - 2 x . (mu P) + sum mu^2 P.
-    bounds splits the rows of stacked pieces for the two products
-    (features.per_piece_product), so each piece's densities equal its
-    densities computed alone. constants are density_constants(model),
-    built here when not given.
+    Each of the two products runs once over all rows. squared is rows *
+    rows and constants are density_constants(model), each built here when
+    not given; a caller that scores the same rows more than once (EM's
+    iterations, several models) passes them.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     dim = x.shape[1]
@@ -161,17 +161,15 @@ def log_joint_densities(
     log_norm, precisions, scaled_means, mean_term, log_weights = (
         constants or density_constants(model)
     )
-    mahal = (
-        per_piece_product(x * x, precisions, bounds)
-        - 2.0 * per_piece_product(x, scaled_means, bounds)
-        + mean_term
-    )
+    if squared is None:
+        squared = x * x
+    mahal = squared @ precisions.T - 2.0 * (x @ scaled_means.T) + mean_term
     return log_norm - 0.5 * mahal + log_weights
 
 
-def _e_step(model: GmmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods."""
-    joint = log_joint_densities(model, rows)
+def _e_step(model: GmmModel, x: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods; x_sq is x * x."""
+    joint = log_joint_densities(model, x, x_sq)
     frame_ll = logsumexp(joint)
     return _exp(joint - frame_ll[:, None]), frame_ll
 
@@ -280,7 +278,7 @@ def train(
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        resp, frame_ll = _e_step(model, x)
+        resp, frame_ll = _e_step(model, x, x_sq)
         trace.append(float(np.sum(frame_ll)))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-1]):
             converged = True

@@ -174,24 +174,26 @@ def _scored(
     A batch is stacked feature rows, already checked against vocab, and the
     offsets where its pieces meet, from 0 to its row count; each is scored
     as it stands. Each model's density constants (gmm.density_constants)
-    are built once per call and its products run per piece
-    (features.per_piece_product). Each model writes its per-frame
-    log-likelihoods (one logsumexp over the batch's rows) into its row of
-    one (models, rows) array, and each piece then sums every model's frames
-    in one np.sum over its columns. That equals np.sum of each model's
-    frames alone, bit for bit: each row reduces along its own contiguous
-    axis, in np.sum's pairwise order (np.add.reduceat sums in plain order
-    and differs in the last bits). So every result equals the piece scored
-    alone. A batch is let go when its last result is taken, before the
-    next is drawn.
+    are built once per call, the rows are squared once per batch, and each
+    model's two density products run once over the batch's rows. Each
+    model writes its per-frame log-likelihoods (one logsumexp over the
+    batch's rows) into its row of one (models, rows) array, and each piece
+    then sums every model's frames in one np.sum over its columns. That
+    equals np.sum of each model's frames alone, bit for bit: each row
+    reduces along its own contiguous axis, in np.sum's pairwise order
+    (np.add.reduceat sums in plain order and differs in the last bits).
+    So every score equals the piece scored alone to within the products'
+    rounding (1e-12 relative). A batch is let go when its last result is
+    taken, before the next is drawn.
     """
     labels, models = list(vocab.entries), list(vocab.entries.values())
     constants = [density_constants(model) for model in models]
 
     def scored(rows: np.ndarray, bounds: list) -> Iterator[tuple[str, float, float]]:
+        squared = rows * rows
         frame_ll = np.empty((len(models), len(rows)))
         for ll, model, model_constants in zip(frame_ll, models, constants):
-            ll[:] = logsumexp(log_joint_densities(model, rows, bounds, model_constants))
+            ll[:] = logsumexp(log_joint_densities(model, rows, squared, model_constants))
         for lo, hi in zip(bounds, bounds[1:]):
             scores = [total / (hi - lo) for total in np.sum(frame_ll[:, lo:hi], axis=1).tolist()]
             ranked = sorted(zip(labels, scores), key=lambda item: (-item[1], item[0]))
@@ -289,9 +291,10 @@ def transcribe(
     SCORE_BLOCKS blocks' rows as they come (features.extract_batches:
     stacked rows and piece bounds, no matrix per region) and scores each
     as it stands (_scored), so the input samples are the only full-length
-    array held. Each region's
-    result equals extract and classify_segment on its slice of the whole
-    recording's enhancement, bit for bit.
+    array held. Each region's result equals extract and classify_segment
+    on its slice of the whole recording's enhancement: the same label, and
+    scores within 1e-12 relative (matrix products run on whole blocks and
+    batches).
     Endpointing and enhancement each frame the recording; when their frames
     have the same length and hop (as they do by default), the one pass of
     frame energies that endpointing takes also selects the noise frames

@@ -6,6 +6,34 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
+# a piece processed in stacked blocks and batches against the piece alone:
+# matrix products over matrices of other heights may round apart in the last
+# bits, far inside this share of the largest magnitude compared
+PIECE_RTOL = 1e-12
+
+
+def assert_rows_match_alone(got: np.ndarray, alone: np.ndarray) -> None:
+    """Feature rows within PIECE_RTOL of alone's largest magnitude."""
+    assert got.shape == alone.shape
+    np.testing.assert_allclose(got, alone, rtol=0, atol=PIECE_RTOL * np.abs(alone).max())
+
+
+def assert_results_match_alone(got: list, alone: list) -> None:
+    """Tuples ending in (label, score, margin): all else equal, the label too.
+
+    The score is within PIECE_RTOL of itself, and the margin, a difference
+    of two scores, within PIECE_RTOL of both scores' magnitudes.
+    """
+    assert len(got) == len(alone)
+    for result, want in zip(got, alone):
+        *head, score, margin = result
+        *want_head, want_score, want_margin = want
+        assert head == want_head, (result, want)
+        assert abs(score - want_score) <= PIECE_RTOL * abs(want_score), (result, want)
+        scale = abs(want_score) + abs(want_score - want_margin)
+        assert abs(margin - want_margin) <= PIECE_RTOL * scale, (result, want)
+
+
 def padded_frames(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Every frame of samples as rows: frame i is samples i*hop .. i*hop + frame_len - 1.
 

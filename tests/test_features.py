@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dft_magnitude, hamming_window, overlap_add_normalized, padded_frames
+from oracles import (
+    assert_rows_match_alone,
+    dft_magnitude,
+    hamming_window,
+    overlap_add_normalized,
+    padded_frames,
+)
 from revspeech import AudioBuffer, FeatureConfig, extract, reverse
 from revspeech import audio, features
 from revspeech.errors import ConfigError
@@ -292,10 +298,11 @@ class TestDeltaFeatures:
 @example(lengths=[300, 250, 0, 400, 1500, 120], rate=8000, block=7, overlap=0.5,
          preemphasis=0.97, seed=0)
 def test_batches_equal_each_piece_alone(lengths, rate, block, overlap, preemphasis, seed):
-    # pieces share one padded buffer, framing, rfft, log10 and delta pass
-    # per batch, so no sample, filter state or delta context may reach from
-    # one piece into the next; a piece longer than a block is cut at the
-    # same offsets as on its own
+    # pieces share one padded buffer, framing, rfft, products, log10 and
+    # delta pass per batch, so no sample, filter state or delta context may
+    # reach from one piece into the next; a piece longer than a block is cut
+    # at the same offsets as on its own. Only the products' rounding may
+    # differ from the piece alone
     rng = np.random.default_rng(seed)
     bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n in lengths]
     cfg = FeatureConfig(overlap_fraction=overlap, preemphasis_a=preemphasis)
@@ -308,8 +315,8 @@ def test_batches_equal_each_piece_alone(lengths, rate, block, overlap, preemphas
     for buf, got, one, want in zip(bufs, batched, single, alone):
         assert got.config_fingerprint == cfg.fingerprint(buf.sample_rate_hz)
         assert got.num_frames == one.num_frames == len(want)
-        np.testing.assert_array_equal(one.rows, want)
-        np.testing.assert_array_equal(got.rows, want)
+        assert_rows_match_alone(one.rows, want)
+        assert_rows_match_alone(got.rows, want)
 
 
 @pytest.mark.parametrize("rates", [[8000, 8000, 16000], [16000] * 100 + [8000]],
@@ -341,15 +348,17 @@ TAKE_LENGTHS = st.one_of(
 @example(lengths=[102_600, 51_400, 20_200, 31_400, 150], rate=16000, seed=1)
 def test_reused_block_buffers_leave_no_stale_rows(lengths, rate, seed):
     # extract_all writes every batch into the same padded buffer, windowed
-    # frames and power spectra, at the real BLOCK_FRAMES; a row left over
-    # from an earlier batch or block would change a take's features
+    # frames and power spectra, at the real BLOCK_FRAMES, and stacks up to
+    # SCORE_BLOCKS batches' cepstra for the deltas; a row left over from an
+    # earlier batch or block, or one out of place, would change a take's
+    # features by far more than the products' rounding
     rng = np.random.default_rng(seed)
     bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n in lengths]
     cfg = FeatureConfig()
     batched = list(features.extract_all(iter(bufs), cfg))
     assert len(batched) == len(bufs)
     for buf, got in zip(bufs, batched):
-        np.testing.assert_array_equal(got.rows, extract(buf, cfg).rows)
+        assert_rows_match_alone(got.rows, extract(buf, cfg).rows)
 
 
 def test_concurrent_calls_share_no_buffers():
@@ -753,7 +762,7 @@ class TestExtractComposition:
             return out
 
         monkeypatch.setattr(features.FrameSpec, "spectra", spectra_spy)
-        for name in ("per_piece_product", "mfcc"):
+        for name in ("mfcc", "delta_features"):
             spy(name)
         rows = extract(buf, cfg).rows
         np.testing.assert_array_equal(rows, expected)
@@ -761,12 +770,12 @@ class TestExtractComposition:
         # the window and spectrum are FrameSpec.spectra's, which writes the
         # windowed frames into a buffer, so hamming_window is not called; the
         # power spectrum is squared in place and takes mel_filterbank's
-        # product, then mfcc's
+        # product, then mfcc's; the deltas and delta-deltas follow
         assert calls == [
             ("spectra", (num_frames, 257)),
-            ("per_piece_product", (num_frames, 26)),
-            ("per_piece_product", (num_frames, 13)),
             ("mfcc", (num_frames, 13)),
+            ("delta_features", (num_frames, 13)),
+            ("delta_features", (num_frames, 13)),
         ]
 
 

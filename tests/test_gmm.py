@@ -154,7 +154,7 @@ class TestQuadraticForm:
         # max_iter=1 returns the model after one M-step, max_iter=2 after two
         before, _ = train(rows, 4, seed=0, max_iter=1)
         after, _ = train(rows, 4, seed=0, max_iter=2)
-        resp, _ = _e_step(before, x)
+        resp, _ = _e_step(before, x, x * x)
         counts = resp.sum(axis=0)
         means = (resp.T @ x) / counts[:, None]
         centred = np.stack(
@@ -375,7 +375,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(50, 2))
         model, _ = train(matrix(rows), 3, seed=3)
-        resp, _ = _e_step(model, rows)
+        resp, _ = _e_step(model, rows, rows * rows)
         np.testing.assert_allclose(resp.sum(axis=1), np.ones(50), atol=1e-12)
 
     def test_joint_density_serves_likelihood_and_responsibilities(self):
@@ -388,8 +388,10 @@ class TestTrain:
             centred_log_densities(rows, model.means, model.variances) + np.log(model.weights),
             rtol=1e-10,
         )
+        # the squares EM computes once per fit give the same bits
+        np.testing.assert_array_equal(log_joint_densities(model, rows, rows * rows), joint)
         frame_ll = logsumexp(joint)
-        resp, e_step_ll = _e_step(model, rows)
+        resp, e_step_ll = _e_step(model, rows, rows * rows)
         np.testing.assert_array_equal(resp, np.exp(joint - frame_ll[:, None]))
         np.testing.assert_array_equal(e_step_ll, frame_ll)
 

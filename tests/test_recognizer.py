@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SR, tone, train_vocabulary, utterance, word_features
-from oracles import padded_frames
+from oracles import assert_results_match_alone, padded_frames
 from revspeech import (
     AudioBuffer,
     EndpointConfig,
@@ -180,13 +180,13 @@ class TestClassifySegment:
     ):
         # scoring stacks matrices up to SCORE_BLOCKS * BLOCK_FRAMES rows (16
         # to 112 here) and scores them with one set of constants per model,
-        # one logsumexp per model and per-segment products; each result must
+        # one logsumexp and one pair of products per model; each result must
         # still be the average log-likelihood ranking of the segment alone
         rng = np.random.default_rng(seed)
         fingerprint = fixture_vocabulary.feature_fingerprint
         vocab = mixed_vocabulary(fingerprint) if mixed else fixture_vocabulary
         feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
-        assert batch_scored(feats, vocab, block) == scored_alone(feats, vocab)
+        assert_results_match_alone(batch_scored(feats, vocab, block), scored_alone(feats, vocab))
 
     @pytest.mark.parametrize("block", [1, 5, None])
     @pytest.mark.parametrize("case", [
@@ -195,7 +195,8 @@ class TestClassifySegment:
     ])
     def test_exact_across_the_row_limit(self, fixture_vocabulary, block, case):
         # None is the real BLOCK_FRAMES; every model count 1, 2, 4 and 16
-        # scores each segment as it scores it alone, wherever the limit cuts
+        # scores each segment as it scores it alone, up to the products'
+        # rounding, wherever the limit cuts
         limit = SCORE_BLOCKS * (block or audio.BLOCK_FRAMES)
         third = limit // 3
         lengths = {
@@ -210,7 +211,7 @@ class TestClassifySegment:
         fingerprint = fixture_vocabulary.feature_fingerprint
         feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
         for vocab in (fixture_vocabulary, mixed_vocabulary(fingerprint)):
-            assert batch_scored(feats, vocab, block) == scored_alone(feats, vocab)
+            assert_results_match_alone(batch_scored(feats, vocab, block), scored_alone(feats, vocab))
 
 
 def mixed_vocabulary(fingerprint):
@@ -569,8 +570,9 @@ class TestTranscribe:
                 feats = extract(AudioBuffer(piece, SR), FeatureConfig())
                 expected.append((start_s, end_s, *classify_segment(feats, fixture_vocabulary)))
             got = transcribe(buf, fixture_vocabulary, direction, cfg)
-            assert [(s.start_s, s.end_s, s.label, s.score, s.margin)
-                    for s in got.segments] == expected
+            assert_results_match_alone(
+                [(s.start_s, s.end_s, s.label, s.score, s.margin) for s in got.segments], expected
+            )
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -601,7 +603,8 @@ class TestTranscribe:
         # a time, splitting long regions and gathering short ones, and scoring
         # takes up to SCORE_BLOCKS * BLOCK_FRAMES rows (16 to 112 here);
         # every region still gets what extract and classify_segment give
-        # its slice of the whole recording's enhancement
+        # its slice of the whole recording's enhancement, up to the
+        # products' rounding
         rng = np.random.default_rng(seed)
         pieces = []
         for gap_ms, burst_ms in bursts:
@@ -621,8 +624,9 @@ class TestTranscribe:
                 expected.append((start_s, end_s, *classify_segment(feats, fixture_vocabulary)))
             got = transcribe(buf, fixture_vocabulary, direction, enhance_cfg,
                              endpoint_cfg=endpoint_cfg)
-        assert [(s.start_s, s.end_s, s.label, s.score, s.margin)
-                for s in got.segments] == expected
+        assert_results_match_alone(
+            [(s.start_s, s.end_s, s.label, s.score, s.margin) for s in got.segments], expected
+        )
 
     def test_memory_grows_by_a_small_fraction_of_the_input(self, fixture_vocabulary):
         # the input is the only full-length array: the reversed recording is
