@@ -63,12 +63,18 @@ class FrameSpec:
             )
         return self.fft_size
 
-    def frames_within(self, seconds: float) -> int:
-        """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
+    def frames_within(self, seconds: float, sample_rate_hz: int | None = None) -> int:
+        """Frames whose starts fall within seconds.
 
-        Rate-free: at a given rate the hop is that length rounded to samples.
+        Without a rate the frames are frame_ms * (1 - overlap_fraction)
+        apart, which grows without limit as overlap_fraction nears 1; at a
+        rate they are the hop frame_geometry gives apart, at least one
+        sample, so the count is at most seconds * rate + 1.
         """
-        return int(seconds * 1000.0 / (self.frame_ms * (1.0 - self.overlap_fraction))) + 1
+        if sample_rate_hz is None:
+            return int(seconds * 1000.0 / (self.frame_ms * (1.0 - self.overlap_fraction))) + 1
+        _, hop = frame_geometry(self.frame_ms, self.overlap_fraction, sample_rate_hz)
+        return int(seconds * sample_rate_hz / hop) + 1
 
     def segment(self, buf: AudioBuffer) -> FrameSequence:
         """Cut a buffer into fixed-length frames with fractional overlap.
@@ -240,13 +246,7 @@ class FeatureConfig:
             raise ConfigError("need 0 < num_ceps <= num_filters")
         if self.delta_window < 1:
             raise ConfigError("delta_window must be >= 1")
-        # the regression's 2 * delta_window + 1 frames must fit in one utterance
-        widest = (self.frame.frames_within(MAX_UTTERANCE_S) - 1) // 2
-        if self.delta_window > widest:
-            raise ConfigError(
-                f"delta_window must be <= {widest}: its 2 * delta_window + 1 frames "
-                f"must fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
-            )
+        self._check_delta_window(None)
         if self.low_freq_hz < 0:
             raise ConfigError("low_freq_hz must be >= 0")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
@@ -255,6 +255,28 @@ class FeatureConfig:
     @property
     def frame(self) -> FrameSpec:
         return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size)
+
+    def _check_delta_window(self, sample_rate_hz: int | None) -> None:
+        """The regression's 2 * delta_window + 1 frames must fit in one utterance."""
+        widest = (self.frame.frames_within(MAX_UTTERANCE_S, sample_rate_hz) - 1) // 2
+        if self.delta_window > widest:
+            at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
+            raise ConfigError(
+                f"delta_window must be <= {widest}{at}: its 2 * delta_window + 1 frames must "
+                f"fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
+            )
+
+    def check_rate(self, sample_rate_hz: int) -> None:
+        """ConfigError unless features can be extracted at this rate.
+
+        The delta window is bounded again at the real hop (FrameSpec.frames_within),
+        and every mel filter must cover an FFT bin (mel_filter_weights).
+        """
+        self._check_delta_window(sample_rate_hz)
+        mel_filter_weights(
+            self.num_filters, self.frame.resolve_fft_size(sample_rate_hz), sample_rate_hz,
+            self.low_freq_hz, self.resolve_high_freq(sample_rate_hz),
+        )
 
     def resolve_high_freq(self, sample_rate_hz: int) -> float:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
@@ -346,17 +368,33 @@ def mel_filter_weights(
     Centers sit at equal mel spacing between the band edges; each filter
     rises from the previous center and falls to the next, with unit peak.
     Built once per argument tuple; the shared result is read-only.
+
+    Raises ConfigError when a filter covers no bin. Each bin lies inside
+    at most two triangles, so more than 2 * (fft_size // 2 + 1) filters
+    are refused before any is built.
     """
+    bins = fft_size // 2 + 1
+    if num_filters > 2 * bins:
+        raise ConfigError(
+            f"num_filters {num_filters} exceeds 2 * {bins}, twice the FFT bins at "
+            f"fft_size {fft_size}: some filters would cover no bin"
+        )
     edges_mel = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
-    bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate_hz / fft_size
+    bin_freqs = np.arange(bins) * sample_rate_hz / fft_size
 
-    weights = np.zeros((num_filters, fft_size // 2 + 1))
+    weights = np.zeros((num_filters, bins))
     for m in range(num_filters):
         left, center, right = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
+    empty = np.flatnonzero(~weights.any(axis=1))
+    if len(empty):
+        raise ConfigError(
+            f"{len(empty)} of {num_filters} mel filters cover no FFT bin at {sample_rate_hz} Hz "
+            f"and fft_size {fft_size} (the first is filter {empty[0]}); use fewer filters"
+        )
     weights.flags.writeable = False
     return weights
 
@@ -484,6 +522,8 @@ def extract_batches(
             raise ConfigError(
                 f"inputs disagree on sample rate: {rate} Hz, then {buf.sample_rate_hz} Hz"
             )
+        if rate is None:
+            cfg.check_rate(buf.sample_rate_hz)
         rate = buf.sample_rate_hz
         frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, rate)
         return frame_count(len(buf.samples), frame_len, hop)

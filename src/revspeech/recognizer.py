@@ -51,21 +51,32 @@ class EndpointConfig:
     min_utterance_ms: float = 250.0
 
     def __post_init__(self):
-        spec = FrameSpec(self.frame_ms, self.overlap_fraction)  # validates the framing fields
+        FrameSpec(self.frame_ms, self.overlap_fraction)  # validates the framing fields
         if self.smooth_frames < 1:
             raise ConfigError("smooth_frames must be >= 1")
-        # the smoothing follows the energy within an utterance; a wider window
-        # would average whole utterances with the silence around them
-        widest = spec.frames_within(MAX_UTTERANCE_S)
-        if self.smooth_frames > widest:
-            raise ConfigError(
-                f"smooth_frames must be <= {widest}, the endpoint frames in "
-                f"{MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
-            )
+        self.check_smoothing()
         if self.energy_ratio <= 0:
             raise ConfigError("energy_ratio must be positive")
         if self.merge_gap_ms < 0 or self.min_utterance_ms < 0:
             raise ConfigError("merge_gap_ms and min_utterance_ms must be >= 0")
+
+    def check_smoothing(self, sample_rate_hz: int | None = None) -> None:
+        """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of endpoint frames.
+
+        The smoothing follows the energy within an utterance; a wider window
+        would average whole utterances with the silence around them. Without
+        a rate the bound counts nominal hops; at a rate, the real hop of at
+        least one sample (FrameSpec.frames_within), which keeps it finite
+        however close overlap_fraction comes to 1.
+        """
+        spec = FrameSpec(self.frame_ms, self.overlap_fraction)
+        widest = spec.frames_within(MAX_UTTERANCE_S, sample_rate_hz)
+        if self.smooth_frames > widest:
+            at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
+            raise ConfigError(
+                f"smooth_frames must be <= {widest}{at}, the endpoint frames in "
+                f"{MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
+            )
 
 
 @dataclass
@@ -218,6 +229,7 @@ def segment_utterances(
             no region stands out from the rest.
     """
     cfg = cfg or EndpointConfig()
+    cfg.check_smoothing(buf.sample_rate_hz)
     frames = FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
     return _find_regions(frames, frame_energies(frames), cfg)
 
@@ -282,9 +294,11 @@ def transcribe(
 
     direction="reverse" reads the buffer through audio.reverse, a read-only
     view, not a copy; segment times then refer to the reversed timeline
-    (forward time is duration minus the mirrored bounds). The feature
-    fingerprint at the buffer's rate and the feature width are checked
-    against the vocabulary first, before any signal work. The noise profile
+    (forward time is duration minus the mirrored bounds). Before any signal
+    work the configs are checked at the buffer's rate
+    (EndpointConfig.check_smoothing, FeatureConfig.check_rate), then the
+    feature fingerprint at that rate and the feature width against the
+    vocabulary. The noise profile
     comes from the whole recording, but only the endpointed regions are
     denoised, and denoising and features each batch the regions a block of
     frames at a time. Scoring takes the feature batches of up to
@@ -314,7 +328,10 @@ def transcribe(
     endpoint_cfg = endpoint_cfg or EndpointConfig()
 
     sr = buf.sample_rate_hz
-    # refuse models of another config, rate or width before any signal work
+    # refuse configs that do not work at this rate, then models of another
+    # config, rate or width, before any signal work
+    endpoint_cfg.check_smoothing(sr)
+    feature_cfg.check_rate(sr)
     _check_features(vocab, feature_cfg.fingerprint(sr), 3 * feature_cfg.num_ceps,
                     f" of the {sr} Hz recording")
     work = reverse(buf) if direction == "reverse" else buf

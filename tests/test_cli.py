@@ -652,6 +652,45 @@ class TestConfigAndErrors:
         assert err.startswith("error: ") and "delta_window must be <= 1200" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
 
+    @pytest.mark.parametrize("command, lines, stub, message", [
+        ("analyze", ["endpoint.overlap_fraction = 0.9999999", "endpoint.smooth_frames = 10000000000"],
+         (recognizer, "_find_regions"), "smooth_frames must be <= 480001 at 16000 Hz"),
+        ("features", ["features.overlap_fraction = 0.9999999", "features.delta_window = 1000000000"],
+         (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz"),
+        ("analyze", ["features.overlap_fraction = 0.9999999", "features.delta_window = 1000000000"],
+         (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz"),
+        ("features", ["features.num_filters = 1000000000"],
+         (features.FrameSpec, "spectra"), "num_filters 1000000000 exceeds 2 * 257"),
+        ("analyze", ["features.num_filters = 300"],
+         (features.FrameSpec, "spectra"), "mel filters cover no FFT bin"),
+    ], ids=["smoothing", "features-deltas", "analyze-deltas", "features-filters", "analyze-filters"])
+    def test_bounds_at_the_recording_rate_checked_before_any_work(
+        self, workspace, tmp_path, monkeypatch, capsys, command, lines, stub, message
+    ):
+        # each config passes the rate-free checks; at 16 kHz the window would
+        # span up to 1.2e10 frames (np.ones of 80 GB) or the filterbank would
+        # hold empty filters (10**9 rows of 257 bins), so the rate check must
+        # refuse it, before the models' fingerprint and before the stubbed
+        # step runs
+        owner, name = stub
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(owner, name, refuse)
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        extra = {
+            "features": ["--out", str(tmp_path / "f.json")],
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        argv = ["--config", str(cfg_path), command,
+                "--in", str(workspace["takes"]["login"][0]), *extra]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
+
     @pytest.mark.parametrize("command, line", [
         ("features", "features.frame_ms = 0.01"),
         ("analyze", "enhance.frame_ms = 0.01"),

@@ -119,6 +119,21 @@ class TestParseConfig:
                 with pytest.raises(ConfigError, match=f"{key} must be <= {n}"):
                     build(too_wide, frame_ms)
 
+    @pytest.mark.parametrize("rate, hop", [(16000, 1), (8000, 1), (44100, 1)])
+    def test_windows_bounded_again_at_the_real_hop(self, rate, hop):
+        # at an overlap this close to 1 the nominal hop is 2.5 ns, so the
+        # rate-free bounds admit about 1.2e10 frames; the hop frame_geometry
+        # gives is at least one sample, which bounds both windows at a rate
+        frames = int(30.0 * rate / hop) + 1
+        endpoint = EndpointConfig(overlap_fraction=0.9999999, smooth_frames=10**10)
+        feature = FeatureConfig(overlap_fraction=0.9999999, delta_window=10**9)
+        with pytest.raises(ConfigError, match=f"smooth_frames must be <= {frames} at {rate} Hz"):
+            endpoint.check_smoothing(rate)
+        with pytest.raises(ConfigError, match=f"delta_window must be <= {(frames - 1) // 2} at"):
+            feature.check_rate(rate)
+        EndpointConfig(overlap_fraction=0.9999999, smooth_frames=frames).check_smoothing(rate)
+        FeatureConfig(overlap_fraction=0.9999999, delta_window=(frames - 1) // 2).check_rate(rate)
+
     def test_endpoint_edge_values_accepted(self):
         cfg = parse_config(
             "endpoint.smooth_frames = 1\nendpoint.merge_gap_ms = 0\n"

@@ -207,6 +207,25 @@ class TestMelFilterbank:
         with pytest.raises(ValueError):
             weights[0, 0] = 1.0
 
+    @pytest.mark.parametrize("num_filters, message", [
+        # 514 filters, twice the 257 bins, is the most that could all be
+        # nonzero; past it nothing is built, so 10**9 allocates nothing
+        (515, "exceeds 2 \\* 257"),
+        (10**9, "exceeds 2 \\* 257"),
+        # below that bound the built matrix shows the empty filters
+        (300, "mel filters cover no FFT bin at 16000 Hz"),
+    ])
+    def test_filters_that_cover_no_bin_rejected(self, num_filters, message):
+        with pytest.raises(ConfigError, match=message):
+            FeatureConfig(num_filters=num_filters).check_rate(self.SR)
+        if num_filters < 1000:  # without the bound, 10**9 filters would take 2 TB
+            with pytest.raises(ConfigError, match=message):
+                mel_filter_weights(num_filters, 512, self.SR, 0.0, self.SR / 2)
+
+    def test_default_filters_each_cover_a_bin(self):
+        for rate in (8000, 16000, 22050, 44100, 48000):
+            FeatureConfig().check_rate(rate)
+
     def test_too_few_bins_rejected(self):
         with pytest.raises(ConfigError):
             mel_filterbank(np.ones(100), self.CFG, self.SR)

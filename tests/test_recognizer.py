@@ -186,7 +186,9 @@ class TestClassifySegment:
         fingerprint = fixture_vocabulary.feature_fingerprint
         vocab = mixed_vocabulary(fingerprint) if mixed else fixture_vocabulary
         feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
-        assert_results_match_alone(batch_scored(feats, vocab, block), scored_alone(feats, vocab))
+        got = batch_scored(feats, vocab, block)
+        assert got == scored_stacked(feats, vocab, SCORE_BLOCKS * block)
+        assert_results_match_alone(got, scored_alone(feats, vocab))
 
     @pytest.mark.parametrize("block", [1, 5, None])
     @pytest.mark.parametrize("case", [
@@ -195,8 +197,9 @@ class TestClassifySegment:
     ])
     def test_exact_across_the_row_limit(self, fixture_vocabulary, block, case):
         # None is the real BLOCK_FRAMES; every model count 1, 2, 4 and 16
-        # scores each segment as it scores it alone, up to the products'
-        # rounding, wherever the limit cuts
+        # scores each segment as its stacked batch gives it, bit for bit,
+        # and as it scores it alone, up to the products' rounding, wherever
+        # the limit cuts
         limit = SCORE_BLOCKS * (block or audio.BLOCK_FRAMES)
         third = limit // 3
         lengths = {
@@ -211,7 +214,9 @@ class TestClassifySegment:
         fingerprint = fixture_vocabulary.feature_fingerprint
         feats = [FeatureMatrix(rng.normal(0.0, 3.0, (n, 39)), n, fingerprint) for n in lengths]
         for vocab in (fixture_vocabulary, mixed_vocabulary(fingerprint)):
-            assert_results_match_alone(batch_scored(feats, vocab, block), scored_alone(feats, vocab))
+            got = batch_scored(feats, vocab, block)
+            assert got == scored_stacked(feats, vocab, limit)
+            assert_results_match_alone(got, scored_alone(feats, vocab))
 
 
 def mixed_vocabulary(fingerprint):
@@ -230,6 +235,38 @@ def batch_scored(feats, vocab, block=None):
         if block is not None:
             patch.setattr(audio, "BLOCK_FRAMES", block)
         return list(classify_segments(iter(feats), vocab))
+
+
+def scored_stacked(feats, vocab, limit):
+    """(label, score, margin) of each matrix, from the rows of its scoring batch.
+
+    Consecutive matrices of at most limit rows in all (or one longer one)
+    are stacked and scored with one product pair per model, as the scorer
+    does; each segment then sums its frames with np.sum, in its pairwise
+    order. So the scorer's results equal these bit for bit.
+    """
+    groups = []
+    for matrix in feats:
+        if groups and sum(m.num_frames for m in groups[-1]) + matrix.num_frames <= limit:
+            groups[-1].append(matrix)
+        else:
+            groups.append([matrix])
+    expected = []
+    for group in groups:
+        stacked = np.vstack([matrix.rows for matrix in group])
+        frame_ll = {
+            label: logsumexp(log_joint_densities(model, stacked))
+            for label, model in vocab.entries.items()
+        }
+        lo = 0
+        for matrix in group:
+            hi = lo + matrix.num_frames
+            scores = {label: float(np.sum(ll[lo:hi])) / matrix.num_frames
+                      for label, ll in frame_ll.items()}
+            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            expected.append((ranked[0][0], ranked[0][1], ranked[0][1] - ranked[1][1]))
+            lo = hi
+    return expected
 
 
 def scored_alone(feats, vocab):
