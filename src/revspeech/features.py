@@ -2,10 +2,8 @@
 
 Per-frame functions act on the last axis; extract_all runs them on blocks of
 frames gathered from many pieces, one matrix product per block. OpenBLAS may
-round a product's rows differently in matrices of other heights, so a
-piece's rows equal the piece processed alone to within rounding (1e-12
-relative to its largest value), not bit for bit; elementwise and row-wise
-steps, the FFT and the deltas do not depend on what else shares the block.
+round rows differently in products of other heights, so a piece's rows equal
+the piece processed alone within 1e-12 of their largest value, not bit for bit.
 """
 
 import functools
@@ -64,12 +62,10 @@ class FrameSpec:
         return self.fft_size
 
     def frames_within(self, seconds: float, sample_rate_hz: int | None = None) -> int:
-        """Frames whose starts fall within seconds.
+        """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
 
-        Without a rate the frames are frame_ms * (1 - overlap_fraction)
-        apart, which grows without limit as overlap_fraction nears 1; at a
-        rate they are the hop frame_geometry gives apart, at least one
-        sample, so the count is at most seconds * rate + 1.
+        That grows without limit as overlap_fraction nears 1; at a rate the hop
+        is frame_geometry's, at least one sample, so the count is at most seconds * rate + 1.
         """
         if sample_rate_hz is None:
             return int(seconds * 1000.0 / (self.frame_ms * (1.0 - self.overlap_fraction))) + 1
@@ -246,7 +242,7 @@ class FeatureConfig:
             raise ConfigError("need 0 < num_ceps <= num_filters")
         if self.delta_window < 1:
             raise ConfigError("delta_window must be >= 1")
-        self._check_delta_window(None)
+        self.check()
         if self.low_freq_hz < 0:
             raise ConfigError("low_freq_hz must be >= 0")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
@@ -256,8 +252,11 @@ class FeatureConfig:
     def frame(self) -> FrameSpec:
         return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size)
 
-    def _check_delta_window(self, sample_rate_hz: int | None) -> None:
-        """The regression's 2 * delta_window + 1 frames must fit in one utterance."""
+    def check(self, sample_rate_hz: int | None = None) -> None:
+        """ConfigError unless the regression's 2 * delta_window + 1 frames fit in one utterance.
+
+        Given a rate, they are counted at its hop, and the filterbank is built (filterbank).
+        """
         widest = (self.frame.frames_within(MAX_UTTERANCE_S, sample_rate_hz) - 1) // 2
         if self.delta_window > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
@@ -265,18 +264,14 @@ class FeatureConfig:
                 f"delta_window must be <= {widest}{at}: its 2 * delta_window + 1 frames must "
                 f"fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
             )
+        if sample_rate_hz is not None:
+            self.filterbank(sample_rate_hz)
 
-    def check_rate(self, sample_rate_hz: int) -> None:
-        """ConfigError unless features can be extracted at this rate.
-
-        The delta window is bounded again at the real hop (FrameSpec.frames_within),
-        and every mel filter must cover an FFT bin (mel_filter_weights).
-        """
-        self._check_delta_window(sample_rate_hz)
-        mel_filter_weights(
-            self.num_filters, self.frame.resolve_fft_size(sample_rate_hz), sample_rate_hz,
-            self.low_freq_hz, self.resolve_high_freq(sample_rate_hz),
-        )
+    def filterbank(self, sample_rate_hz: int) -> np.ndarray:
+        """mel_filter_weights at the rate: ConfigError if a filter covers no FFT bin."""
+        sr = sample_rate_hz
+        fft_size, high = self.frame.resolve_fft_size(sr), self.resolve_high_freq(sr)
+        return mel_filter_weights(self.num_filters, fft_size, sr, self.low_freq_hz, high)
 
     def resolve_high_freq(self, sample_rate_hz: int) -> float:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
@@ -369,16 +364,12 @@ def mel_filter_weights(
     rises from the previous center and falls to the next, with unit peak.
     Built once per argument tuple; the shared result is read-only.
 
-    Raises ConfigError when a filter covers no bin. Each bin lies inside
-    at most two triangles, so more than 2 * (fft_size // 2 + 1) filters
-    are refused before any is built.
+    ConfigError when a filter covers no bin; each bin lies inside at most two
+    triangles, so more than 2 * (fft_size // 2 + 1) filters are refused unbuilt.
     """
     bins = fft_size // 2 + 1
     if num_filters > 2 * bins:
-        raise ConfigError(
-            f"num_filters {num_filters} exceeds 2 * {bins}, twice the FFT bins at "
-            f"fft_size {fft_size}: some filters would cover no bin"
-        )
+        raise ConfigError(f"num_filters {num_filters} exceeds 2 * {bins}, twice the FFT bins")
     edges_mel = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
     bin_freqs = np.arange(bins) * sample_rate_hz / fft_size
@@ -389,12 +380,10 @@ def mel_filter_weights(
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
-    empty = np.flatnonzero(~weights.any(axis=1))
-    if len(empty):
-        raise ConfigError(
-            f"{len(empty)} of {num_filters} mel filters cover no FFT bin at {sample_rate_hz} Hz "
-            f"and fft_size {fft_size} (the first is filter {empty[0]}); use fewer filters"
-        )
+    empty = np.count_nonzero(~weights.any(axis=1))
+    if empty:
+        raise ConfigError(f"{empty} of {num_filters} mel filters cover no FFT bin at "
+                          f"{sample_rate_hz} Hz and fft_size {fft_size}")
     weights.flags.writeable = False
     return weights
 
@@ -409,14 +398,9 @@ def mel_filterbank(magnitudes: np.ndarray, cfg: FeatureConfig, sample_rate_hz: i
 
 def _mel_energies(power: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
     """mel_filterbank of a power spectrum |X(k)|^2 squared by the caller."""
-    fft_size = cfg.frame.resolve_fft_size(sample_rate_hz)
-    needed = fft_size // 2 + 1
-    if power.shape[-1] != needed:
-        raise ConfigError(f"spectrum has {power.shape[-1]} bins, filterbank needs {needed}")
-    high = cfg.resolve_high_freq(sample_rate_hz)
-    weights = mel_filter_weights(
-        cfg.num_filters, fft_size, sample_rate_hz, cfg.low_freq_hz, high
-    )
+    weights = cfg.filterbank(sample_rate_hz)
+    if power.shape[-1] != len(weights.T):
+        raise ConfigError(f"spectrum has {power.shape[-1]} bins, filterbank needs {len(weights.T)}")
     return power @ weights.T
 
 
@@ -489,10 +473,10 @@ def extract_batches(
 
     bounds are the row offsets where the buffers' rows meet, from 0 to the
     batch's row count, so rows bounds[p] .. bounds[p + 1] - 1 are extract of
-    the batch's buffer p. A batch is a scoring batch (stack_batches): its
-    buffers have at most SCORE_BLOCKS * BLOCK_FRAMES frames in all, or it
-    is one longer buffer. extract_all cuts the batches into one matrix per
-    buffer, and transcribe scores each as it comes.
+    the batch's buffer p (within rounding, see the module docstring). A batch
+    holds at most SCORE_BLOCKS * BLOCK_FRAMES frames, or one longer buffer
+    (stack_batches). extract_all cuts the batches into one matrix per buffer,
+    and transcribe scores each as it comes.
 
     One call serves one sample rate: a buffer at another rate than the first
     is a ConfigError. Cepstra are computed per extraction batch: consecutive
@@ -504,15 +488,12 @@ def extract_batches(
     first zero after each piece, the one sample the filter carries a piece
     into, is then set back to zero. So one framing gives every piece's
     frames, each as if pre-emphasized alone. Each block of frames then takes
-    one window and rfft, one mel product, one log10 and one DCT product, so
-    every piece's rows equal extract of that piece alone to within rounding
-    (see the module docstring). Every extraction batch writes its padded buffer,
-    windowed frames (fft_size columns, the ones past the frame zero, as
-    FrameSpec.spectra takes them) and power spectra into arrays of the
-    call's own, made once, zeroed, and reused. The cepstra of a scoring
-    batch are then stacked and take one delta computation clamped at each
-    piece's edges, one finite-value check and one fingerprint; the rows a
-    batch yields are its own.
+    one window and rfft, one mel product, one log10 and one DCT product,
+    writing the padded buffer, windowed frames (fft_size columns, the ones
+    past the frame zero, as FrameSpec.spectra takes them) and power spectra
+    into arrays of the call's own, made once, zeroed, and reused. The cepstra
+    of a batch then take one delta computation clamped at each piece's
+    edges, one finite-value check and one fingerprint.
     """
     rate = None
 
@@ -523,7 +504,7 @@ def extract_batches(
                 f"inputs disagree on sample rate: {rate} Hz, then {buf.sample_rate_hz} Hz"
             )
         if rate is None:
-            cfg.check_rate(buf.sample_rate_hz)
+            cfg.check(buf.sample_rate_hz)
         rate = buf.sample_rate_hz
         frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, rate)
         return frame_count(len(buf.samples), frame_len, hop)
@@ -542,12 +523,11 @@ def extract_batches(
 def stack_batches(
     batches: Iterable[tuple[np.ndarray, list[int]]],
 ) -> Iterator[tuple[np.ndarray, list[int]]]:
-    """Runs of consecutive (rows, bounds) batches, each stacked into one such batch.
+    """Runs of consecutive (rows, bounds) batches, each stacked into one (rows, bounds).
 
     bounds are the offsets where a batch's pieces meet, from 0 to its row
-    count. A run holds at most SCORE_BLOCKS * BLOCK_FRAMES rows in all, or
-    is one longer batch (audio.frame_groups). Batches are drawn only as a
-    run fills, and a stacked run holds no reference to its parts.
+    count. A run holds at most SCORE_BLOCKS * BLOCK_FRAMES rows, or one
+    longer batch, and is drawn only as it fills (audio.frame_groups).
     """
     return map(_stacked, frame_groups(batches, lambda batch: len(batch[0]), SCORE_BLOCKS))
 

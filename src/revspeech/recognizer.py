@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import (
-    AudioBuffer,
-    FrameSequence,
-    frame_energies,
-    reverse,
-)
+from .audio import AudioBuffer, FrameSequence, frame_energies, reverse
 from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
@@ -51,23 +46,19 @@ class EndpointConfig:
     min_utterance_ms: float = 250.0
 
     def __post_init__(self):
-        FrameSpec(self.frame_ms, self.overlap_fraction)  # validates the framing fields
+        self.check()  # and, through FrameSpec, the framing fields
         if self.smooth_frames < 1:
             raise ConfigError("smooth_frames must be >= 1")
-        self.check_smoothing()
         if self.energy_ratio <= 0:
             raise ConfigError("energy_ratio must be positive")
         if self.merge_gap_ms < 0 or self.min_utterance_ms < 0:
             raise ConfigError("merge_gap_ms and min_utterance_ms must be >= 0")
 
-    def check_smoothing(self, sample_rate_hz: int | None = None) -> None:
-        """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of endpoint frames.
+    def check(self, sample_rate_hz: int | None = None) -> None:
+        """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of frames (at the rate's hop).
 
         The smoothing follows the energy within an utterance; a wider window
-        would average whole utterances with the silence around them. Without
-        a rate the bound counts nominal hops; at a rate, the real hop of at
-        least one sample (FrameSpec.frames_within), which keeps it finite
-        however close overlap_fraction comes to 1.
+        would average whole utterances with the silence around them.
         """
         spec = FrameSpec(self.frame_ms, self.overlap_fraction)
         widest = spec.frames_within(MAX_UTTERANCE_S, sample_rate_hz)
@@ -183,19 +174,15 @@ def _scored(
     """(label, score, margin) of each piece of each batch, in order.
 
     A batch is stacked feature rows, already checked against vocab, and the
-    offsets where its pieces meet, from 0 to its row count; each is scored
-    as it stands. Each model's density constants (gmm.density_constants)
-    are built once per call, the rows are squared once per batch, and each
-    model's two density products run once over the batch's rows. Each
-    model writes its per-frame log-likelihoods (one logsumexp over the
-    batch's rows) into its row of one (models, rows) array, and each piece
-    then sums every model's frames in one np.sum over its columns. That
-    equals np.sum of each model's frames alone, bit for bit: each row
-    reduces along its own contiguous axis, in np.sum's pairwise order
-    (np.add.reduceat sums in plain order and differs in the last bits).
-    So every score equals the piece scored alone to within the products'
-    rounding (1e-12 relative). A batch is let go when its last result is
-    taken, before the next is drawn.
+    offsets where its pieces meet, from 0 to its row count. Density
+    constants are built once per call and the rows squared once per batch;
+    each model takes one product pair and one logsumexp over the batch,
+    into its row of one (models, rows) array, and each piece sums every
+    model's frames in one np.sum over its columns. That equals np.sum of
+    each model's frames alone, bit for bit (np.add.reduceat would not: it
+    sums in plain, not pairwise, order), so a score differs from the piece
+    scored alone only by the products' rounding (1e-12 relative). A batch
+    is let go when its last result is taken, before the next is drawn.
     """
     labels, models = list(vocab.entries), list(vocab.entries.values())
     constants = [density_constants(model) for model in models]
@@ -229,7 +216,7 @@ def segment_utterances(
             no region stands out from the rest.
     """
     cfg = cfg or EndpointConfig()
-    cfg.check_smoothing(buf.sample_rate_hz)
+    cfg.check(buf.sample_rate_hz)
     frames = FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
     return _find_regions(frames, frame_energies(frames), cfg)
 
@@ -296,19 +283,17 @@ def transcribe(
     view, not a copy; segment times then refer to the reversed timeline
     (forward time is duration minus the mirrored bounds). Before any signal
     work the configs are checked at the buffer's rate
-    (EndpointConfig.check_smoothing, FeatureConfig.check_rate), then the
+    (EndpointConfig.check, FeatureConfig.check), then the
     feature fingerprint at that rate and the feature width against the
     vocabulary. The noise profile
     comes from the whole recording, but only the endpointed regions are
     denoised, and denoising and features each batch the regions a block of
     frames at a time. Scoring takes the feature batches of up to
-    SCORE_BLOCKS blocks' rows as they come (features.extract_batches:
-    stacked rows and piece bounds, no matrix per region) and scores each
-    as it stands (_scored), so the input samples are the only full-length
-    array held. Each region's result equals extract and classify_segment
-    on its slice of the whole recording's enhancement: the same label, and
-    scores within 1e-12 relative (matrix products run on whole blocks and
-    batches).
+    SCORE_BLOCKS blocks' rows as they come (features.extract_batches) and
+    scores each as it stands (_scored), so the input samples are the only
+    full-length array held. Each region gets the label extract and
+    classify_segment give its slice of the whole recording's enhancement,
+    and their scores within 1e-12 relative.
     Endpointing and enhancement each frame the recording; when their frames
     have the same length and hop (as they do by default), the one pass of
     frame energies that endpointing takes also selects the noise frames
@@ -328,10 +313,10 @@ def transcribe(
     endpoint_cfg = endpoint_cfg or EndpointConfig()
 
     sr = buf.sample_rate_hz
-    # refuse configs that do not work at this rate, then models of another
-    # config, rate or width, before any signal work
-    endpoint_cfg.check_smoothing(sr)
-    feature_cfg.check_rate(sr)
+    # refuse configs unfit for this rate, then models of another config,
+    # rate or width, before any signal work
+    endpoint_cfg.check(sr)
+    feature_cfg.check(sr)
     _check_features(vocab, feature_cfg.fingerprint(sr), 3 * feature_cfg.num_ceps,
                     f" of the {sr} Hz recording")
     work = reverse(buf) if direction == "reverse" else buf

@@ -652,18 +652,25 @@ class TestConfigAndErrors:
         assert err.startswith("error: ") and "delta_window must be <= 1200" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
 
+    NEAR_ONE = "overlap_fraction = 0.9999999"  # a hop of one sample at 16 kHz
+
     @pytest.mark.parametrize("command, lines, stub, message", [
-        ("analyze", ["endpoint.overlap_fraction = 0.9999999", "endpoint.smooth_frames = 10000000000"],
-         (recognizer, "_find_regions"), "smooth_frames must be <= 480001 at 16000 Hz"),
-        ("features", ["features.overlap_fraction = 0.9999999", "features.delta_window = 1000000000"],
-         (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz"),
-        ("analyze", ["features.overlap_fraction = 0.9999999", "features.delta_window = 1000000000"],
-         (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz"),
-        ("features", ["features.num_filters = 1000000000"],
-         (features.FrameSpec, "spectra"), "num_filters 1000000000 exceeds 2 * 257"),
-        ("analyze", ["features.num_filters = 300"],
-         (features.FrameSpec, "spectra"), "mel filters cover no FFT bin"),
-    ], ids=["smoothing", "features-deltas", "analyze-deltas", "features-filters", "analyze-filters"])
+        pytest.param("analyze", [f"endpoint.{NEAR_ONE}", "endpoint.smooth_frames = 10000000000"],
+                     (recognizer, "_find_regions"), "smooth_frames must be <= 480001 at 16000 Hz",
+                     id="smoothing"),
+        pytest.param("features", [f"features.{NEAR_ONE}", "features.delta_window = 1000000000"],
+                     (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz",
+                     id="features-deltas"),
+        pytest.param("analyze", [f"features.{NEAR_ONE}", "features.delta_window = 1000000000"],
+                     (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz",
+                     id="analyze-deltas"),
+        pytest.param("features", ["features.num_filters = 1000000000"],
+                     (features.FrameSpec, "spectra"), "num_filters 1000000000 exceeds 2 * 257",
+                     id="features-filters"),
+        pytest.param("analyze", ["features.num_filters = 300"],
+                     (features.FrameSpec, "spectra"), "mel filters cover no FFT bin",
+                     id="analyze-filters"),
+    ])
     def test_bounds_at_the_recording_rate_checked_before_any_work(
         self, workspace, tmp_path, monkeypatch, capsys, command, lines, stub, message
     ):

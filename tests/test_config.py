@@ -128,11 +128,11 @@ class TestParseConfig:
         endpoint = EndpointConfig(overlap_fraction=0.9999999, smooth_frames=10**10)
         feature = FeatureConfig(overlap_fraction=0.9999999, delta_window=10**9)
         with pytest.raises(ConfigError, match=f"smooth_frames must be <= {frames} at {rate} Hz"):
-            endpoint.check_smoothing(rate)
+            endpoint.check(rate)
         with pytest.raises(ConfigError, match=f"delta_window must be <= {(frames - 1) // 2} at"):
-            feature.check_rate(rate)
-        EndpointConfig(overlap_fraction=0.9999999, smooth_frames=frames).check_smoothing(rate)
-        FeatureConfig(overlap_fraction=0.9999999, delta_window=(frames - 1) // 2).check_rate(rate)
+            feature.check(rate)
+        EndpointConfig(overlap_fraction=0.9999999, smooth_frames=frames).check(rate)
+        FeatureConfig(overlap_fraction=0.9999999, delta_window=(frames - 1) // 2).check(rate)
 
     def test_endpoint_edge_values_accepted(self):
         cfg = parse_config(

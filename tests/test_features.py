@@ -217,14 +217,14 @@ class TestMelFilterbank:
     ])
     def test_filters_that_cover_no_bin_rejected(self, num_filters, message):
         with pytest.raises(ConfigError, match=message):
-            FeatureConfig(num_filters=num_filters).check_rate(self.SR)
+            FeatureConfig(num_filters=num_filters).check(self.SR)
         if num_filters < 1000:  # without the bound, 10**9 filters would take 2 TB
             with pytest.raises(ConfigError, match=message):
                 mel_filter_weights(num_filters, 512, self.SR, 0.0, self.SR / 2)
 
     def test_default_filters_each_cover_a_bin(self):
         for rate in (8000, 16000, 22050, 44100, 48000):
-            FeatureConfig().check_rate(rate)
+            FeatureConfig().check(rate)
 
     def test_too_few_bins_rejected(self):
         with pytest.raises(ConfigError):
