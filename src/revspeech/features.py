@@ -64,8 +64,9 @@ class FrameSpec:
     def frames_within(self, seconds: float, sample_rate_hz: int | None = None) -> int:
         """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
 
-        That grows without limit as overlap_fraction nears 1; at a rate the hop
-        is frame_geometry's, at least one sample, so the count is at most seconds * rate + 1.
+        That grows without limit as overlap_fraction nears 1. At a rate the
+        hop is frame_geometry's, at least one sample, so the count is at most
+        seconds * rate + 1.
         """
         if sample_rate_hz is None:
             return int(seconds * 1000.0 / (self.frame_ms * (1.0 - self.overlap_fraction))) + 1
@@ -255,7 +256,8 @@ class FeatureConfig:
     def check(self, sample_rate_hz: int | None = None) -> None:
         """ConfigError unless the regression's 2 * delta_window + 1 frames fit in one utterance.
 
-        Given a rate, they are counted at its hop, and the filterbank is built (filterbank).
+        Given a rate, the frames are counted at its hop, and every mel filter
+        must cover an FFT bin (filterbank).
         """
         widest = (self.frame.frames_within(MAX_UTTERANCE_S, sample_rate_hz) - 1) // 2
         if self.delta_window > widest:
@@ -269,9 +271,9 @@ class FeatureConfig:
 
     def filterbank(self, sample_rate_hz: int) -> np.ndarray:
         """mel_filter_weights at the rate: ConfigError if a filter covers no FFT bin."""
-        sr = sample_rate_hz
-        fft_size, high = self.frame.resolve_fft_size(sr), self.resolve_high_freq(sr)
-        return mel_filter_weights(self.num_filters, fft_size, sr, self.low_freq_hz, high)
+        fft_size = self.frame.resolve_fft_size(sample_rate_hz)
+        high = self.resolve_high_freq(sample_rate_hz)
+        return mel_filter_weights(self.num_filters, fft_size, sample_rate_hz, self.low_freq_hz, high)
 
     def resolve_high_freq(self, sample_rate_hz: int) -> float:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
