@@ -2,8 +2,10 @@
 
 Per-frame functions act on the last axis; extract_all runs them on blocks of
 frames gathered from many pieces, one matrix product per block. OpenBLAS may
-round rows differently in products of other heights, so a piece's rows equal
-the piece processed alone within 1e-12 of their largest value, not bit for bit.
+round rows differently in products of other heights, so every product runs on
+BLOCK_FRAMES rows, zero-padded: a piece's rows then equal the piece processed
+alone within 1e-12 of their largest value, and bit for bit wherever the BLAS
+computes the rows of one product shape alike (OpenBLAS at the default sizes).
 """
 
 import functools
@@ -14,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import audio
 from .audio import (
     BLOCK_SAMPLES,
     SCORE_BLOCKS,
@@ -579,10 +582,15 @@ def _cepstra(
     bounds = np.concatenate(([0], np.cumsum(counts)))  # piece edges among the rows
     rows = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
     ceps = np.empty((bounds[-1], cfg.num_ceps))
+    # the mel and DCT products run on all BLOCK_FRAMES rows of the power
+    # buffer, the rows past a short block zeroed, so every product has one shape
+    power = _reused(scratch, "power", (audio.BLOCK_FRAMES, fft_size // 2 + 1))
     for part in frame_blocks(0, bounds[-1]):
-        windowed = _reused(scratch, "windowed", (part.stop - part.start, fft_size))
+        n = part.stop - part.start
+        windowed = _reused(scratch, "windowed", (n, fft_size))
         spectra = cfg.frame.spectra(frames, rows[part], windowed)
-        power = np.abs(spectra, out=_reused(scratch, "power", spectra.shape))
-        np.square(power, out=power)  # as ** 2, bit for bit
-        ceps[part] = mfcc(_mel_energies(power, cfg, sr), cfg.num_ceps)
+        np.abs(spectra, out=power[:n])
+        np.square(power[:n], out=power[:n])  # as ** 2, bit for bit
+        power[n:] = 0.0
+        ceps[part] = mfcc(_mel_energies(power, cfg, sr), cfg.num_ceps)[:n]
     return ceps, bounds.tolist()

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import audio
 from .audio import AudioBuffer, FrameSequence, frame_energies, reverse
 from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
@@ -175,23 +176,31 @@ def _scored(
 
     A batch is stacked feature rows, already checked against vocab, and the
     offsets where its pieces meet, from 0 to its row count. Density
-    constants are built once per call and the rows squared once per batch;
-    each model takes one product pair and one logsumexp over the batch,
-    into its row of one (models, rows) array, and each piece sums every
-    model's frames in one np.sum over its columns. That equals np.sum of
-    each model's frames alone, bit for bit (np.add.reduceat would not: it
-    sums in plain, not pairwise, order), so a score differs from the piece
-    scored alone only by the products' rounding (1e-12 relative). A batch
-    is let go when its last result is taken, before the next is drawn.
+    constants are built once per call and the rows, zero-padded to a whole
+    number of SCORE_BLOCKS * BLOCK_FRAMES rows, squared once per batch;
+    each model takes one product pair over them and one logsumexp over the
+    batch, into its row of one (models, rows) array, and each piece sums
+    every model's frames in one np.sum over its columns. That equals np.sum
+    of each model's frames alone, bit for bit (np.add.reduceat would not:
+    it sums in plain, not pairwise, order). A piece meets products of the
+    same shape alone and in any batch, so its score equals the piece
+    scored alone within 1e-12 relative, and bit for bit where the BLAS
+    computes a shape's rows alike (see the features module). A batch is
+    let go when its last result is taken, before the next is drawn.
     """
     labels, models = list(vocab.entries), list(vocab.entries.values())
     constants = [density_constants(model) for model in models]
 
     def scored(rows: np.ndarray, bounds: list) -> Iterator[tuple[str, float, float]]:
-        squared = rows * rows
-        frame_ll = np.empty((len(models), len(rows)))
+        # the products run on a whole number of scoring batches' rows,
+        # zero-padded, which is the shape a piece meets alone or in a batch
+        n, height = len(rows), audio.SCORE_BLOCKS * audio.BLOCK_FRAMES
+        padded = np.zeros((-(-n // height) * height, rows.shape[1]))
+        padded[:n] = rows
+        squared = padded * padded
+        frame_ll = np.empty((len(models), n))
         for ll, model, model_constants in zip(frame_ll, models, constants):
-            ll[:] = logsumexp(log_joint_densities(model, rows, squared, model_constants))
+            ll[:] = logsumexp(log_joint_densities(model, padded, squared, model_constants)[:n])
         for lo, hi in zip(bounds, bounds[1:]):
             scores = [total / (hi - lo) for total in np.sum(frame_ll[:, lo:hi], axis=1).tolist()]
             ranked = sorted(zip(labels, scores), key=lambda item: (-item[1], item[0]))
