@@ -77,6 +77,7 @@ class NoiseProfile:
 
 def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig, energies=None) -> NoiseProfile:
     """estimate_noise of the framed buffer; energies, if given, are frame_energies(frames)."""
+    cfg.frame.resolve_fft_size(frames.sample_rate_hz)  # an unfit FFT size fails before any work
     if energies is None:
         energies = frame_energies(frames)
     threshold = cfg.vad_energy_ratio * np.percentile(energies, 10)

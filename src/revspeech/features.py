@@ -34,6 +34,10 @@ ENERGY_FLOOR = 1e-10
 # worth splitting upstream); windows that follow the signal within one
 # utterance, the endpoint smoothing and the delta regression, fit in it
 MAX_UTTERANCE_S = 30.0
+# the largest fft_size, as a multiple of the default (the next power of two
+# covering a frame): zero-padding further only interpolates the spectrum,
+# while every window and spectrum buffer grows with the FFT size
+MAX_FFT_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,24 @@ class FrameSpec:
             raise ConfigError("fft_size must be a power of two")
 
     def resolve_fft_size(self, sample_rate_hz: int) -> int:
+        """fft_size at the rate, or by default the next power of two covering a frame.
+
+        ConfigError if fft_size is shorter than a frame or longer than
+        MAX_FFT_FACTOR times that default (8,192 for 25 ms frames at 16 kHz).
+        """
         frame_len, _ = frame_geometry(self.frame_ms, self.overlap_fraction, sample_rate_hz)
+        default = 1 << (frame_len - 1).bit_length()
         if self.fft_size is None:
-            return 1 << (frame_len - 1).bit_length()
+            return default
         if self.fft_size < frame_len:
             raise ConfigError(
                 f"fft_size {self.fft_size} smaller than frame length {frame_len}"
+            )
+        if self.fft_size > MAX_FFT_FACTOR * default:
+            raise ConfigError(
+                f"fft_size {self.fft_size} exceeds {MAX_FFT_FACTOR * default} at "
+                f"{sample_rate_hz} Hz: {MAX_FFT_FACTOR} times the {default}-point FFT "
+                f"covering a {frame_len}-sample frame (MAX_FFT_FACTOR)"
             )
         return self.fft_size
 

@@ -6,7 +6,15 @@ that path for arguments whose results are subnormal or zero, and many
 E-step memberships are: a 16-component fit to 24 takes of one word ends
 with 36-76% of them 0 and 0.7-2.4% subnormal (4 components: 4-25% and up to
 3%). On an AVX-512 host, np.exp of 24,192 values took 31 us at -700, 546 us
-at -708 or below, and 5,230 us at -710 (subnormal results).
+at -708 or below, and 5,230 us at -710 (subnormal results). _exp zeroes the
+results that round to 0 by multiplying them with a mask in place.
+
+Each train call runs k-means and EM in one workspace of two (frames,
+components) buffers (_workspace): k-means' distances and one-hot assignment,
+then each E-step's joint densities and memberships. No iteration allocates
+a float array of that shape (_exp's boolean masks are the ones left), and
+every operation keeps its order. Lloyd iterations compute only the M-step
+means; the full M-step runs once, on the final assignment.
 
 Exactness rule: every output stays bit-identical to the plain EM loop kept
 in the tests (np.exp, np.max, x*x on every iteration). These shortcuts were
@@ -90,39 +98,46 @@ class TrainingReport:
     converged: bool = False
 
 
-def _exp(values: np.ndarray) -> np.ndarray:
+def _exp(values: np.ndarray, out=None) -> np.ndarray:
     """np.exp(values) bit for bit, without np.exp's slow path for tiny results.
 
     Arguments below EXP_FAST_FLOOR are raised to it for the vector pass;
-    those at or below EXP_ZERO_CEILING are then set to 0, and the few in
-    between are recomputed by np.exp itself. NaN and +-inf pass through.
+    the results of those at or below EXP_ZERO_CEILING are then zeroed by
+    multiplying them with a mask in place (a masked np.copyto took a third
+    of the call), and the few in between are recomputed by np.exp itself.
+    NaN and +-inf pass through. out, when given, takes the result, and may
+    be values itself: the masks and the arguments in between are read first.
     """
-    out = np.maximum(values, EXP_FAST_FLOOR)
-    np.exp(out, out=out)
     low = values < EXP_FAST_FLOOR
-    if low.any():
-        zero = values <= EXP_ZERO_CEILING
-        np.copyto(out, 0.0, where=zero)
-        between = low ^ zero  # zero lies inside low
-        if between.any():
-            out[between] = np.exp(values[between])
+    if not low.any():
+        return np.exp(values, out=out)
+    keep = values > EXP_ZERO_CEILING
+    between = low & keep  # arguments in (EXP_ZERO_CEILING, EXP_FAST_FLOOR)
+    tiny = np.exp(values[between]) if between.any() else None
+    out = np.maximum(values, EXP_FAST_FLOOR, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, keep, out=out)
+    if tiny is not None:
+        out[between] = tiny
     return out
 
 
-def logsumexp(values: np.ndarray) -> np.ndarray:
+def logsumexp(values: np.ndarray, shifted=None) -> np.ndarray:
     """log(sum(exp(row))) of each row of a 2-D array, without overflow.
 
     The row peak is a column-by-column np.maximum, exact in any order and
     several times faster than np.max(axis=1) on a few columns. The row sums
     stay np.sum(axis=1): numpy sums rows of 8 or more pairwise, so a column
-    loop would change the last bits.
+    loop would change the last bits. shifted, when given, is a buffer of
+    values' shape that takes each row less its peak, then their exponentials.
     """
     values = np.asarray(values, dtype=np.float64)
     peak = values[:, 0].copy()
     for column in values.T[1:]:
         np.maximum(peak, column, out=peak)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    return np.log(np.sum(_exp(values - peak[:, None]), axis=1)) + peak
+    shifted = np.subtract(values, peak[:, None], out=shifted)
+    return np.log(np.sum(_exp(shifted, out=shifted), axis=1)) + peak
 
 
 def density_constants(model: GmmModel) -> tuple:
@@ -142,7 +157,7 @@ def density_constants(model: GmmModel) -> tuple:
 
 
 def log_joint_densities(
-    model: GmmModel, rows: np.ndarray, squared=None, constants=None
+    model: GmmModel, rows: np.ndarray, squared=None, constants=None, out=None, scratch=None
 ) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components).
 
@@ -152,7 +167,9 @@ def log_joint_densities(
     Each of the two products runs once over all rows. squared is rows *
     rows and constants are density_constants(model), each built here when
     not given; a caller that scores the same rows more than once (EM's
-    iterations, several models) passes them.
+    iterations, several models) passes them. The products go into out and
+    scratch, two (frames, components) buffers made here when not given, and
+    the rest of the expression runs in out, term by term in the order above.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     dim = x.shape[1]
@@ -163,15 +180,32 @@ def log_joint_densities(
     )
     if squared is None:
         squared = x * x
-    mahal = squared @ precisions.T - 2.0 * (x @ scaled_means.T) + mean_term
-    return log_norm - 0.5 * mahal + log_weights
+    out = np.matmul(squared, precisions.T, out=out)
+    cross = np.matmul(x, scaled_means.T, out=scratch)
+    np.multiply(2.0, cross, out=cross)
+    np.subtract(out, cross, out=out)
+    np.add(out, mean_term, out=out)  # the Mahalanobis term
+    np.multiply(0.5, out, out=out)
+    np.subtract(log_norm, out, out=out)
+    return np.add(out, log_weights, out=out)
 
 
-def _e_step(model: GmmModel, x: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods; x_sq is x * x."""
-    joint = log_joint_densities(model, x, x_sq)
-    frame_ll = logsumexp(joint)
-    return _exp(joint - frame_ll[:, None]), frame_ll
+def _workspace(frames: int, components: int) -> np.ndarray:
+    """The two (frames, components) buffers one fit's k-means and E-steps run in."""
+    return np.empty((2, frames, components))
+
+
+def _e_step(model: GmmModel, x: np.ndarray, x_sq: np.ndarray, work=None):
+    """Posterior memberships (rows sum to 1) and per-frame log-likelihoods; x_sq is x * x.
+
+    work is a _workspace, made here when not given; the joint densities
+    fill its first buffer and the memberships, returned, its second.
+    """
+    joint, resp = _workspace(len(x), model.num_components) if work is None else work
+    log_joint_densities(model, x, x_sq, out=joint, scratch=resp)
+    frame_ll = logsumexp(joint, shifted=resp)
+    np.subtract(joint, frame_ll[:, None], out=resp)
+    return _exp(resp, out=resp), frame_ll
 
 
 def _m_step(resp: np.ndarray, x: np.ndarray, x_sq: np.ndarray):
@@ -188,8 +222,14 @@ def _m_step(resp: np.ndarray, x: np.ndarray, x_sq: np.ndarray):
 def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
+    diff = np.empty_like(x)
+
+    def dist_sq_to(center: np.ndarray) -> np.ndarray:
+        np.subtract(x, center, out=diff)
+        return np.sum(np.square(diff, out=diff), axis=1)
+
     centers[0] = x[rng.integers(n)]
-    dist_sq = np.sum((x - centers[0]) ** 2, axis=1)
+    dist_sq = dist_sq_to(centers[0])
     for i in range(1, k):
         total = dist_sq.sum()
         if total > 0:
@@ -197,21 +237,35 @@ def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         else:
             idx = rng.integers(n)
         centers[i] = x[idx]
-        dist_sq = np.minimum(dist_sq, np.sum((x - centers[i]) ** 2, axis=1))
+        np.minimum(dist_sq, dist_sq_to(centers[i]), out=dist_sq)
     return centers
 
 
-def _kmeans(x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
+def _kmeans(
+    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100,
+    work=None,
+):
     """Lloyd iterations from a k-means++ start; every returned cluster is non-empty.
 
-    Returns the M-step of the final assignment (EM's start) and that
-    assignment. x_sq is x * x; max_iter is at least 1.
+    Each iteration moves the centres to the M-step means of the one-hot
+    assignment, bit for bit: the same product onehot.T @ x, over the
+    cluster sizes, whole numbers equal to the M-step's counts. The full
+    M-step runs once, on the final assignment, and is returned (EM's start)
+    with that assignment. x_sq is x * x; max_iter is at least 1. work is a
+    _workspace, made here when not given: distances fill its first buffer
+    and the one-hot assignment its second.
     """
+    distances, onehot = _workspace(len(x), k) if work is None else work
     centers = _kmeans_plusplus(x, k, rng)
     sq_norms = np.sum(x_sq, axis=1)[:, None]
+    frames = np.arange(len(x))
     assignment = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
-        distances = sq_norms - 2.0 * (x @ centers.T) + np.sum(centers * centers, axis=1)
+        # sq_norms - 2.0 * (x @ centers.T) + sum(centers^2), term by term
+        np.matmul(x, centers.T, out=distances)
+        np.multiply(2.0, distances, out=distances)
+        np.subtract(sq_norms, distances, out=distances)
+        np.add(distances, np.sum(centers * centers, axis=1), out=distances)
         new_assignment = np.argmin(distances, axis=1)
         # re-seed each empty cluster on its own point, farthest from its center
         # first, never taking the last member of another cluster
@@ -224,12 +278,13 @@ def _kmeans(x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator, m
                 sizes[new_assignment[i]] -= 1
                 sizes[j] = 1
                 new_assignment[i] = j
-        step = _m_step(np.eye(k)[new_assignment], x, x_sq)
-        centers = step[1]
+        onehot.fill(0.0)
+        onehot[frames, new_assignment] = 1.0
         if np.array_equal(new_assignment, assignment):
             break
+        centers = (onehot.T @ x) / sizes[:, None]
         assignment = new_assignment
-    return step, assignment
+    return _m_step(onehot, x, x_sq), new_assignment
 
 
 def _count_distinct_rows(x: np.ndarray, enough: int) -> int:
@@ -273,12 +328,13 @@ def train(
         )
 
     x_sq = x * x
-    start, _ = _kmeans(x, x_sq, num_components, np.random.default_rng(seed))
+    work = _workspace(num_frames, num_components)
+    start, _ = _kmeans(x, x_sq, num_components, np.random.default_rng(seed), work=work)
     model = GmmModel(label, dim, *start, features.config_fingerprint)
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        resp, frame_ll = _e_step(model, x, x_sq)
+        resp, frame_ll = _e_step(model, x, x_sq, work)
         trace.append(float(np.sum(frame_ll)))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-1]):
             converged = True
@@ -290,7 +346,7 @@ def train(
 
 
 def _format_floats(values: np.ndarray) -> str:
-    return " ".join(f"{v:.17g}" for v in values)
+    return " ".join(map("{:.17g}".format, values.tolist()))
 
 
 def save_model(model: GmmModel, path) -> None:

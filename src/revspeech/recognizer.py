@@ -292,7 +292,8 @@ def transcribe(
     view, not a copy; segment times then refer to the reversed timeline
     (forward time is duration minus the mirrored bounds). Before any signal
     work the configs are checked at the buffer's rate
-    (EndpointConfig.check, FeatureConfig.check), then the
+    (EndpointConfig.check, FeatureConfig.check, the enhancement FFT size
+    through FrameSpec.resolve_fft_size), then the
     feature fingerprint at that rate and the feature width against the
     vocabulary. The noise profile
     comes from the whole recording, but only the endpointed regions are
@@ -326,6 +327,7 @@ def transcribe(
     # rate or width, before any signal work
     endpoint_cfg.check(sr)
     feature_cfg.check(sr)
+    enhance_cfg.frame.resolve_fft_size(sr)
     _check_features(vocab, feature_cfg.fingerprint(sr), 3 * feature_cfg.num_ceps,
                     f" of the {sr} Hz recording")
     work = reverse(buf) if direction == "reverse" else buf

@@ -670,13 +670,24 @@ class TestConfigAndErrors:
         pytest.param("analyze", ["features.num_filters = 300"],
                      (features.FrameSpec, "spectra"), "mel filters cover no FFT bin",
                      id="analyze-filters"),
+        # 16 times the 512-point FFT of a 400-sample frame is the largest
+        pytest.param("features", [f"features.fft_size = {2**40}"],
+                     (features.FrameSpec, "spectra"), f"fft_size {2**40} exceeds 8192 at 16000 Hz",
+                     id="features-fft"),
+        pytest.param("enhance", ["enhance.fft_size = 16384"],
+                     (enhance, "frame_energies"), "fft_size 16384 exceeds 8192 at 16000 Hz",
+                     id="enhance-fft"),
+        pytest.param("analyze", [f"enhance.fft_size = {2**40}"],
+                     (recognizer, "frame_energies"), f"fft_size {2**40} exceeds 8192 at 16000 Hz",
+                     id="analyze-enhance-fft"),
     ])
     def test_bounds_at_the_recording_rate_checked_before_any_work(
         self, workspace, tmp_path, monkeypatch, capsys, command, lines, stub, message
     ):
         # each config passes the rate-free checks; at 16 kHz the window would
-        # span up to 1.2e10 frames (np.ones of 80 GB) or the filterbank would
-        # hold empty filters (10**9 rows of 257 bins), so the rate check must
+        # span up to 1.2e10 frames (np.ones of 80 GB), the filterbank would
+        # hold empty filters (10**9 rows of 257 bins) or the FFT buffers would
+        # take 2**40 columns, so the rate check must
         # refuse it, before the models' fingerprint and before the stubbed
         # step runs
         owner, name = stub
@@ -688,6 +699,7 @@ class TestConfigAndErrors:
         cfg_path = tmp_path / "wide.cfg"
         cfg_path.write_text("\n".join(lines) + "\n")
         extra = {
+            "enhance": ["--out", str(tmp_path / "e.wav")],
             "features": ["--out", str(tmp_path / "f.json")],
             "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
         }[command]

@@ -540,6 +540,12 @@ class TestFrameSpec:
         assert FrameSpec(fft_size=1024).resolve_fft_size(16000) == 1024
         with pytest.raises(ConfigError):
             FrameSpec(fft_size=256).resolve_fft_size(16000)
+        # at most MAX_FFT_FACTOR (16) times the default at the rate
+        assert FrameSpec(fft_size=8192).resolve_fft_size(16000) == 8192
+        assert FrameSpec(fft_size=4096).resolve_fft_size(8000) == 4096
+        for size, rate, bound in ((16384, 16000, 8192), (8192, 8000, 4096), (2**40, 16000, 8192)):
+            with pytest.raises(ConfigError, match=f"fft_size {size} exceeds {bound} at {rate} Hz"):
+                FrameSpec(fft_size=size).resolve_fft_size(rate)
 
     @given(frame_ms=st.floats(0.01, 100.0), sample_rate_hz=st.integers(1, 192000))
     @example(frame_ms=0.01, sample_rate_hz=16000)

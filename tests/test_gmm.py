@@ -180,6 +180,21 @@ class TestQuadraticForm:
 
 
 class TestKmeans:
+    def test_one_m_step_per_fit(self, mfcc_rows, monkeypatch):
+        # Lloyd iterations move the centres to the cluster means alone; the
+        # full M-step, variances included, runs once, on the final assignment
+        m_step, calls = gmm._m_step, []
+
+        def spy(resp, x, x_sq):
+            calls.append(resp.copy())
+            return m_step(resp, x, x_sq)
+
+        monkeypatch.setattr(gmm, "_m_step", spy)
+        x = mfcc_rows
+        _, assignment = _kmeans(x, x * x, 16, np.random.default_rng(3))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.eye(16)[assignment])
+
     def test_two_clusters_emptied_at_once_reseed_on_distinct_points(self, monkeypatch):
         rng = np.random.default_rng(13)
         x = np.vstack([rng.normal(0.0, 0.1, (30, 2)), rng.normal(10.0, 0.1, (30, 2))])
@@ -234,12 +249,19 @@ _exp_arguments = st.one_of(
 @given(st.lists(_exp_arguments, min_size=1, max_size=40))
 @example([np.nan, -np.inf, np.inf, -0.0, -700.0, -720.0, -745.5, -746.0])
 def test_exp_is_np_exp_bit_for_bit(arguments):
-    # up to 40 arguments span several SIMD vectors, each mixing every range
+    # up to 40 arguments span several SIMD vectors, each mixing every range;
+    # the result is the same made by _exp, written into a buffer, or written
+    # over the arguments themselves
     values = np.array(arguments)
+    buf = np.full_like(values, 7.0)
+    in_place = values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.exp(values)
-        got = gmm._exp(values)
-    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        made = gmm._exp(values)
+        assert gmm._exp(values, out=buf) is buf
+        assert gmm._exp(in_place, out=in_place) is in_place
+    for got in (made, buf, in_place):
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestLogLikelihood:
@@ -394,6 +416,32 @@ class TestTrain:
         resp, e_step_ll = _e_step(model, rows, rows * rows)
         np.testing.assert_array_equal(resp, np.exp(joint - frame_ll[:, None]))
         np.testing.assert_array_equal(e_step_ll, frame_ll)
+
+    def test_workspace_calls_equal_the_allocating_ones(self, mfcc_rows):
+        # buffers filled with NaN first, so a value left unwritten shows; the
+        # references are the expressions EM evaluated before it had buffers
+        x, k = mfcc_rows, 16
+        model, _ = train(matrix(x), k, seed=3, max_iter=3)
+        log_norm, precisions, scaled_means, mean_term, log_weights = gmm.density_constants(model)
+        joint = (
+            log_norm
+            - 0.5 * ((x * x) @ precisions.T - 2.0 * (x @ scaled_means.T) + mean_term)
+            + log_weights
+        )
+        frame_ll = logsumexp(joint)
+        resp = np.exp(joint - frame_ll[:, None])
+        assert np.mean(joint - frame_ll[:, None] < gmm.EXP_FAST_FLOOR) > 0.3
+        out, scratch = np.full((2, len(x), k), np.nan)
+        assert log_joint_densities(model, x, out=out, scratch=scratch) is out
+        work = np.full((2, len(x), k), np.nan)
+        got_resp, got_ll = _e_step(model, x, x * x, work)
+        assert np.shares_memory(got_resp, work)
+        for got, want in [
+            (out, joint), (log_joint_densities(model, x), joint),
+            (got_resp, resp), (got_ll, frame_ll),
+            *zip(_e_step(model, x, x * x), (resp, frame_ll)),
+        ]:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_insufficient_data_rejected(self):
         rows = np.zeros((5, 2))
@@ -561,6 +609,17 @@ def gmm_models(draw):
         np.reshape(draw(variances), (k, dim)),
         draw(name),
     )
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([-0.0, 0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+          0.1, 1 / 3, -123456.78901234567, 9007199254740993.0, 1.7976931348623157e308,
+          gmm.WEIGHT_FLOOR, gmm.VARIANCE_FLOOR, gmm.WEIGHT_SUM_TOL])
+def test_format_floats_is_the_per_value_format(values):
+    # -0.0, subnormals, 17-digit values and the floors: the bytes of a .gmm
+    # file are those each value's f-string gave
+    values = np.array(values, dtype=np.float64)
+    assert gmm._format_floats(values) == " ".join(f"{v:.17g}" for v in values)
 
 
 @given(gmm_models())
