@@ -195,6 +195,22 @@ class TestKmeans:
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.eye(16)[assignment])
 
+    def test_lloyd_distances_to_the_m_step_means(self, mfcc_rows):
+        # the Lloyd centres show only through argmin; the distances the
+        # second iteration leaves in the workspace are, bit for bit, the
+        # plain expression's to the M-step means of the first assignment
+        x, k = mfcc_rows, 16
+        _, first = _kmeans(x, x * x, k, np.random.default_rng(3), max_iter=1)
+        work = gmm._workspace(len(x), k)
+        _kmeans(x, x * x, k, np.random.default_rng(3), max_iter=2, work=work)
+        resp = np.eye(k)[first]
+        centers = (resp.T @ x) / np.maximum(resp.sum(axis=0), 1e-300)[:, None]
+        want = (
+            np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ centers.T)
+            + np.sum(centers * centers, axis=1)
+        )
+        np.testing.assert_array_equal(work[0].view(np.int64), want.view(np.int64))
+
     def test_two_clusters_emptied_at_once_reseed_on_distinct_points(self, monkeypatch):
         rng = np.random.default_rng(13)
         x = np.vstack([rng.normal(0.0, 0.1, (30, 2)), rng.normal(10.0, 0.1, (30, 2))])
