@@ -10,6 +10,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,11 +103,11 @@ def _effective_config(args) -> ToolConfig:
     if args.config is not None:
         cfg = load_config(args.config, cfg)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "method", None):
-        cfg.enhance.method = args.method
+        cfg = replace(cfg, enhance=replace(cfg.enhance, method=args.method))
     if getattr(args, "lexicon", None) is not None:
-        cfg.lexicon_path = args.lexicon
+        cfg = replace(cfg, lexicon_path=args.lexicon)
     return cfg
 
 
@@ -180,8 +181,6 @@ def _cmd_features(args, cfg: ToolConfig) -> int:
 def _cmd_train(args, cfg: ToolConfig) -> int:
     if args.components < 1:
         raise ConfigError(f"--components must be >= 1, got {args.components}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     gmm.check_label(args.label)
     takes = (_read_audio(path) for path in args.inputs)
     # one sample rate, or ConfigError

@@ -11,17 +11,17 @@ Config files are flat key-value text with section prefixes:
 
 Keys are the config dataclasses' fields: one table built from them drives
 parsing and dumping. None is written "auto" (derive it at use time), or
-"none" for report.lexicon. Non-finite floats are rejected. Precedence
+"none" for report.lexicon. Each field declares the values it allows (its
+range, which excludes nan and inf), and its dataclass checks them. Precedence
 everywhere is: built-in defaults, then config file, then command-line flags.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args
 
 from .enhance import EnhanceConfig
-from .errors import ConfigError, read_text
+from .errors import ConfigError, check_ranges, ranged, read_text
 from .features import FeatureConfig
 from .recognizer import EndpointConfig
 
@@ -34,7 +34,10 @@ class ToolConfig:
     lexicon_path: str | None = field(
         default=None, metadata={"key": "report.lexicon", "none": "none"}
     )
-    seed: int = 0
+    seed: int = ranged(0, "[0, inf)")
+
+    def __post_init__(self):
+        check_ranges(self)
 
 
 def _keys(cls, section: str | None = None):
@@ -47,23 +50,22 @@ def _keys(cls, section: str | None = None):
         kind = next((a for a in args if a is not type(None)), f.type)
         none_word = f.metadata.get("none", "auto") if type(None) in args else None
         key = f"{section}.{f.name}" if section else f.metadata.get("key", f.name)
-        yield key, (section, f.name, kind, none_word)
+        yield key, (section, f.name, kind, none_word, f.metadata.get("range"))
 
 
-# key -> (ToolConfig section or None, field name, type, word for None or None)
+# key -> (ToolConfig section or None, field name, type, word for None or None,
+# declared range or None): the one table parsing, dumping and the tests read
 _KEYS = dict(_keys(ToolConfig))
 
 
 def _parse_value(key: str, raw: str):
-    _, _, kind, none_word = _KEYS[key]
+    _, _, kind, none_word, _ = _KEYS[key]
     if none_word is not None and raw == none_word:
         return None
     try:
         value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{key}: must be a finite number, got {raw!r}")
     return value
 
 
@@ -105,7 +107,7 @@ def _format_value(value, none_word: str | None) -> str:
 def dump_config(cfg: ToolConfig) -> str:
     """Render the effective configuration; parse_config inverts it exactly."""
     lines = []
-    for key, (section, name, _, none_word) in _KEYS.items():
+    for key, (section, name, _, none_word, _) in _KEYS.items():
         value = getattr(getattr(cfg, section) if section else cfg, name)
         lines.append(f"{key} = {_format_value(value, none_word)}")
     return "\n".join(lines) + "\n"

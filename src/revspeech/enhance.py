@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, FrameSequence, frame_blocks, frame_energies
-from .errors import ConfigError
-from .features import FrameSpec, OverlapAdd
+from .errors import ConfigError, check_ranges, ranged
+from .features import FrameSpec, OverlapAdd, check_fft_size, framing
 
 METHODS = ("spectral_subtraction", "wiener")
 
@@ -31,25 +31,18 @@ POSTERIOR_SNR_CAP = 1e6
 
 @dataclass
 class EnhanceConfig:
-    method: str = "spectral_subtraction"
-    alpha: float = 2.0
-    beta: float = 0.01
-    fft_size: int | None = None
-    frame_ms: float = 25.0
-    overlap_fraction: float = 0.5
-    window_a: float = 0.46
-    vad_energy_ratio: float = 2.0
+    method: str = ranged("spectral_subtraction", METHODS)
+    alpha: float = ranged(2.0, "[1, inf)")
+    beta: float = ranged(0.01, "[0, 1)")
+    fft_size: int | None = framing("fft_size")
+    frame_ms: float = framing("frame_ms")
+    overlap_fraction: float = framing("overlap_fraction")
+    window_a: float = framing("window_a")
+    vad_energy_ratio: float = ranged(2.0, "(1, inf)")
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}")
-        if self.alpha < 1:
-            raise ConfigError("alpha must be >= 1")
-        if not 0 <= self.beta < 1:
-            raise ConfigError("beta must be in [0, 1)")
-        if self.vad_energy_ratio <= 1:
-            raise ConfigError("vad_energy_ratio must be > 1")
-        self.frame  # validates the framing fields
+        check_ranges(self, "enhance")
+        check_fft_size(self.fft_size, "enhance.fft_size")
 
     @property
     def frame(self) -> FrameSpec:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit, and the text reader that raises them."""
+"""Exception types shared across the toolkit, the text reader and the config range check."""
+
+import functools
+from dataclasses import field, fields
 
 
 def read_text(path, error: type) -> str:
@@ -48,3 +51,40 @@ class LexiconFormatError(RevspeechError):
 
 class ReportFormatError(RevspeechError):
     """A structured report document could not be parsed."""
+
+
+class Range:
+    """Values a config field allows, written as an interval: "[0, 1)", "(1, inf)"."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.lo, self.hi = (float(end) for end in text[1:-1].split(","))
+        self.lo_open, self.hi_open = text[0] == "(", text[-1] == ")"
+
+    def __contains__(self, value) -> bool:
+        above = self.lo < value if self.lo_open else self.lo <= value
+        return above and (value < self.hi if self.hi_open else value <= self.hi)
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def ranged(default, allowed):
+    """A dataclass field whose values, None aside, lie in allowed: a Range, its text or choices."""
+    allowed = Range(allowed) if isinstance(allowed, str) else allowed
+    return field(default=default, metadata={"range": allowed})
+
+
+@functools.cache
+def _declared(cls) -> tuple:
+    """(field name, allowed values) of each ranged field of cls, gathered once per class."""
+    return tuple((f.name, f.metadata["range"]) for f in fields(cls) if "range" in f.metadata)
+
+
+def check_ranges(obj, section: str = "") -> None:
+    """ConfigError naming the config key (section.field) of a field of obj outside its range."""
+    for name, allowed in _declared(type(obj)):
+        value = getattr(obj, name)
+        if value is not None and value not in allowed:
+            key = f"{section}.{name}" if section else name
+            raise ConfigError(f"{key} must be in {allowed}, got {value!r}")

@@ -11,6 +11,7 @@ computes the rows of one product shape alike (OpenBLAS at the default sizes).
 import functools
 import hashlib
 import itertools
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -27,7 +28,7 @@ from .audio import (
     frame_geometry,
     frame_groups,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges, ranged
 
 ENERGY_FLOOR = 1e-10
 # the longest utterance the recognizer is built to score (longer segments are
@@ -40,23 +41,27 @@ MAX_UTTERANCE_S = 30.0
 MAX_FFT_FACTOR = 16
 
 
+def check_fft_size(fft_size: int | None, key: str) -> None:
+    """ConfigError unless fft_size, set under key, is auto (None) or a power of two."""
+    if fft_size is not None and fft_size & (fft_size - 1):
+        raise ConfigError(f"{key} must be a power of two, got {fft_size}")
+
+
 @dataclass(frozen=True)
 class FrameSpec:
-    """Framing, window and FFT-size rule, shared by endpointing, enhance and features."""
+    """Framing, window and FFT-size rule, shared by endpointing, enhance and features.
 
-    frame_ms: float = 25.0
-    overlap_fraction: float = 0.5
-    window_a: float = 0.46
-    fft_size: int | None = None
+    Its fields declare every config section's framing fields (framing).
+    """
+
+    frame_ms: float = ranged(25.0, f"(0, {MAX_UTTERANCE_S * 1000:g}]")  # fits in an utterance
+    overlap_fraction: float = ranged(0.5, "[0, 1)")
+    window_a: float = ranged(0.46, "[0, 0.5]")  # keeps (1 - a) - a*cos(...) nonnegative
+    fft_size: int | None = ranged(None, "[1, inf)")
 
     def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise ConfigError("frame_ms must be positive")
-        if not 0 <= self.overlap_fraction < 1:
-            raise ConfigError("overlap_fraction must be in [0, 1)")
-        size = self.fft_size
-        if size is not None and (size < 1 or size & (size - 1)):
-            raise ConfigError("fft_size must be a power of two")
+        check_ranges(self)
+        check_fft_size(self.fft_size, "fft_size")
 
     def resolve_fft_size(self, sample_rate_hz: int) -> int:
         """fft_size at the rate, or by default the next power of two covering a frame.
@@ -83,12 +88,15 @@ class FrameSpec:
     def frames_within(self, seconds: float, sample_rate_hz: int | None = None) -> int:
         """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
 
-        That grows without limit as overlap_fraction nears 1. At a rate the
-        hop is frame_geometry's, at least one sample, so the count is at most
-        seconds * rate + 1.
+        That grows without limit as overlap_fraction nears 1; a hop that
+        underflows to zero, or a count past sys.maxsize, counts sys.maxsize.
+        At a rate the hop is frame_geometry's, at least one sample, so the
+        count is at most seconds * rate + 1.
         """
         if sample_rate_hz is None:
-            return int(seconds * 1000.0 / (self.frame_ms * (1.0 - self.overlap_fraction))) + 1
+            hop_ms = self.frame_ms * (1.0 - self.overlap_fraction)
+            count = seconds * 1000.0 / hop_ms if hop_ms else sys.maxsize
+            return int(min(count, sys.maxsize)) + 1
         _, hop = frame_geometry(self.frame_ms, self.overlap_fraction, sample_rate_hz)
         return int(seconds * sample_rate_hz / hop) + 1
 
@@ -143,6 +151,12 @@ class FrameSpec:
         synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, : frames.frame_len]
         synthesized *= window
         return synthesized
+
+
+def framing(name: str):
+    """A config section's framing field name, declared as FrameSpec declares it."""
+    spec = FrameSpec.__dataclass_fields__[name]
+    return ranged(spec.default, spec.metadata["range"])
 
 
 class OverlapAdd:
@@ -243,30 +257,25 @@ class FeatureConfig:
     power of two covering one frame and to half the sample rate.
     """
 
-    preemphasis_a: float = 0.97
-    frame_ms: float = 25.0
-    overlap_fraction: float = 0.5
-    window_a: float = 0.46
-    fft_size: int | None = None
-    num_filters: int = 26
-    num_ceps: int = 13
-    delta_window: int = 2
-    low_freq_hz: float = 0.0
-    high_freq_hz: float | None = None
+    preemphasis_a: float = ranged(0.97, "[0, 1)")
+    frame_ms: float = framing("frame_ms")
+    overlap_fraction: float = framing("overlap_fraction")
+    window_a: float = framing("window_a")
+    fft_size: int | None = framing("fft_size")
+    num_filters: int = ranged(26, "[1, inf)")
+    num_ceps: int = ranged(13, "[1, inf)")
+    delta_window: int = ranged(2, "[1, inf)")
+    low_freq_hz: float = ranged(0.0, "[0, inf)")
+    high_freq_hz: float | None = ranged(None, "(0, inf)")
 
     def __post_init__(self):
-        if not 0 <= self.preemphasis_a < 1:
-            raise ConfigError("preemphasis_a must be in [0, 1)")
-        self.frame  # validates the framing fields
-        if not 0 < self.num_ceps <= self.num_filters:
-            raise ConfigError("need 0 < num_ceps <= num_filters")
-        if self.delta_window < 1:
-            raise ConfigError("delta_window must be >= 1")
-        self.check()
-        if self.low_freq_hz < 0:
-            raise ConfigError("low_freq_hz must be >= 0")
+        check_ranges(self, "features")
+        check_fft_size(self.fft_size, "features.fft_size")
+        if self.num_ceps > self.num_filters:
+            raise ConfigError("features.num_ceps must be <= features.num_filters")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
-            raise ConfigError("low_freq_hz must be below high_freq_hz")
+            raise ConfigError("features.low_freq_hz must be below features.high_freq_hz")
+        self.check()
 
     @property
     def frame(self) -> FrameSpec:
@@ -282,8 +291,8 @@ class FeatureConfig:
         if self.delta_window > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
             raise ConfigError(
-                f"delta_window must be <= {widest}{at}: its 2 * delta_window + 1 frames must "
-                f"fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
+                f"features.delta_window must be <= {widest}{at}: its 2 * delta_window + 1 "
+                f"frames must fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
             )
         if sample_rate_hz is not None:
             self.filterbank(sample_rate_hz)
@@ -298,10 +307,8 @@ class FeatureConfig:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
         if high > sample_rate_hz / 2:
             raise ConfigError(
-                f"high_freq_hz {high} exceeds Nyquist for rate {sample_rate_hz}"
+                f"features.high_freq_hz {high} exceeds Nyquist for rate {sample_rate_hz}"
             )
-        if self.low_freq_hz >= high:
-            raise ConfigError("low_freq_hz must be below high_freq_hz")
         return high
 
     def fingerprint(self, sample_rate_hz: int) -> str:
@@ -386,13 +393,19 @@ def mel_filter_weights(
     Built once per argument tuple; the shared result is read-only.
 
     ConfigError when a filter covers no bin; each bin lies inside at most two
-    triangles, so more than 2 * (fft_size // 2 + 1) filters are refused unbuilt.
+    triangles, so more than 2 * (fft_size // 2 + 1) filters are refused unbuilt,
+    as are edges that do not strictly increase (a filter would divide 0 by 0).
     """
     bins = fft_size // 2 + 1
     if num_filters > 2 * bins:
-        raise ConfigError(f"num_filters {num_filters} exceeds 2 * {bins}, twice the FFT bins")
+        raise ConfigError(
+            f"features.num_filters {num_filters} exceeds 2 * {bins}, twice the FFT bins"
+        )
     edges_mel = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
+    if not np.all(np.diff(edges_hz) > 0):
+        raise ConfigError(f"mel filter edges from features.low_freq_hz {low_hz} to "
+                          f"features.high_freq_hz {high_hz} do not strictly increase")
     bin_freqs = np.arange(bins) * sample_rate_hz / fft_size
 
     weights = np.zeros((num_filters, bins))
@@ -403,8 +416,8 @@ def mel_filter_weights(
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
     empty = np.count_nonzero(~weights.any(axis=1))
     if empty:
-        raise ConfigError(f"{empty} of {num_filters} mel filters cover no FFT bin at "
-                          f"{sample_rate_hz} Hz and fft_size {fft_size}")
+        raise ConfigError(f"{empty} of features.num_filters {num_filters} mel filters cover no "
+                          f"FFT bin at {sample_rate_hz} Hz and fft_size {fft_size}")
     weights.flags.writeable = False
     return weights
 

@@ -21,6 +21,8 @@ from .errors import (
     FingerprintMismatchError,
     InsufficientDataError,
     VocabularyError,
+    check_ranges,
+    ranged,
 )
 from .features import (
     MAX_UTTERANCE_S,
@@ -28,6 +30,7 @@ from .features import (
     FeatureMatrix,
     FrameSpec,
     extract_batches,
+    framing,
     stack_batches,
 )
 from .gmm import GmmModel, density_constants, log_joint_densities, logsumexp
@@ -39,21 +42,16 @@ DIRECTIONS = ("forward", "reverse")
 class EndpointConfig:
     """Energy endpointing: smoothed energies, percentile threshold, region rules."""
 
-    frame_ms: float = 25.0
-    overlap_fraction: float = 0.5
-    smooth_frames: int = 5
-    energy_ratio: float = 3.0
-    merge_gap_ms: float = 200.0
-    min_utterance_ms: float = 250.0
+    frame_ms: float = framing("frame_ms")
+    overlap_fraction: float = framing("overlap_fraction")
+    smooth_frames: int = ranged(5, "[1, inf)")
+    energy_ratio: float = ranged(3.0, "(0, inf)")
+    merge_gap_ms: float = ranged(200.0, "[0, inf)")
+    min_utterance_ms: float = ranged(250.0, "[0, inf)")
 
     def __post_init__(self):
-        self.check()  # and, through FrameSpec, the framing fields
-        if self.smooth_frames < 1:
-            raise ConfigError("smooth_frames must be >= 1")
-        if self.energy_ratio <= 0:
-            raise ConfigError("energy_ratio must be positive")
-        if self.merge_gap_ms < 0 or self.min_utterance_ms < 0:
-            raise ConfigError("merge_gap_ms and min_utterance_ms must be >= 0")
+        check_ranges(self, "endpoint")
+        self.check()
 
     def check(self, sample_rate_hz: int | None = None) -> None:
         """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of frames (at the rate's hop).
@@ -66,7 +64,7 @@ class EndpointConfig:
         if self.smooth_frames > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
             raise ConfigError(
-                f"smooth_frames must be <= {widest}{at}, the endpoint frames in "
+                f"endpoint.smooth_frames must be <= {widest}{at}, the endpoint frames in "
                 f"{MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
             )
 

@@ -302,7 +302,7 @@ class TestSegment:
 
     def test_invalid_arguments(self):
         buf = AudioBuffer(np.zeros(100), 8000)
-        with pytest.raises(ConfigError, match="frame_ms must be positive"):
+        with pytest.raises(ConfigError, match=r"frame_ms must be in \(0, 30000\], got 0.0"):
             FrameSpec(0.0, 0.5).segment(buf)
         with pytest.raises(ConfigError, match="overlap_fraction must be in"):
             FrameSpec(10.0, 1.0).segment(buf)

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -24,6 +27,7 @@ from revspeech import (
     render,
     write_wav,
 )
+import revspeech
 from revspeech import audio, enhance, features, recognizer
 from revspeech.cli import run
 from revspeech.config import ToolConfig
@@ -714,6 +718,9 @@ class TestConfigAndErrors:
         ("features", "features.frame_ms = 0.01"),
         ("analyze", "enhance.frame_ms = 0.01"),
         ("analyze", "endpoint.frame_ms = 0.01"),
+        # the least positive frame: its rate-free hop underflows to zero
+        ("features", "features.frame_ms = 5e-324"),
+        ("analyze", "endpoint.frame_ms = 5e-324"),
     ])
     def test_frame_shorter_than_one_sample_is_data_error(
         self, workspace, tmp_path, capsys, command, line
@@ -730,6 +737,62 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "shorter than one sample" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["short.cfg"]
+
+    # unchecked, each value reaches numpy and ends in a traceback (exit 1)
+    @pytest.mark.parametrize("command, line", [
+        ("analyze", "enhance.frame_ms = 1e9"),
+        ("enhance", "enhance.frame_ms = 1e9"),
+        ("analyze", "enhance.frame_ms = 1e300"),
+        ("enhance", "enhance.frame_ms = 1e300"),
+        ("analyze", "enhance.window_a = 1e300"),
+        ("features", "features.window_a = 1e300"),
+        ("features", "features.high_freq_hz = 1e-300"),
+        # refused under frame_ms, not the windows that no longer fit
+        ("features", "features.frame_ms = 1e9"),
+        ("analyze", "endpoint.frame_ms = 1e9"),
+    ])
+    def test_out_of_range_config_is_data_error_in_a_capped_process(
+        self, workspace, tmp_path, command, line
+    ):
+        # unchecked, a 1e9 ms enhancement frame asks for a 1.6e10-sample window,
+        # so each run gets a process of its own, capped at 2 GiB of address space
+        wav = tmp_path / "one_second.wav"
+        write_wav(AudioBuffer(0.1 * np.random.default_rng(3).standard_normal(16000), 16000), wav)
+        (tmp_path / "bad.cfg").write_text(line + "\n")
+        extra = {
+            "enhance": ["--out", str(tmp_path / "e.wav")],
+            "features": ["--out", str(tmp_path / "f.json")],
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                  "from revspeech.cli import run; sys.exit(run(sys.argv[1:]))")
+        src = str(Path(revspeech.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["--config", str(tmp_path / "bad.cfg"), command, "--in", str(wav), *extra]
+        result = subprocess.run([sys.executable, "-c", capped, *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        key = line.split(" = ")[0]
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and key in result.stderr, result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "one_second.wav"]
+
+    @pytest.mark.parametrize("command", ["reverse", "enhance", "features", "recognize", "analyze"])
+    def test_negative_seed_is_data_error_for_every_command(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # --seed meets the range ToolConfig.seed declares, as a config file's seed does
+        extra = {
+            "reverse": ["--out", str(tmp_path / "r.wav")],
+            "enhance": ["--out", str(tmp_path / "e.wav")],
+            "features": ["--out", str(tmp_path / "f.json")],
+            "recognize": model_args(workspace),
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        argv = ["--seed", "-1", command, "--in", str(workspace["takes"]["login"][0]), *extra]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be in [0, inf), got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra", [
         ["--seed", "-1"],

@@ -1,23 +1,51 @@
 """Config file parsing, dumping, and precedence."""
 
+import math
+import re
 from collections import Counter
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from revspeech.config import (
+    _KEYS,
     ToolConfig,
     config_fingerprint,
     dump_config,
     load_config,
     parse_config,
 )
-from revspeech.enhance import METHODS, EnhanceConfig
+from revspeech.enhance import EnhanceConfig
 from revspeech.errors import ConfigError
-from revspeech.features import FeatureConfig
+from revspeech.features import MAX_UTTERANCE_S, FeatureConfig, FrameSpec
 from revspeech.recognizer import EndpointConfig
+
+# key -> (type, declared range) of every key that declares one
+RANGES = {key: (kind, allowed) for key, (_, _, kind, _, allowed) in _KEYS.items() if allowed}
+
+
+def _edges(kind, allowed):
+    """(accepted, refused) value pairs at each finite end of a declared range.
+
+    A tuple of choices accepts each choice and refuses a word outside them.
+    """
+    if isinstance(allowed, tuple):
+        return [(choice, "none_of_these") for choice in allowed]
+    pairs = []
+    for end, is_open, outward in ((allowed.lo, allowed.lo_open, -1.0),
+                                  (allowed.hi, allowed.hi_open, 1.0)):
+        if math.isinf(end):
+            continue
+        if kind is int:
+            inside = int(end) - int(outward) * is_open
+            pairs.append((inside, inside + int(outward)))
+        else:
+            inward = math.nextafter(end, -outward * math.inf)
+            outside = math.nextafter(end, outward * math.inf)
+            pairs.append((inward, end) if is_open else (end, outside))
+    return pairs
 
 
 class TestParseConfig:
@@ -80,9 +108,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("enhance.alpha = 0.1\n")
 
-    @pytest.mark.parametrize("key", ["enhance.alpha", "enhance.frame_ms",
-                                     "features.frame_ms", "features.high_freq_hz",
-                                     "endpoint.energy_ratio"])
+    # every float key: their declared ranges hold only finite numbers
+    @pytest.mark.parametrize("key", [key for key, entry in _KEYS.items() if entry[2] is float])
     @pytest.mark.parametrize("word", ["nan", "inf", "-inf", "NaN", "infinity"])
     def test_non_finite_float_rejected(self, key, word):
         with pytest.raises(ConfigError, match=key):
@@ -142,6 +169,32 @@ class TestParseConfig:
         assert cfg.endpoint.smooth_frames == 1
         assert cfg.endpoint.merge_gap_ms == 0.0
 
+    @pytest.mark.parametrize("key, accepted, refused", [
+        pytest.param(key, accepted, refused, id=f"{key}={accepted!r}|{refused!r}")
+        for key, (kind, allowed) in RANGES.items()
+        for accepted, refused in _edges(kind, allowed)
+    ])
+    def test_declared_range_edges(self, key, accepted, refused):
+        # each range's edge is accepted and the value just past it refused,
+        # under the key; the base lets every other field take its own edges
+        base = parse_config(
+            "features.num_ceps = 1\nfeatures.delta_window = 1\nendpoint.smooth_frames = 1\n"
+        )
+        assert key + f" = {accepted}\n" in dump_config(parse_config(f"{key} = {accepted}\n", base))
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be in {RANGES[key][1]}, got ")):
+            parse_config(f"{key} = {refused}\n", base)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FeatureConfig(num_filters=12), "features.num_ceps must be <= features.num_filters"),
+        (lambda: FeatureConfig(low_freq_hz=300.0, high_freq_hz=300.0),
+         "features.low_freq_hz must be below features.high_freq_hz"),
+        (lambda: EnhanceConfig(fft_size=500), "enhance.fft_size must be a power of two, got 500"),
+        (lambda: FeatureConfig(fft_size=500), "features.fft_size must be a power of two, got 500"),
+    ])
+    def test_rules_across_fields_name_every_key(self, build, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+
     def test_result_shares_no_section_with_base(self):
         base = ToolConfig()
         cfg = parse_config("seed = 3\n", base)
@@ -149,55 +202,62 @@ class TestParseConfig:
         assert cfg.endpoint is not base.endpoint
 
 
-def _floats(lo, hi, **kw):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+def _values(key, hi=None):
+    """Values in key's declared range (RANGES), an integer one cut at hi if given."""
+    kind, allowed = RANGES[key]
+    if isinstance(allowed, tuple):
+        return st.sampled_from(allowed)
+    lo, top = (None if math.isinf(end) else kind(end) for end in (allowed.lo, allowed.hi))
+    if kind is int:
+        values = st.integers(lo, top if hi is None else hi)
+    else:
+        values = st.floats(lo, top, allow_nan=False, allow_infinity=False)
+    return values.filter(allowed.__contains__)  # leaves out an open end
 
 
 @st.composite
 def tool_configs(draw):
-    """Valid ToolConfigs, with and without the None ("auto"/"none") fields."""
-    fft_size = st.none() | st.sampled_from([256, 512, 1024, 2048])
-    frame_ms = _floats(1.0, 100.0)
-    overlap = _floats(0.0, 1.0, exclude_max=True)
-    enhance = EnhanceConfig(
-        method=draw(st.sampled_from(METHODS)),
-        alpha=draw(_floats(1.0, 10.0)),
-        beta=draw(_floats(0.0, 1.0, exclude_max=True)),
-        fft_size=draw(fft_size),
-        frame_ms=draw(frame_ms),
-        overlap_fraction=draw(overlap),
-        window_a=draw(_floats(0.0, 0.5)),
-        vad_energy_ratio=draw(_floats(1.0, 10.0, exclude_min=True)),
-    )
-    num_filters = draw(st.integers(1, 64))
-    low = draw(_floats(0.0, 4000.0))
-    features = FeatureConfig(
-        preemphasis_a=draw(_floats(0.0, 1.0, exclude_max=True)),
-        frame_ms=draw(frame_ms),
-        overlap_fraction=draw(overlap),
-        window_a=draw(_floats(0.0, 0.5)),
-        fft_size=draw(fft_size),
-        num_filters=num_filters,
-        num_ceps=draw(st.integers(1, num_filters)),
-        delta_window=draw(st.integers(1, 5)),
-        low_freq_hz=low,
-        high_freq_hz=draw(st.none() | _floats(low + 1.0, 8000.0)),
-    )
-    endpoint = EndpointConfig(
-        frame_ms=draw(frame_ms),
-        overlap_fraction=draw(overlap),
-        smooth_frames=draw(st.integers(1, 20)),
-        energy_ratio=draw(_floats(0.0, 10.0, exclude_min=True)),
-        merge_gap_ms=draw(_floats(0.0, 1000.0)),
-        min_utterance_ms=draw(_floats(0.0, 1000.0)),
-    )
+    """Valid ToolConfigs, with and without the None ("auto"/"none") fields.
+
+    Each field is drawn from its declared range, narrowed only by the rules
+    across fields: num_ceps <= num_filters, low_freq_hz < high_freq_hz, an
+    FFT size that is a power of two, and windows that fit in the longest
+    utterance.
+    """
+    def section(name, cls, *later):
+        """The fields of cls but those drawn later, each from its range or auto (None)."""
+        values = {f.name: draw(_values(f"{name}.{f.name}"))
+                  for f in fields(cls) if f.name not in later}
+        for auto in ("fft_size", "high_freq_hz"):
+            if auto in values and draw(st.booleans()):
+                values[auto] = None
+        if values.get("fft_size"):  # the largest power of two up to the drawn size
+            values["fft_size"] = 1 << (values["fft_size"].bit_length() - 1)
+        return values
+
+    enhance = EnhanceConfig(**section("enhance", EnhanceConfig))
+    features = section("features", FeatureConfig, "num_ceps", "delta_window")
+    features["num_ceps"] = draw(_values("features.num_ceps", hi=features["num_filters"]))
+    if features["high_freq_hz"] is not None:
+        # both ranges run to inf, so the sorted pair stays in them
+        band = sorted((features["low_freq_hz"], features["high_freq_hz"]))
+        assume(band[0] < band[1])
+        features["low_freq_hz"], features["high_freq_hz"] = band
+    spec = FrameSpec(features["frame_ms"], features["overlap_fraction"])
+    widest = (spec.frames_within(MAX_UTTERANCE_S) - 1) // 2
+    assume(widest >= 1)
+    features["delta_window"] = draw(_values("features.delta_window", hi=widest))
+    endpoint = section("endpoint", EndpointConfig, "smooth_frames")
+    spec = FrameSpec(endpoint["frame_ms"], endpoint["overlap_fraction"])
+    endpoint["smooth_frames"] = draw(_values("endpoint.smooth_frames",
+                                             hi=spec.frames_within(MAX_UTTERANCE_S)))
     path = st.text("abcxyz0123456789._/-", min_size=1, max_size=12)
     return ToolConfig(
         enhance=enhance,
-        features=features,
-        endpoint=endpoint,
+        features=FeatureConfig(**features),
+        endpoint=EndpointConfig(**endpoint),
         lexicon_path=draw(st.none() | path.filter(lambda p: p != "none")),
-        seed=draw(st.integers(0, 2**63)),
+        seed=draw(_values("seed")),
     )
 
 

@@ -222,6 +222,15 @@ class TestMelFilterbank:
             with pytest.raises(ConfigError, match=message):
                 mel_filter_weights(num_filters, 512, self.SR, 0.0, self.SR / 2)
 
+    def test_band_too_narrow_for_increasing_edges_rejected(self):
+        # every mel edge of a 1e-300 Hz band rounds to 0 Hz, where each
+        # filter would divide 0 by 0 into rows of NaN
+        message = "from features.low_freq_hz 0.0 to features.high_freq_hz 1e-300 do not strictly"
+        with pytest.raises(ConfigError, match=message):
+            mel_filter_weights(26, 512, self.SR, 0.0, 1e-300)
+        with pytest.raises(ConfigError, match=message):
+            FeatureConfig(high_freq_hz=1e-300).check(self.SR)
+
     def test_default_filters_each_cover_a_bin(self):
         for rate in (8000, 16000, 22050, 44100, 48000):
             FeatureConfig().check(rate)
