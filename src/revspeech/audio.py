@@ -1,5 +1,6 @@
-"""WAV ingestion/emission, mono conversion, time reversal, frame sequences."""
+"""WAV ingestion/emission, mono conversion, time reversal, frame sequences and their STFT."""
 
+import functools
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, UnsupportedWavError, WavFormatError
+from .errors import UnsupportedWavError, WavFormatError
 
 INT16_FULL_SCALE = 32768
 # frames per block for every pass over frames: about 2.6 s at 16 kHz with the
@@ -48,20 +49,25 @@ class AudioBuffer:
 class FrameSequence:
     """Fixed-length windows cut from samples; frame i starts at sample i*hop.
 
-    FrameSpec.segment builds these; num_samples is the length of the samples
-    cut. run(lo, hi) reads frames lo .. hi - 1 as rows of frame_len samples.
-    The frames that fit inside the samples are a read-only strided view of
-    them, so overlapping frames share memory and a run of them is not
-    copied. The one frame that may run past the last sample (or the only
-    frame, when there are fewer samples than one frame) comes from a
-    zero-padded copy of the tail, so a run that reaches it is a new array.
+    FrameSpec.segment builds these, with the framing resolved at the rate:
+    frame_len, hop, fft_size and the analysis window (frame_len weights).
+    num_samples is the length of the samples cut. run(lo, hi) reads frames
+    lo .. hi - 1 as rows of frame_len samples. The frames that fit inside
+    the samples are a read-only strided view of them, so overlapping frames
+    share memory and a run of them is not copied. The one frame that may run
+    past the last sample (or the only frame, when there are fewer samples
+    than one frame) comes from a zero-padded copy of the tail, so a run that
+    reaches it is a new array.
     """
 
-    def __init__(self, samples: np.ndarray, frame_len: int, hop: int, sample_rate_hz: int):
+    def __init__(self, samples: np.ndarray, frame_len: int, hop: int, sample_rate_hz: int,
+                 fft_size: int, window: np.ndarray):
         self.num_samples = n = len(samples)
         self.frame_len = frame_len
         self.hop = hop
         self.sample_rate_hz = sample_rate_hz
+        self.fft_size = fft_size
+        self.window = window
         self._count = frame_count(n, frame_len, hop)
         inside = max((n - frame_len) // hop + 1, 0)
         if inside:
@@ -94,6 +100,127 @@ class FrameSequence:
             return slice(0, 0)
         first = max((lo - self.frame_len) // self.hop + 1, 0)
         return slice(first, min((hi - 1) // self.hop + 1, self._count))
+
+    def spectra(self, rows=slice(None), windowed=None) -> np.ndarray:
+        """Windowed half spectra (fft_size // 2 + 1 bins) of the frames rows picks.
+
+        The one analysis transform; rows (a slice or an index array of frame
+        numbers) picks a block of frames. windowed is a (rows picked,
+        fft_size) buffer whose columns from frame_len on are zero: each
+        picked frame is windowed into the first frame_len columns of its
+        row, and the rest are never written, so rfft takes the buffer as it
+        stands instead of copying every block into a zero-padded array of
+        its own. A caller that walks many blocks makes the buffer once and
+        passes a slice of it per block; without one, a buffer is made for
+        the call. Each run of consecutive picked frames is read with run and
+        windowed into it, so none is gathered.
+        """
+        picked = np.asarray(range(self._count)[rows] if isinstance(rows, slice) else rows)
+        if windowed is None:
+            windowed = np.zeros((len(picked), self.fft_size))
+        head = windowed[:, : self.frame_len]
+        firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
+        for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
+            np.multiply(self.run(picked[lo], picked[hi - 1] + 1), self.window, out=head[lo:hi])
+        return np.fft.rfft(windowed, axis=-1)
+
+    def synthesize(self, spectra: np.ndarray) -> np.ndarray:
+        """Frames back from a block of (modified) half spectra, windowed again.
+
+        This is the one synthesis transform: each inverse DFT is cut to one
+        frame and multiplied by the analysis window in place.
+        """
+        synthesized = np.fft.irfft(spectra, n=self.fft_size, axis=-1)[:, : self.frame_len]
+        synthesized *= self.window
+        return synthesized
+
+    @functools.cached_property
+    def full_window_power(self) -> np.ndarray:
+        """Window power (hop values) of an overlap-add row that every piece of a frame reaches.
+
+        Built once per framing, for every OverlapAdd of it; read-only.
+        """
+        pieces = -(-self.frame_len // self.hop)
+        (power,) = _window_power(self.window, self.hop, pieces - 1, pieces, pieces)
+        power.flags.writeable = False
+        return power
+
+
+class OverlapAdd:
+    """Samples lo .. hi - 1 summed from synthesized frames (FrameSequence.synthesize).
+
+    Each frame that covers the range (frames.covering(lo, hi)) is added once,
+    in frame order, in blocks of any size; the whole buffer is the range
+    (0, frames.num_samples). So each sample sums its frames in frame order,
+    and a range's samples equal the same samples of the whole buffer's.
+    samples() divides them by the summed window power wherever that is
+    >= 1e-8. Every row that all pieces of a frame reach has the same power,
+    which is built once per framing (frames.full_window_power), so all
+    those rows take one division; only the rows at the buffer's start and
+    past its last frame sum the power of the frames that reach them.
+    """
+
+    def __init__(self, frames: FrameSequence, lo: int, hi: int):
+        self.frames, self.lo, self.hi = frames, lo, hi
+        # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
+        self.row_lo = lo // frames.hop
+        self.rows = np.zeros((max(-(-hi // frames.hop), self.row_lo) - self.row_lo, frames.hop))
+
+    def add(self, first: int, synthesized: np.ndarray) -> None:
+        """Overlap-add synthesized frames first, first + 1, ... into the range."""
+        _overlap_add(self.rows, synthesized, self.frames.hop, first - self.row_lo)
+
+    def samples(self) -> np.ndarray:
+        """The normalized samples, once every covering frame has been added."""
+        frames = self.frames
+        hop, num_frames = frames.hop, len(frames)
+        row_lo, row_hi = self.row_lo, self.row_lo + len(self.rows)
+        # rows pieces - 1 .. num_frames - 1 hold a piece of every frame
+        full_lo = min(max(-(-frames.frame_len // hop) - 1, row_lo), row_hi)
+        full_hi = max(min(num_frames, row_hi), full_lo)
+        parts = [
+            (start, stop, _window_power(frames.window, hop, start, stop, num_frames))
+            for start, stop in ((row_lo, full_lo), (full_hi, row_hi))
+            if start < stop
+        ]
+        parts.append((full_lo, full_hi, frames.full_window_power))
+        for start, stop, power in parts:
+            rows = self.rows[start - row_lo : stop - row_lo]
+            np.divide(rows, power, out=rows, where=power >= 1e-8)
+        return self.rows.reshape(-1)[self.lo - row_lo * hop : self.hi - row_lo * hop]
+
+
+def _window_power(
+    window: np.ndarray, hop: int, start: int, stop: int, num_frames: int
+) -> np.ndarray:
+    """Window power of overlap-add rows start .. stop - 1, shape (stop - start, hop).
+
+    The squared window overlap-added over the frames of num_frames that
+    reach those rows, in frame order, as OverlapAdd adds the frames.
+    """
+    pieces = -(-len(window) // hop)
+    first = max(start - pieces + 1, 0)
+    reaching = np.broadcast_to(window * window, (min(stop, num_frames) - first, len(window)))
+    power = np.zeros((stop - start, hop))
+    _overlap_add(power, reaching, hop, first - start)
+    return power
+
+
+def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int, offset: int) -> None:
+    """Add rows placed hop samples apart into acc, a matrix of hop-long rows.
+
+    Piece c (samples c*hop onward) of row i lands in acc row offset + i + c;
+    pieces that land outside acc are dropped. Each piece offset is one
+    slice-add over all rows, latest offset first, so every acc row adds its
+    pieces in row order, as a row-by-row loop would.
+    """
+    num_rows, row_len = rows.shape
+    for c in reversed(range(-(-row_len // hop))):
+        width = min(hop, row_len - c * hop)
+        first, stop = max(-offset - c, 0), min(len(acc) - offset - c, num_rows)
+        if first < stop:
+            target = acc[offset + c + first : offset + c + stop, :width]
+            target += rows[first:stop, c * hop : c * hop + width]
 
 
 def read_wav(path) -> AudioBuffer:
@@ -220,17 +347,6 @@ def reverse(buf: AudioBuffer) -> AudioBuffer:
     view = buf.samples[::-1]
     view.flags.writeable = False
     return AudioBuffer(view, buf.sample_rate_hz)
-
-
-def frame_geometry(frame_ms: float, overlap_fraction: float, sample_rate_hz: int) -> tuple[int, int]:
-    """(frame_len, hop) in samples, by the rule FrameSpec.segment documents."""
-    frame_len = int(frame_ms * sample_rate_hz / 1000 + 0.5)
-    if frame_len < 1:
-        raise ConfigError(
-            f"frame_ms {frame_ms} is shorter than one sample at {sample_rate_hz} Hz"
-        )
-    # extreme overlap on tiny frames can round the hop to zero; keep it total
-    return frame_len, max(frame_len - int(overlap_fraction * frame_len + 0.5), 1)
 
 
 def frame_count(num_samples: int, frame_len: int, hop: int) -> int:

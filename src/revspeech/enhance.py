@@ -2,7 +2,7 @@
 
 Both methods estimate a noise magnitude spectrum from low-energy frames,
 attenuate per-bin magnitudes, keep the noisy phase, and reconstruct through
-FrameSpec.synthesize and OverlapAdd. Every pass over the recording takes
+FrameSequence.synthesize and OverlapAdd. Every pass over the recording takes
 BLOCK_FRAMES frames at a time, so its transient memory is one block's,
 whatever the recording's length. Denoising works on sample spans: overlap-add
 is local, so a span's cleaned samples need only the frames that cover it (and,
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSequence, frame_blocks, frame_energies
+from .audio import AudioBuffer, FrameSequence, OverlapAdd, frame_blocks, frame_energies
 from .errors import ConfigError, check_ranges, ranged
-from .features import FrameSpec, OverlapAdd, check_fft_size, framing
+from .features import FrameSpec, check_fft_size, framing
 
 METHODS = ("spectral_subtraction", "wiener")
 
@@ -46,7 +46,8 @@ class EnhanceConfig:
 
     @property
     def frame(self) -> FrameSpec:
-        return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size)
+        return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size,
+                         section="enhance")
 
 
 @dataclass
@@ -70,7 +71,6 @@ class NoiseProfile:
 
 def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig, energies=None) -> NoiseProfile:
     """estimate_noise of the framed buffer; energies, if given, are frame_energies(frames)."""
-    cfg.frame.resolve_fft_size(frames.sample_rate_hz)  # an unfit FFT size fails before any work
     if energies is None:
         energies = frame_energies(frames)
     threshold = cfg.vad_energy_ratio * np.percentile(energies, 10)
@@ -78,9 +78,9 @@ def _noise_profile(frames: FrameSequence, cfg: EnhanceConfig, energies=None) -> 
     if len(selected) == 0:
         selected = np.array([np.argmin(energies)])
     parts = frame_blocks(0, len(selected))
-    windowed = cfg.frame.window_buffer(frames, parts[0].stop)  # the longest block
+    windowed = np.zeros((parts[0].stop, frames.fft_size))  # the longest block
     half = sum(
-        np.abs(cfg.frame.spectra(frames, selected[p], windowed[: p.stop - p.start])).sum(axis=0)
+        np.abs(frames.spectra(selected[p], windowed[: p.stop - p.start])).sum(axis=0)
         for p in parts
     ) / len(selected)
     return NoiseProfile(half, len(selected))
@@ -164,7 +164,6 @@ def _denoise(
     span, and is yielded, in the caller's order, once the walk has passed
     it, so sorted spans hold only the overlap-adds one block reaches.
     """
-    spec = cfg.frame
     spans = [(max(lo, 0), min(hi, frames.num_samples)) for lo, hi in spans]
     ranges = [frames.covering(lo, hi) for lo, hi in spans]
     wanted = np.zeros(max((r.stop for r in ranges), default=0), dtype=bool)
@@ -175,8 +174,8 @@ def _denoise(
     else:
         order, shape = np.flatnonzero(wanted), _subtracted
     parts = frame_blocks(0, len(order))
-    windowed = spec.window_buffer(frames, parts[0].stop if parts else 0)  # the longest block
-    spectra = (spec.spectra(frames, order[p], windowed[: p.stop - p.start]) for p in parts)
+    windowed = np.zeros((parts[0].stop if parts else 0, frames.fft_size))  # the longest block
+    spectra = (frames.spectra(order[p], windowed[: p.stop - p.start]) for p in parts)
     blocks = zip(parts, shape(spectra, noise.mean_magnitude, cfg))
     unreached = sorted(range(len(spans)), key=lambda k: ranges[k].start, reverse=True)
     sums = {}  # overlap-adds of the spans the walk has reached, by position in spans
@@ -186,27 +185,28 @@ def _denoise(
             part, block = next(blocks)
             keep = wanted[order[part]]
             rows = order[part][keep]
-            synthesized = spec.synthesize(block if keep.all() else block[keep], frames)
+            synthesized = frames.synthesize(block if keep.all() else block[keep])
             walked = order[part.stop - 1] + 1
             while unreached and ranges[unreached[-1]].start < walked:
                 j = unreached.pop()
-                sums[j] = OverlapAdd(spec, frames, *spans[j])
+                sums[j] = OverlapAdd(frames, *spans[j])
             for j, acc in sums.items():
                 a, b = np.searchsorted(rows, (ranges[j].start, ranges[j].stop))
                 if a < b:
                     acc.add(rows[a], synthesized[a:b])
         # a span that covers no frame can come before the walk starts
-        yield (sums.pop(k) if k in sums else OverlapAdd(spec, frames, *spans[k])).samples()
+        yield (sums.pop(k) if k in sums else OverlapAdd(frames, *spans[k])).samples()
 
 
 def denoise(buf: AudioBuffer, noise: NoiseProfile, cfg: EnhanceConfig) -> AudioBuffer:
     """Check the profile's bin count, then denoise the one whole-buffer span."""
-    bins = cfg.frame.resolve_fft_size(buf.sample_rate_hz) // 2 + 1
+    frames = cfg.frame.segment(buf)
+    bins = frames.fft_size // 2 + 1
     if len(noise.mean_magnitude) != bins:
         raise ConfigError(
             f"noise profile has {len(noise.mean_magnitude)} bins, config expects {bins}"
         )
-    (cleaned,) = _denoise(cfg.frame.segment(buf), noise, cfg, [(0, len(buf.samples))])
+    (cleaned,) = _denoise(frames, noise, cfg, [(0, len(buf.samples))])
     return AudioBuffer(cleaned, buf.sample_rate_hz)
 
 

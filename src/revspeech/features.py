@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .audio import (
     FrameSequence,
     frame_blocks,
     frame_count,
-    frame_geometry,
     frame_groups,
 )
 from .errors import ConfigError, check_ranges, ranged
@@ -35,10 +34,11 @@ ENERGY_FLOOR = 1e-10
 # worth splitting upstream); windows that follow the signal within one
 # utterance, the endpoint smoothing and the delta regression, fit in it
 MAX_UTTERANCE_S = 30.0
-# the largest fft_size, as a multiple of the default (the next power of two
-# covering a frame): zero-padding further only interpolates the spectrum,
-# while every window and spectrum buffer grows with the FFT size
-MAX_FFT_FACTOR = 16
+# the largest FFT size, set or auto: a block of BLOCK_FRAMES frames then holds
+# 64 MB of windowed frames and 64 MB of half spectra; it covers a 2,048 ms
+# frame at 16 kHz (683 ms at 48 kHz), and zero-padding further only
+# interpolates the spectrum
+MAX_FFT_SIZE = 1 << 15
 
 
 def check_fft_size(fft_size: int | None, key: str) -> None:
@@ -52,52 +52,62 @@ class FrameSpec:
     """Framing, window and FFT-size rule, shared by endpointing, enhance and features.
 
     Its fields declare every config section's framing fields (framing).
+    section names the config section the fields come from (each section's
+    frame property sets it), so errors at a rate name the key, such as
+    enhance.fft_size; it is not a config key and takes no part in equality.
     """
 
     frame_ms: float = ranged(25.0, f"(0, {MAX_UTTERANCE_S * 1000:g}]")  # fits in an utterance
     overlap_fraction: float = ranged(0.5, "[0, 1)")
     window_a: float = ranged(0.46, "[0, 0.5]")  # keeps (1 - a) - a*cos(...) nonnegative
     fft_size: int | None = ranged(None, "[1, inf)")
+    section: str = field(default="", compare=False)
 
     def __post_init__(self):
-        check_ranges(self)
-        check_fft_size(self.fft_size, "fft_size")
+        check_ranges(self, self.section)
+        check_fft_size(self.fft_size, self._key("fft_size"))
 
-    def resolve_fft_size(self, sample_rate_hz: int) -> int:
-        """fft_size at the rate, or by default the next power of two covering a frame.
+    def _key(self, name: str) -> str:
+        return f"{self.section}.{name}" if self.section else name
 
-        ConfigError if fft_size is shorter than a frame or longer than
-        MAX_FFT_FACTOR times that default (8,192 for 25 ms frames at 16 kHz).
+    def resolve(self, sample_rate_hz: int) -> tuple[int, int, int]:
+        """(frame_len, hop, fft_size) at the rate, by the rule segment documents.
+
+        fft_size is the field, or by default the next power of two covering
+        a frame. ConfigError, naming the key, if a frame is shorter than one
+        sample, fft_size is shorter than a frame, or the FFT size, set or
+        auto, exceeds MAX_FFT_SIZE.
         """
-        frame_len, _ = frame_geometry(self.frame_ms, self.overlap_fraction, sample_rate_hz)
-        default = 1 << (frame_len - 1).bit_length()
-        if self.fft_size is None:
-            return default
-        if self.fft_size < frame_len:
-            raise ConfigError(
-                f"fft_size {self.fft_size} smaller than frame length {frame_len}"
-            )
-        if self.fft_size > MAX_FFT_FACTOR * default:
-            raise ConfigError(
-                f"fft_size {self.fft_size} exceeds {MAX_FFT_FACTOR * default} at "
-                f"{sample_rate_hz} Hz: {MAX_FFT_FACTOR} times the {default}-point FFT "
-                f"covering a {frame_len}-sample frame (MAX_FFT_FACTOR)"
-            )
-        return self.fft_size
+        frame_len = int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
+        frame = f"{self._key('frame_ms')} {self.frame_ms}"
+        if frame_len < 1:
+            raise ConfigError(f"{frame} is shorter than one sample at {sample_rate_hz} Hz")
+        # extreme overlap on tiny frames can round the hop to zero; keep it total
+        hop = max(frame_len - int(self.overlap_fraction * frame_len + 0.5), 1)
+        frame += f" ({frame_len} samples at {sample_rate_hz} Hz)"
+        fft_size = self.fft_size or 1 << (frame_len - 1).bit_length()
+        if fft_size < frame_len:
+            raise ConfigError(f"{self._key('fft_size')} {fft_size} is shorter than the frame "
+                              f"of {frame}")
+        if fft_size > MAX_FFT_SIZE:
+            cause = (f"{frame} needs a {fft_size}-point FFT, which" if self.fft_size is None
+                     else f"{self._key('fft_size')} {fft_size}")
+            raise ConfigError(f"{cause} exceeds MAX_FFT_SIZE ({MAX_FFT_SIZE})")
+        return frame_len, hop, fft_size
 
     def frames_within(self, seconds: float, sample_rate_hz: int | None = None) -> int:
         """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
 
         That grows without limit as overlap_fraction nears 1; a hop that
         underflows to zero, or a count past sys.maxsize, counts sys.maxsize.
-        At a rate the hop is frame_geometry's, at least one sample, so the
-        count is at most seconds * rate + 1.
+        At a rate the hop is resolve's, at least one sample, so the count is
+        at most seconds * rate + 1.
         """
         if sample_rate_hz is None:
             hop_ms = self.frame_ms * (1.0 - self.overlap_fraction)
             count = seconds * 1000.0 / hop_ms if hop_ms else sys.maxsize
             return int(min(count, sys.maxsize)) + 1
-        _, hop = frame_geometry(self.frame_ms, self.overlap_fraction, sample_rate_hz)
+        _, hop, _ = self.resolve(sample_rate_hz)
         return int(seconds * sample_rate_hz / hop) + 1
 
     def segment(self, buf: AudioBuffer) -> FrameSequence:
@@ -108,145 +118,18 @@ class FrameSpec:
         partial frame is zero-padded; a buffer shorter than one frame yields a
         single zero-padded frame. The frames are a read-only strided view of the
         buffer's own samples, plus that one padded frame (see FrameSequence).
+        This is where a framing meets the buffer's rate: it is resolved and
+        checked once (resolve), and the frames carry their FFT size and window.
         """
-        frame_len, hop = frame_geometry(self.frame_ms, self.overlap_fraction, buf.sample_rate_hz)
-        return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz)
-
-    def window_buffer(self, frames: FrameSequence, rows: int) -> np.ndarray:
-        """A zeroed (rows, fft_size) buffer for spectra to window frames into."""
-        return np.zeros((rows, self.resolve_fft_size(frames.sample_rate_hz)))
-
-    def spectra(self, frames: FrameSequence, rows=slice(None), windowed=None) -> np.ndarray:
-        """Windowed half spectra (fft_size // 2 + 1 bins) of the frames rows picks.
-
-        The one analysis transform; rows (a slice or an index array of frame
-        numbers) picks a block of frames. windowed is a (rows picked,
-        fft_size) buffer whose columns from frame_len on are zero: each
-        picked frame is windowed into the first frame_len columns of its
-        row, and the rest are never written, so rfft takes the buffer as it
-        stands instead of copying every block into a zero-padded array of
-        its own. A caller that walks many blocks makes the buffer once
-        (window_buffer) and passes a slice of it per block; without one, a
-        buffer is made for the call. Each run of consecutive picked frames
-        is read with frames.run and windowed into it, so none is gathered.
-        """
-        window = hamming_coefficients(frames.frame_len, self.window_a)
-        picked = np.asarray(range(len(frames))[rows] if isinstance(rows, slice) else rows)
-        if windowed is None:
-            windowed = self.window_buffer(frames, len(picked))
-        head = windowed[:, : frames.frame_len]
-        firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
-        for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
-            np.multiply(frames.run(picked[lo], picked[hi - 1] + 1), window, out=head[lo:hi])
-        return np.fft.rfft(windowed, axis=-1)
-
-    def synthesize(self, spectra: np.ndarray, frames: FrameSequence) -> np.ndarray:
-        """Frames back from a block of (modified) half spectra, windowed again.
-
-        This is the one synthesis transform: each inverse DFT is cut to one
-        frame and multiplied by the analysis window in place.
-        """
-        fft_size = self.resolve_fft_size(frames.sample_rate_hz)
-        window = hamming_coefficients(frames.frame_len, self.window_a)
-        synthesized = np.fft.irfft(spectra, n=fft_size, axis=-1)[:, : frames.frame_len]
-        synthesized *= window
-        return synthesized
+        frame_len, hop, fft_size = self.resolve(buf.sample_rate_hz)
+        window = hamming_coefficients(frame_len, self.window_a)
+        return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz, fft_size, window)
 
 
 def framing(name: str):
     """A config section's framing field name, declared as FrameSpec declares it."""
     spec = FrameSpec.__dataclass_fields__[name]
     return ranged(spec.default, spec.metadata["range"])
-
-
-class OverlapAdd:
-    """Samples lo .. hi - 1 summed from synthesized frames (FrameSpec.synthesize).
-
-    Each frame that covers the range (frames.covering(lo, hi)) is added once,
-    in frame order, in blocks of any size; the whole buffer is the range
-    (0, frames.num_samples). So each sample sums its frames in frame order,
-    and a range's samples equal the same samples of the whole buffer's.
-    samples() divides them by the summed window power wherever that is
-    >= 1e-8. Every row that all pieces of a frame reach has the same power,
-    which is built once per framing and window (_full_window_power), so all
-    those rows take one division; only the rows at the buffer's start and
-    past its last frame sum the power of the frames that reach them.
-    """
-
-    def __init__(self, spec: FrameSpec, frames: FrameSequence, lo: int, hi: int):
-        self.frames, self.lo, self.hi = frames, lo, hi
-        self.window_a = spec.window_a
-        # row j holds samples j*hop onward; frame i adds to rows i .. i + pieces - 1
-        self.row_lo = lo // frames.hop
-        self.rows = np.zeros((max(-(-hi // frames.hop), self.row_lo) - self.row_lo, frames.hop))
-
-    def add(self, first: int, synthesized: np.ndarray) -> None:
-        """Overlap-add synthesized frames first, first + 1, ... into the range."""
-        _overlap_add(self.rows, synthesized, self.frames.hop, first - self.row_lo)
-
-    def samples(self) -> np.ndarray:
-        """The normalized samples, once every covering frame has been added."""
-        frame_len, hop, num_frames = self.frames.frame_len, self.frames.hop, len(self.frames)
-        row_lo, row_hi = self.row_lo, self.row_lo + len(self.rows)
-        # rows pieces - 1 .. num_frames - 1 hold a piece of every frame
-        full_lo = min(max(-(-frame_len // hop) - 1, row_lo), row_hi)
-        full_hi = max(min(num_frames, row_hi), full_lo)
-        parts = [
-            (start, stop, _window_power(frame_len, hop, self.window_a, start, stop, num_frames))
-            for start, stop in ((row_lo, full_lo), (full_hi, row_hi))
-            if start < stop
-        ]
-        parts.append((full_lo, full_hi, _full_window_power(frame_len, hop, self.window_a)))
-        for start, stop, power in parts:
-            rows = self.rows[start - row_lo : stop - row_lo]
-            np.divide(rows, power, out=rows, where=power >= 1e-8)
-        return self.rows.reshape(-1)[self.lo - row_lo * hop : self.hi - row_lo * hop]
-
-
-def _window_power(
-    frame_len: int, hop: int, a: float, start: int, stop: int, num_frames: int
-) -> np.ndarray:
-    """Window power of overlap-add rows start .. stop - 1, shape (stop - start, hop).
-
-    The squared window overlap-added over the frames of num_frames that
-    reach those rows, in frame order, as OverlapAdd adds the frames.
-    """
-    window = hamming_coefficients(frame_len, a)
-    pieces = -(-frame_len // hop)
-    first = max(start - pieces + 1, 0)
-    reaching = np.broadcast_to(window * window, (min(stop, num_frames) - first, frame_len))
-    power = np.zeros((stop - start, hop))
-    _overlap_add(power, reaching, hop, first - start)
-    return power
-
-
-@functools.lru_cache(maxsize=32)
-def _full_window_power(frame_len: int, hop: int, a: float) -> np.ndarray:
-    """Window power (hop values) of a row that every piece of a frame reaches.
-
-    Built once per argument tuple; the shared result is read-only.
-    """
-    pieces = -(-frame_len // hop)
-    (power,) = _window_power(frame_len, hop, a, pieces - 1, pieces, pieces)
-    power.flags.writeable = False
-    return power
-
-
-def _overlap_add(acc: np.ndarray, rows: np.ndarray, hop: int, offset: int) -> None:
-    """Add rows placed hop samples apart into acc, a matrix of hop-long rows.
-
-    Piece c (samples c*hop onward) of row i lands in acc row offset + i + c;
-    pieces that land outside acc are dropped. Each piece offset is one
-    slice-add over all rows, latest offset first, so every acc row adds its
-    pieces in row order, as a row-by-row loop would.
-    """
-    num_rows, row_len = rows.shape
-    for c in reversed(range(-(-row_len // hop))):
-        width = min(hop, row_len - c * hop)
-        first, stop = max(-offset - c, 0), min(len(acc) - offset - c, num_rows)
-        if first < stop:
-            target = acc[offset + c + first : offset + c + stop, :width]
-            target += rows[first:stop, c * hop : c * hop + width]
 
 
 @dataclass
@@ -279,15 +162,18 @@ class FeatureConfig:
 
     @property
     def frame(self) -> FrameSpec:
-        return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size)
+        return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size,
+                         section="features")
 
     def check(self, sample_rate_hz: int | None = None) -> None:
         """ConfigError unless the regression's 2 * delta_window + 1 frames fit in one utterance.
 
-        Given a rate, the frames are counted at its hop, and every mel filter
-        must cover an FFT bin (filterbank).
+        Given a rate, the framing must resolve at it (FrameSpec.resolve), the
+        frames are counted at its hop, and every mel filter must cover an FFT
+        bin (filterbank).
         """
-        widest = (self.frame.frames_within(MAX_UTTERANCE_S, sample_rate_hz) - 1) // 2
+        spec = self.frame
+        widest = (spec.frames_within(MAX_UTTERANCE_S, sample_rate_hz) - 1) // 2
         if self.delta_window > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
             raise ConfigError(
@@ -295,13 +181,21 @@ class FeatureConfig:
                 f"frames must fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
             )
         if sample_rate_hz is not None:
-            self.filterbank(sample_rate_hz)
+            frame_len, _, fft_size = spec.resolve(sample_rate_hz)
+            self.filterbank(sample_rate_hz, frame_len, fft_size)
 
-    def filterbank(self, sample_rate_hz: int) -> np.ndarray:
-        """mel_filter_weights at the rate: ConfigError if a filter covers no FFT bin."""
-        fft_size = self.frame.resolve_fft_size(sample_rate_hz)
+    def filterbank(self, sample_rate_hz: int, frame_len: int, fft_size: int) -> np.ndarray:
+        """mel_filter_weights for the framing resolved at the rate.
+
+        ConfigError if a filter covers no FFT bin, naming features.fft_size
+        and features.frame_ms with their values at the rate.
+        """
         high = self.resolve_high_freq(sample_rate_hz)
-        return mel_filter_weights(self.num_filters, fft_size, sample_rate_hz, self.low_freq_hz, high)
+        framing = (f"features.fft_size {fft_size} and features.frame_ms {self.frame_ms} "
+                   f"({frame_len} samples)")
+        return mel_filter_weights(
+            self.num_filters, fft_size, sample_rate_hz, self.low_freq_hz, high, framing
+        )
 
     def resolve_high_freq(self, sample_rate_hz: int) -> float:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
@@ -384,7 +278,8 @@ def mel_to_hz(m: float) -> float:
 
 @functools.lru_cache(maxsize=32)
 def mel_filter_weights(
-    num_filters: int, fft_size: int, sample_rate_hz: int, low_hz: float, high_hz: float
+    num_filters: int, fft_size: int, sample_rate_hz: int, low_hz: float, high_hz: float,
+    framing: str | None = None,
 ) -> np.ndarray:
     """Triangular filter matrix of shape (num_filters, fft_size // 2 + 1).
 
@@ -395,12 +290,13 @@ def mel_filter_weights(
     ConfigError when a filter covers no bin; each bin lies inside at most two
     triangles, so more than 2 * (fft_size // 2 + 1) filters are refused unbuilt,
     as are edges that do not strictly increase (a filter would divide 0 by 0).
+    The bin messages name the FFT as framing does (by default its size).
     """
     bins = fft_size // 2 + 1
+    framing = framing or f"fft_size {fft_size}"
     if num_filters > 2 * bins:
-        raise ConfigError(
-            f"features.num_filters {num_filters} exceeds 2 * {bins}, twice the FFT bins"
-        )
+        raise ConfigError(f"features.num_filters {num_filters} exceeds 2 * {bins}, twice the "
+                          f"FFT bins of {framing} at {sample_rate_hz} Hz")
     edges_mel = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
     if not np.all(np.diff(edges_hz) > 0):
@@ -417,7 +313,7 @@ def mel_filter_weights(
     empty = np.count_nonzero(~weights.any(axis=1))
     if empty:
         raise ConfigError(f"{empty} of features.num_filters {num_filters} mel filters cover no "
-                          f"FFT bin at {sample_rate_hz} Hz and fft_size {fft_size}")
+                          f"FFT bin at {sample_rate_hz} Hz with {framing}")
     weights.flags.writeable = False
     return weights
 
@@ -427,12 +323,9 @@ def mel_filterbank(magnitudes: np.ndarray, cfg: FeatureConfig, sample_rate_hz: i
 
     magnitudes holds exactly fft_size // 2 + 1 bins per frame.
     """
-    return _mel_energies(np.asarray(magnitudes, dtype=np.float64) ** 2, cfg, sample_rate_hz)
-
-
-def _mel_energies(power: np.ndarray, cfg: FeatureConfig, sample_rate_hz: int) -> np.ndarray:
-    """mel_filterbank of a power spectrum |X(k)|^2 squared by the caller."""
-    weights = cfg.filterbank(sample_rate_hz)
+    frame_len, _, fft_size = cfg.frame.resolve(sample_rate_hz)
+    weights = cfg.filterbank(sample_rate_hz, frame_len, fft_size)
+    power = np.asarray(magnitudes, dtype=np.float64) ** 2
     if power.shape[-1] != len(weights.T):
         raise ConfigError(f"spectrum has {power.shape[-1]} bins, filterbank needs {len(weights.T)}")
     return power @ weights.T
@@ -524,24 +417,25 @@ def extract_batches(
     frames, each as if pre-emphasized alone. Each block of frames then takes
     one window and rfft, one mel product, one log10 and one DCT product,
     writing the padded buffer, windowed frames (fft_size columns, the ones
-    past the frame zero, as FrameSpec.spectra takes them) and power spectra
+    past the frame zero, as FrameSequence.spectra takes them) and power spectra
     into arrays of the call's own, made once, zeroed, and reused. The cepstra
     of a batch then take one delta computation clamped at each piece's
     edges, one finite-value check and one fingerprint.
     """
-    rate = None
+    spec = cfg.frame
+    rate = geometry = None  # the first buffer's rate, and (frame_len, hop) at it
 
     def frames_of(buf: AudioBuffer) -> int:
-        nonlocal rate
+        nonlocal rate, geometry
         if rate not in (None, buf.sample_rate_hz):
             raise ConfigError(
                 f"inputs disagree on sample rate: {rate} Hz, then {buf.sample_rate_hz} Hz"
             )
         if rate is None:
             cfg.check(buf.sample_rate_hz)
-        rate = buf.sample_rate_hz
-        frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, rate)
-        return frame_count(len(buf.samples), frame_len, hop)
+            rate = buf.sample_rate_hz
+            geometry = spec.resolve(rate)[:2]
+        return frame_count(len(buf.samples), *geometry)
 
     def with_deltas(ceps: np.ndarray, bounds: list[int]) -> tuple[FeatureMatrix, list[int]]:
         velocity = delta_features(ceps, cfg.delta_window, bounds)
@@ -550,7 +444,10 @@ def extract_batches(
         return FeatureMatrix(rows, len(rows), cfg.fingerprint(rate)), bounds
 
     scratch = {}  # this call's block buffers, so concurrent calls share none
-    cepstra = (_cepstra(batch, cfg, scratch) for batch in frame_groups(bufs, frames_of))
+    # each batch is drawn, and so its rate and geometry known, before it is framed
+    cepstra = (
+        _cepstra(batch, cfg, spec, geometry, scratch) for batch in frame_groups(bufs, frames_of)
+    )
     return itertools.starmap(with_deltas, stack_batches(cepstra))
 
 
@@ -585,12 +482,14 @@ def _reused(scratch: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def _cepstra(
-    bufs: list[AudioBuffer], cfg: FeatureConfig, scratch: dict
+    bufs: list[AudioBuffer], cfg: FeatureConfig, spec: FrameSpec, geometry: tuple, scratch: dict
 ) -> tuple[np.ndarray, list[int]]:
-    """The stacked cepstra of one extraction batch, and its piece bounds."""
+    """The stacked cepstra of one extraction batch, and its piece bounds.
+
+    spec is cfg.frame, and geometry its (frame_len, hop) at the batch's rate.
+    """
     sr = bufs[0].sample_rate_hz
-    frame_len, hop = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, sr)
-    fft_size = cfg.frame.resolve_fft_size(sr)
+    frame_len, hop = geometry
     counts = np.array([frame_count(len(buf.samples), frame_len, hop) for buf in bufs])
     # piece p's frames are rows starts[p] onward of the padded buffer's framing;
     # each piece is followed by at least one zero past its last frame's end
@@ -606,20 +505,21 @@ def _cepstra(
     # first sample, which reads the piece's last, is set back to zero
     _preemphasize_in_place(padded, cfg.preemphasis_a)
     padded[ends] = 0.0
-    frames = cfg.frame.segment(AudioBuffer(padded, sr))
+    frames = spec.segment(AudioBuffer(padded, sr))
+    weights = cfg.filterbank(sr, frames.frame_len, frames.fft_size)
 
     bounds = np.concatenate(([0], np.cumsum(counts)))  # piece edges among the rows
     rows = np.arange(bounds[-1]) + np.repeat(starts[:-1] - bounds[:-1], counts)
     ceps = np.empty((bounds[-1], cfg.num_ceps))
     # the mel and DCT products run on all BLOCK_FRAMES rows of the power
     # buffer, the rows past a short block zeroed, so every product has one shape
-    power = _reused(scratch, "power", (audio.BLOCK_FRAMES, fft_size // 2 + 1))
+    power = _reused(scratch, "power", (audio.BLOCK_FRAMES, frames.fft_size // 2 + 1))
     for part in frame_blocks(0, bounds[-1]):
         n = part.stop - part.start
-        windowed = _reused(scratch, "windowed", (n, fft_size))
-        spectra = cfg.frame.spectra(frames, rows[part], windowed)
+        windowed = _reused(scratch, "windowed", (n, frames.fft_size))
+        spectra = frames.spectra(rows[part], windowed)
         np.abs(spectra, out=power[:n])
         np.square(power[:n], out=power[:n])  # as ** 2, bit for bit
         power[n:] = 0.0
-        ceps[part] = mfcc(_mel_energies(power, cfg, sr), cfg.num_ceps)[:n]
+        ceps[part] = mfcc(power @ weights.T, cfg.num_ceps)[:n]
     return ceps, bounds.tolist()

@@ -53,14 +53,18 @@ class EndpointConfig:
         check_ranges(self, "endpoint")
         self.check()
 
+    @property
+    def frame(self) -> FrameSpec:
+        return FrameSpec(self.frame_ms, self.overlap_fraction, section="endpoint")
+
     def check(self, sample_rate_hz: int | None = None) -> None:
         """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of frames (at the rate's hop).
 
         The smoothing follows the energy within an utterance; a wider window
-        would average whole utterances with the silence around them.
+        would average whole utterances with the silence around them. Given a
+        rate, the framing must also resolve at it (FrameSpec.resolve).
         """
-        spec = FrameSpec(self.frame_ms, self.overlap_fraction)
-        widest = spec.frames_within(MAX_UTTERANCE_S, sample_rate_hz)
+        widest = self.frame.frames_within(MAX_UTTERANCE_S, sample_rate_hz)
         if self.smooth_frames > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
             raise ConfigError(
@@ -224,7 +228,7 @@ def segment_utterances(
     """
     cfg = cfg or EndpointConfig()
     cfg.check(buf.sample_rate_hz)
-    frames = FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
+    frames = cfg.frame.segment(buf)
     return _find_regions(frames, frame_energies(frames), cfg)
 
 
@@ -290,8 +294,8 @@ def transcribe(
     view, not a copy; segment times then refer to the reversed timeline
     (forward time is duration minus the mirrored bounds). Before any signal
     work the configs are checked at the buffer's rate
-    (EndpointConfig.check, FeatureConfig.check, the enhancement FFT size
-    through FrameSpec.resolve_fft_size), then the
+    (EndpointConfig.check, FeatureConfig.check, then the enhancement
+    framing as FrameSpec.segment cuts it), then the
     feature fingerprint at that rate and the feature width against the
     vocabulary. The noise profile
     comes from the whole recording, but only the endpointed regions are
@@ -321,22 +325,20 @@ def transcribe(
     endpoint_cfg = endpoint_cfg or EndpointConfig()
 
     sr = buf.sample_rate_hz
+    work = reverse(buf) if direction == "reverse" else buf
     # refuse configs unfit for this rate, then models of another config,
     # rate or width, before any signal work
     endpoint_cfg.check(sr)
     feature_cfg.check(sr)
-    enhance_cfg.frame.resolve_fft_size(sr)
+    frames = enhance_cfg.frame.segment(work)
     _check_features(vocab, feature_cfg.fingerprint(sr), 3 * feature_cfg.num_ceps,
                     f" of the {sr} Hz recording")
-    work = reverse(buf) if direction == "reverse" else buf
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
-    endpoint_spec = FrameSpec(endpoint_cfg.frame_ms, endpoint_cfg.overlap_fraction)
-    endpoint_frames = endpoint_spec.segment(work)
+    endpoint_frames = endpoint_cfg.frame.segment(work)
     energies = frame_energies(endpoint_frames)
     regions = _find_regions(endpoint_frames, energies, endpoint_cfg)
     spans = [(int(start_s * sr + 0.5), int(end_s * sr + 0.5)) for start_s, end_s in regions]
-    frames = enhance_cfg.frame.segment(work)
     # noise selection reuses the endpoint energies when both frame alike
     alike = (frames.frame_len, frames.hop) == (endpoint_frames.frame_len, endpoint_frames.hop)
 

@@ -24,36 +24,52 @@ def fixture_session():
 
 @pytest.fixture
 def transform_counts(monkeypatch):
-    """Count FrameSpec framings and the frames analyzed and resynthesized.
+    """Count framings, their resolutions at the rate, and the frames analyzed and resynthesized.
 
     Counts are keyed by the length of the framed buffer, so a whole
     recording's enhancement stays apart from the short pieces extract frames.
+    A resolution (FrameSpec.resolve) inside FrameSpec.segment counts for the
+    buffer framed; one outside it, such as a config's check at the rate,
+    counts under None.
     """
     import collections
+    import threading
 
+    from revspeech.audio import FrameSequence
     from revspeech.features import FrameSpec
 
-    counts = collections.defaultdict(lambda: {"framings": 0, "analyzed": 0, "synthesized": 0})
-    lengths = {}
-    segment, spectra, synthesize = FrameSpec.segment, FrameSpec.spectra, FrameSpec.synthesize
+    counts = collections.defaultdict(
+        lambda: dict.fromkeys(("framings", "resolved", "analyzed", "synthesized"), 0)
+    )
+    framing = threading.local()  # the length of the buffer this thread is framing
+    segment, resolve = FrameSpec.segment, FrameSpec.resolve
+    spectra, synthesize = FrameSequence.spectra, FrameSequence.synthesize
 
     def counting_segment(self, buf):
-        frames = segment(self, buf)
-        lengths[id(frames)] = len(buf.samples)
+        framing.length = len(buf.samples)
+        try:
+            frames = segment(self, buf)
+        finally:
+            framing.length = None
         counts[len(buf.samples)]["framings"] += 1
         return frames
 
-    def counting_spectra(self, frames, rows=slice(None), windowed=None):
-        out = spectra(self, frames, rows, windowed)
-        counts[lengths[id(frames)]]["analyzed"] += len(out)
+    def counting_resolve(self, sample_rate_hz):
+        counts[getattr(framing, "length", None)]["resolved"] += 1
+        return resolve(self, sample_rate_hz)
+
+    def counting_spectra(self, rows=slice(None), windowed=None):
+        out = spectra(self, rows, windowed)
+        counts[self.num_samples]["analyzed"] += len(out)
         return out
 
-    def counting_synthesize(self, block, frames):
-        out = synthesize(self, block, frames)
-        counts[lengths[id(frames)]]["synthesized"] += len(out)
+    def counting_synthesize(self, block):
+        out = synthesize(self, block)
+        counts[self.num_samples]["synthesized"] += len(out)
         return out
 
     monkeypatch.setattr(FrameSpec, "segment", counting_segment)
-    monkeypatch.setattr(FrameSpec, "spectra", counting_spectra)
-    monkeypatch.setattr(FrameSpec, "synthesize", counting_synthesize)
+    monkeypatch.setattr(FrameSpec, "resolve", counting_resolve)
+    monkeypatch.setattr(FrameSequence, "spectra", counting_spectra)
+    monkeypatch.setattr(FrameSequence, "synthesize", counting_synthesize)
     return counts

@@ -87,6 +87,20 @@ def model_args(workspace):
     return args
 
 
+def run_capped(argv) -> subprocess.CompletedProcess:
+    """cli.run(argv) in a child process that caps its own address space at 2 GiB.
+
+    A run that asks for more memory than that fails there, not in the tests.
+    """
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+              "from revspeech.cli import run; sys.exit(run(sys.argv[1:]))")
+    src = str(Path(revspeech.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", capped, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestReverseCommand:
     def test_double_reverse_restores_payload(self, workspace, tmp_path):
         source = workspace["takes"]["update"][0]
@@ -669,21 +683,21 @@ class TestConfigAndErrors:
                      (features, "delta_features"), "delta_window must be <= 240000 at 16000 Hz",
                      id="analyze-deltas"),
         pytest.param("features", ["features.num_filters = 1000000000"],
-                     (features.FrameSpec, "spectra"), "num_filters 1000000000 exceeds 2 * 257",
+                     (audio.FrameSequence, "spectra"), "num_filters 1000000000 exceeds 2 * 257",
                      id="features-filters"),
         pytest.param("analyze", ["features.num_filters = 300"],
-                     (features.FrameSpec, "spectra"), "mel filters cover no FFT bin",
+                     (audio.FrameSequence, "spectra"), "mel filters cover no FFT bin",
                      id="analyze-filters"),
-        # 16 times the 512-point FFT of a 400-sample frame is the largest
+        # MAX_FFT_SIZE, 32,768, is the largest
         pytest.param("features", [f"features.fft_size = {2**40}"],
-                     (features.FrameSpec, "spectra"), f"fft_size {2**40} exceeds 8192 at 16000 Hz",
-                     id="features-fft"),
-        pytest.param("enhance", ["enhance.fft_size = 16384"],
-                     (enhance, "frame_energies"), "fft_size 16384 exceeds 8192 at 16000 Hz",
+                     (audio.FrameSequence, "spectra"),
+                     f"features.fft_size {2**40} exceeds MAX_FFT_SIZE (32768)", id="features-fft"),
+        pytest.param("enhance", ["enhance.fft_size = 65536"],
+                     (enhance, "frame_energies"), "enhance.fft_size 65536 exceeds MAX_FFT_SIZE",
                      id="enhance-fft"),
         pytest.param("analyze", [f"enhance.fft_size = {2**40}"],
-                     (recognizer, "frame_energies"), f"fft_size {2**40} exceeds 8192 at 16000 Hz",
-                     id="analyze-enhance-fft"),
+                     (recognizer, "frame_energies"),
+                     f"enhance.fft_size {2**40} exceeds MAX_FFT_SIZE", id="analyze-enhance-fft"),
     ])
     def test_bounds_at_the_recording_rate_checked_before_any_work(
         self, workspace, tmp_path, monkeypatch, capsys, command, lines, stub, message
@@ -764,18 +778,81 @@ class TestConfigAndErrors:
             "features": ["--out", str(tmp_path / "f.json")],
             "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
         }[command]
-        capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-                  "from revspeech.cli import run; sys.exit(run(sys.argv[1:]))")
-        src = str(Path(revspeech.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = ["--config", str(tmp_path / "bad.cfg"), command, "--in", str(wav), *extra]
-        result = subprocess.run([sys.executable, "-c", capped, *argv], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = run_capped(argv)
         key = line.split(" = ")[0]
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and key in result.stderr, result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "one_second.wav"]
+
+    UNDER_ONE_SAMPLE = "is shorter than one sample at 16000 Hz"
+    AUTO_PAST_CAP = "(48000 samples at 16000 Hz) needs a 65536-point FFT"
+    UNDER_A_FRAME = "is shorter than the frame of"
+    SET_PAST_CAP = "exceeds MAX_FFT_SIZE (32768)"
+
+    @pytest.mark.parametrize("command, line, rule", [
+        pytest.param(command, line, rule, id=line) for command, line, rule in (
+            ("enhance", "enhance.frame_ms = 0.01", UNDER_ONE_SAMPLE),
+            ("enhance", "enhance.frame_ms = 3000", AUTO_PAST_CAP),
+            ("enhance", "enhance.fft_size = 1", UNDER_A_FRAME),
+            ("enhance", "enhance.fft_size = 65536", SET_PAST_CAP),
+            ("features", "features.frame_ms = 0.01", UNDER_ONE_SAMPLE),
+            ("features", "features.frame_ms = 3000", AUTO_PAST_CAP),
+            ("features", "features.fft_size = 1", UNDER_A_FRAME),
+            ("features", "features.fft_size = 65536", SET_PAST_CAP),
+            # endpointing sets no fft_size, but its framing resolves as the others do
+            ("analyze", "endpoint.frame_ms = 0.01", UNDER_ONE_SAMPLE),
+            ("analyze", "endpoint.frame_ms = 3000", AUTO_PAST_CAP),
+        )
+    ])
+    def test_framing_unfit_for_the_rate_names_its_key(
+        self, workspace, tmp_path, capsys, command, line, rule
+    ):
+        # every framing meets the 16 kHz rate in FrameSpec.segment, or in its
+        # section's check at the rate before any work, and the error names
+        # the key that was set
+        cfg_path = tmp_path / "unfit.cfg"
+        cfg_path.write_text(line + "\n")
+        extra = {
+            "enhance": ["--out", str(tmp_path / "e.wav")],
+            "features": ["--out", str(tmp_path / "f.json")],
+            "analyze": [*model_args(workspace), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        argv = ["--config", str(cfg_path), command,
+                "--in", str(workspace["takes"]["login"][0]), *extra]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert err.startswith(f"error: {key} ") and rule in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["unfit.cfg"]
+
+    def test_largest_fft_runs_and_a_larger_one_is_refused_in_a_capped_process(
+        self, workspace, tmp_path
+    ):
+        # a 30 s frame at 0.999 overlap needs a 524,288-point FFT: blocks of
+        # 1 GiB of windowed frames and 1 GiB of spectra, past a 2 GiB address
+        # space; a 2,048 ms frame needs MAX_FFT_SIZE points, and analyze runs
+        # both directions at once within it
+        wav = tmp_path / "forty_seconds.wav"
+        noise = 0.1 * np.random.default_rng(3).standard_normal(40 * 16000)
+        write_wav(AudioBuffer(noise, 16000), wav)
+        (tmp_path / "huge.cfg").write_text(
+            "enhance.frame_ms = 30000\nenhance.overlap_fraction = 0.999\n"
+        )
+        result = run_capped(["--config", str(tmp_path / "huge.cfg"), "enhance", "--in", str(wav),
+                             "--out", str(tmp_path / "e.wav")])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: enhance.frame_ms 30000.0 (480000 samples at "
+                                        "16000 Hz) needs a 524288-point FFT"), result.stderr
+        (tmp_path / "largest.cfg").write_text(
+            "enhance.frame_ms = 2048\nenhance.overlap_fraction = 0.999\n"
+        )
+        out = tmp_path / "out"
+        result = run_capped(["--config", str(tmp_path / "largest.cfg"), "analyze",
+                             "--in", str(workspace["session"]), *model_args(workspace),
+                             "--out-dir", str(out)])
+        assert result.returncode == 0, result.stderr
+        assert parse_report((out / "report.json").read_text()).pairs
 
     @pytest.mark.parametrize("command", ["reverse", "enhance", "features", "recognize", "analyze"])
     def test_negative_seed_is_data_error_for_every_command(

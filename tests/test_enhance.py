@@ -18,7 +18,7 @@ from revspeech import (
     estimate_noise,
 )
 from revspeech import audio
-from revspeech.audio import frame_energies, frame_count, frame_geometry
+from revspeech.audio import frame_energies
 from revspeech.enhance import (
     DD_SMOOTHING,
     POSTERIOR_SNR_CAP,
@@ -37,8 +37,7 @@ def rms(x):
 
 def expected_noise_magnitude(rng, sigma, cfg, sample_rate=SR, trials=3000):
     """Mean windowed half-spectrum magnitude over independent noise frames."""
-    fft_size = cfg.frame.resolve_fft_size(sample_rate)
-    frame_len = int(cfg.frame_ms * sample_rate / 1000 + 0.5)
+    frame_len, _, fft_size = cfg.frame.resolve(sample_rate)
     window = hamming_coefficients(frame_len, cfg.window_a)
     frames = sigma * rng.standard_normal((trials, frame_len)) * window
     return np.abs(np.fft.rfft(frames, n=fft_size, axis=1)).mean(axis=0)
@@ -259,9 +258,8 @@ class TestAnalysisChain:
         # first fft_size // 2 + 1 bins and loses nothing
         rng = np.random.default_rng(12)
         buf = AudioBuffer(white_noise(rng, 0.5), SR)
-        spec = EnhanceConfig().frame
-        frames = spec.segment(buf)
-        spectra = spec.spectra(frames)
+        frames = EnhanceConfig().frame.segment(buf)
+        spectra = frames.spectra()
         every = padded_frames(buf.samples, frames.frame_len, frames.hop)
         full = np.fft.fft(every * hamming_coefficients(frames.frame_len, 0.46), n=512)
         flipped = np.conj(full[:, (512 - np.arange(512)) % 512])
@@ -292,8 +290,8 @@ class TestSharedStft:
         samples[4000:9000] += tone(700.0, 5000 / SR)
         buf = AudioBuffer(samples, SR)
         cfg = EnhanceConfig(method=method)
-        geometry = frame_geometry(cfg.frame_ms, cfg.overlap_fraction, SR)
-        num_frames = frame_count(len(buf.samples), *geometry)
+        num_frames = len(cfg.frame.segment(buf))
+        transform_counts.clear()
         cleaned, profile = estimate_and_denoise(buf, cfg)
         shared = dict(transform_counts.pop(SR))
         separate_profile = estimate_noise(buf, cfg)
@@ -302,10 +300,12 @@ class TestSharedStft:
         assert profile.frames_used == separate_profile.frames_used
         np.testing.assert_array_equal(cleaned.samples, separate.samples)
         analyzed = num_frames + profile.frames_used
-        assert shared == {"framings": 1, "analyzed": analyzed, "synthesized": num_frames}
-        assert transform_counts[SR] == {
-            "framings": 2, "analyzed": analyzed, "synthesized": num_frames
+        assert shared == {
+            "framings": 1, "resolved": 1, "analyzed": analyzed, "synthesized": num_frames
         }
+        assert dict(transform_counts) == {SR: {
+            "framings": 2, "resolved": 2, "analyzed": analyzed, "synthesized": num_frames
+        }}
 
     def test_cli_enhance_computes_one_stft(self, tmp_path, transform_counts):
         from revspeech import write_wav
@@ -320,7 +320,7 @@ class TestSharedStft:
         frames_used = int((tmp_path / "noise.txt").read_text().splitlines()[1].split(":")[1])
         num_frames = 39  # 8000 samples in 400-sample frames at a 200-sample hop
         assert dict(transform_counts) == {
-            SR // 2: {"framings": 1, "analyzed": num_frames + frames_used,
+            SR // 2: {"framings": 1, "resolved": 1, "analyzed": num_frames + frames_used,
                       "synthesized": num_frames}
         }
 
@@ -453,7 +453,8 @@ class TestSpans:
     def test_walks_each_frame_once(self, transform_counts, method):
         # each frame a span covers is analyzed and synthesized once, even when
         # spans share frames or come out of order; the Wiener recursion
-        # analyzes every frame up to the last span once
+        # analyzes every frame up to the last span once; the framing resolves
+        # its FFT size and window once, and the walk never again
         rng = np.random.default_rng(21)
         buf = AudioBuffer(white_noise(rng, 1.0, sigma=0.05), SR)
         cfg = EnhanceConfig(method=method)
@@ -465,6 +466,7 @@ class TestSpans:
         covering = [frames.covering(lo, hi) for lo, hi in spans]
         union = len(set().union(*(range(r.start, r.stop) for r in covering)))
         walked = max(r.stop for r in covering) if method == "wiener" else union
-        assert transform_counts[SR] == {
-            "framings": 1, "analyzed": frames_used + walked, "synthesized": union,
-        }
+        assert dict(transform_counts) == {SR: {
+            "framings": 1, "resolved": 1, "analyzed": frames_used + walked,
+            "synthesized": union,
+        }}

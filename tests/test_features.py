@@ -1,6 +1,7 @@
 """Cepstral front-end contracts, each checked against an independent oracle."""
 
 import math
+import re
 import threading
 import tracemalloc
 
@@ -19,9 +20,10 @@ from oracles import (
 from revspeech import AudioBuffer, FeatureConfig, extract, reverse
 from revspeech import audio, features
 from revspeech.errors import ConfigError
+from revspeech.audio import OverlapAdd
 from revspeech.features import (
+    MAX_FFT_SIZE,
     FrameSpec,
-    OverlapAdd,
     delta_features,
     hamming_coefficients,
     hz_to_mel,
@@ -222,6 +224,21 @@ class TestMelFilterbank:
             with pytest.raises(ConfigError, match=message):
                 mel_filter_weights(num_filters, 512, self.SR, 0.0, self.SR / 2)
 
+    @pytest.mark.parametrize("fields, message", [
+        # a 0.999999999 ms frame is 16 samples at 16 kHz: 9 bins of a 16-point FFT
+        (dict(frame_ms=0.999999999), "features.num_filters 26 exceeds 2 * 9, twice the FFT bins "
+         "of features.fft_size 16 and features.frame_ms 0.999999999 (16 samples) at 16000 Hz"),
+        (dict(num_filters=300), "mel filters cover no FFT bin at 16000 Hz with "
+         "features.fft_size 512 and features.frame_ms 25.0 (400 samples)"),
+        (dict(num_filters=300, fft_size=1024), "mel filters cover no FFT bin at 16000 Hz with "
+         "features.fft_size 1024 and features.frame_ms 25.0 (400 samples)"),
+    ])
+    def test_bin_messages_name_the_framing(self, fields, message):
+        # the FFT's bins come from the framing at the rate, so the message
+        # names both framing keys with their values there
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            FeatureConfig(**fields).check(self.SR)
+
     def test_band_too_narrow_for_increasing_edges_rejected(self):
         # every mel edge of a 1e-300 Hz band rounds to 0 Hz, where each
         # filter would divide 0 by 0 into rows of NaN
@@ -421,7 +438,7 @@ def extract_alone(buf, cfg):
     ceps = np.empty((len(frames), cfg.num_ceps))
     for lo in range(0, len(frames), audio.BLOCK_FRAMES):
         part = slice(lo, lo + audio.BLOCK_FRAMES)
-        magnitudes = np.abs(cfg.frame.spectra(frames, part))
+        magnitudes = np.abs(frames.spectra(part))
         ceps[part] = mfcc(mel_filterbank(magnitudes, cfg, buf.sample_rate_hz), cfg.num_ceps)
     velocity = delta_features(ceps, cfg.delta_window)
     return np.hstack([ceps, velocity, delta_features(velocity, cfg.delta_window)])
@@ -499,7 +516,7 @@ class TestExtract:
         rng = np.random.default_rng(23)
         buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=16000), 16000)
         cfg = FeatureConfig()
-        spectra = cfg.frame.spectra(cfg.frame.segment(preemphasize(buf, cfg.preemphasis_a)))
+        spectra = cfg.frame.segment(preemphasize(buf, cfg.preemphasis_a)).spectra()
         ceps = mfcc(mel_filterbank(np.abs(spectra), cfg, 16000), cfg.num_ceps)
         np.testing.assert_array_equal(extract(buf, cfg).rows[:, : cfg.num_ceps], ceps)
 
@@ -544,17 +561,28 @@ class TestFrameSpec:
         assert EnhanceConfig(**fields).frame == spec
 
     def test_fft_size_rule(self):
-        assert FrameSpec().resolve_fft_size(16000) == 512  # 400-sample frame
-        assert FrameSpec().resolve_fft_size(8000) == 256
-        assert FrameSpec(fft_size=1024).resolve_fft_size(16000) == 1024
-        with pytest.raises(ConfigError):
-            FrameSpec(fft_size=256).resolve_fft_size(16000)
-        # at most MAX_FFT_FACTOR (16) times the default at the rate
-        assert FrameSpec(fft_size=8192).resolve_fft_size(16000) == 8192
-        assert FrameSpec(fft_size=4096).resolve_fft_size(8000) == 4096
-        for size, rate, bound in ((16384, 16000, 8192), (8192, 8000, 4096), (2**40, 16000, 8192)):
-            with pytest.raises(ConfigError, match=f"fft_size {size} exceeds {bound} at {rate} Hz"):
-                FrameSpec(fft_size=size).resolve_fft_size(rate)
+        assert FrameSpec().resolve(16000) == (400, 200, 512)  # 400-sample frame
+        assert FrameSpec().resolve(8000) == (200, 100, 256)
+        assert FrameSpec(fft_size=1024).resolve(16000)[2] == 1024
+        with pytest.raises(ConfigError, match="fft_size 256 is shorter than the frame of "
+                                              r"frame_ms 25.0 \(400 samples at 16000 Hz\)"):
+            FrameSpec(fft_size=256).resolve(16000)
+        # at most MAX_FFT_SIZE, set or auto, at every rate
+        assert MAX_FFT_SIZE == 32768
+        for rate in (8000, 16000, 48000):
+            assert FrameSpec(fft_size=MAX_FFT_SIZE).resolve(rate)[2] == MAX_FFT_SIZE
+            with pytest.raises(ConfigError, match=f"fft_size {2 * MAX_FFT_SIZE} exceeds"):
+                FrameSpec(fft_size=2 * MAX_FFT_SIZE).resolve(rate)
+        assert FrameSpec(fft_size=2**40, section="enhance") == FrameSpec(fft_size=2**40)
+        with pytest.raises(ConfigError, match=r"^enhance.fft_size 1099511627776 exceeds "
+                                              r"MAX_FFT_SIZE \(32768\)$"):
+            FrameSpec(fft_size=2**40, section="enhance").resolve(16000)
+        # the largest auto size covers a 2,048 ms frame at 16 kHz
+        assert FrameSpec(2048.0).resolve(16000)[2] == MAX_FFT_SIZE
+        with pytest.raises(ConfigError, match=r"^features.frame_ms 2048.1 \(32770 samples at "
+                                              r"16000 Hz\) needs a 65536-point FFT, which "
+                                              r"exceeds MAX_FFT_SIZE \(32768\)$"):
+            FrameSpec(2048.1, section="features").resolve(16000)
 
     @given(frame_ms=st.floats(0.01, 100.0), sample_rate_hz=st.integers(1, 192000))
     @example(frame_ms=0.01, sample_rate_hz=16000)
@@ -562,13 +590,15 @@ class TestFrameSpec:
         # one frame-length rule: the FFT covers the frames segment cuts, and a
         # frame under one sample fails here as it fails in framing
         spec = FrameSpec(frame_ms)
-        try:
-            frame_len, _ = audio.frame_geometry(frame_ms, 0.5, sample_rate_hz)
-        except ConfigError:
-            with pytest.raises(ConfigError, match="shorter than one sample"):
-                spec.resolve_fft_size(sample_rate_hz)
+        buf = AudioBuffer(np.zeros(10), sample_rate_hz)
+        if int(frame_ms * sample_rate_hz / 1000 + 0.5) < 1:
+            for resolve in (spec.resolve, lambda rate: spec.segment(buf)):
+                with pytest.raises(ConfigError, match="frame_ms .* shorter than one sample"):
+                    resolve(sample_rate_hz)
             return
-        fft_size = spec.resolve_fft_size(sample_rate_hz)
+        frame_len, _, fft_size = spec.resolve(sample_rate_hz)
+        frames = spec.segment(buf)
+        assert (frames.frame_len, frames.fft_size) == (frame_len, fft_size)
         assert fft_size >= frame_len > fft_size // 2
 
     @pytest.mark.parametrize(
@@ -585,7 +615,7 @@ class TestFrameSpec:
         rng = np.random.default_rng(13)
         buf = AudioBuffer(rng.standard_normal(3000), 16000)
         frames = FrameSpec().segment(buf)
-        spectra = FrameSpec().spectra(frames)
+        spectra = frames.spectra()
         assert spectra.shape == (len(frames), 257)
         every = padded_frames(buf.samples, 400, 200)
         for i in (0, 7, len(frames) - 1):
@@ -621,9 +651,9 @@ class TestFrameSpec:
         buffer = np.zeros((len(expected), 512))
         buffer[:, :400] = np.nan
         for _ in range(2):
-            np.testing.assert_array_equal(FrameSpec().spectra(frames, rows, buffer), expected)
+            np.testing.assert_array_equal(frames.spectra(rows, buffer), expected)
             assert not buffer[:, 400:].any()
-        np.testing.assert_array_equal(FrameSpec().spectra(frames, rows), expected)
+        np.testing.assert_array_equal(frames.spectra(rows), expected)
 
 
 def per_frame_overlap_add(spectra, frames, window_a, out_len):
@@ -671,14 +701,14 @@ def test_istft_matches_a_per_frame_overlap_add(
     spec = FrameSpec(frame_ms, overlap, window_a)
     buf = AudioBuffer(rng.uniform(-1.0, 1.0, num_samples), 8000)
     frames = spec.segment(buf)
-    spectra = spec.spectra(frames)
+    spectra = frames.spectra()
     shaped = spectra * rng.uniform(0.0, 1.0, spectra.shape)
     expected = per_frame_overlap_add(shaped, frames, window_a, num_samples)
     def istft(blocks, lo, hi):
-        acc = OverlapAdd(spec, frames, lo, hi)
+        acc = OverlapAdd(frames, lo, hi)
         first = frames.covering(lo, hi).start
         for spectra in blocks:
-            acc.add(first, spec.synthesize(spectra, frames))
+            acc.add(first, frames.synthesize(spectra))
             first += len(spectra)
         return acc.samples()
 
@@ -740,7 +770,7 @@ def test_normalizing_with_the_shared_window_power_matches_each_row_alone(
         hi = min(lo + 1 + hi % hop, num_samples)
     else:
         hi = lo + 1 + hi % (num_samples - lo)
-    acc = OverlapAdd(spec, frames, lo, hi)
+    acc = OverlapAdd(frames, lo, hi)
     acc.rows[:] = rng.uniform(-1.0, 1.0, acc.rows.shape)
     window = hamming_coefficients(frames.frame_len, spec.window_a)
     expected = overlap_add_normalized(acc.rows, acc.row_lo, window, hop, len(frames))
@@ -788,20 +818,20 @@ class TestExtractComposition:
 
             monkeypatch.setattr(features, name, wrapper)
 
-        spectra = features.FrameSpec.spectra
+        spectra = audio.FrameSequence.spectra
 
         def spectra_spy(self, *args):
             out = spectra(self, *args)
             calls.append(("spectra", out.shape))
             return out
 
-        monkeypatch.setattr(features.FrameSpec, "spectra", spectra_spy)
+        monkeypatch.setattr(audio.FrameSequence, "spectra", spectra_spy)
         for name in ("mfcc", "delta_features"):
             spy(name)
         rows = extract(buf, cfg).rows
         np.testing.assert_array_equal(rows, expected)
         num_frames = rows.shape[0]
-        # the window and spectrum are FrameSpec.spectra's, which writes the
+        # the window and spectrum are FrameSequence.spectra's, which writes the
         # windowed frames into a buffer, so hamming_window is not called; the
         # power spectrum is squared in place and takes mel_filterbank's
         # product, then mfcc's, both on all BLOCK_FRAMES rows of the zeroed

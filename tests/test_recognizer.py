@@ -45,7 +45,7 @@ def rising_take(n=995, seed=19):
 
 def scanned_regions(buf, cfg):
     """segment_utterances by a per-frame scan, for buffers of >= smooth_frames frames."""
-    frames = features.FrameSpec(cfg.frame_ms, cfg.overlap_fraction).segment(buf)
+    frames = cfg.frame.segment(buf)
     energies = np.mean(padded_frames(buf.samples, frames.frame_len, frames.hop) ** 2, axis=1)
     ones = np.ones(cfg.smooth_frames)
     smoothed = np.convolve(energies, ones, mode="same") / np.convolve(
@@ -529,7 +529,7 @@ class TestTranscribe:
             energy_passes.clear()
             transcribe(buf, fixture_vocabulary, direction, cfg, endpoint_cfg=endpoint_cfg)
             assert transform_counts[len(buf.samples)] == {
-                "framings": 2, "analyzed": frames_used + walked,
+                "framings": 2, "resolved": 2, "analyzed": frames_used + walked,
                 "synthesized": region_frames,
             }
             assert len(energy_passes) == passes
@@ -556,7 +556,7 @@ class TestTranscribe:
             monkeypatch.setattr(audio, "BLOCK_FRAMES", block)
         limit = SCORE_BLOCKS * audio.BLOCK_FRAMES
         buf, _ = fixture_session
-        frame_len, hop = audio.frame_geometry(25.0, 0.5, SR)
+        frame_len, hop, _ = FeatureConfig().frame.resolve(SR)
         models = len(fixture_vocabulary.entries)
         for direction in DIRECTIONS:
             work = reverse(buf) if direction == "reverse" else buf
