@@ -6,9 +6,9 @@ models, and assembles a requirements report that pairs forward transcripts
 with reversed-audio transcripts and flags inconsistencies.
 """
 
-from .audio import AudioBuffer, read_wav, reverse, write_wav
+from .audio import AudioBuffer, FrameSpec, read_wav, reverse, write_wav
 from .enhance import EnhanceConfig, NoiseProfile, denoise, estimate_and_denoise, estimate_noise
-from .features import FeatureConfig, FeatureMatrix, FrameSpec, extract
+from .features import FeatureConfig, FeatureMatrix, extract
 from .gmm import GmmModel, TrainingReport, load_model, save_model, train
 from .recognizer import (
     EndpointConfig,

@@ -1,14 +1,15 @@
-"""WAV ingestion/emission, mono conversion, time reversal, frame sequences and their STFT."""
+"""WAV ingestion/emission, mono conversion, time reversal, framing, and the frames' STFT."""
 
 import functools
 import struct
+import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import UnsupportedWavError, WavFormatError
+from .errors import ConfigError, UnsupportedWavError, WavFormatError, check_ranges, ranged
 
 INT16_FULL_SCALE = 32768
 # frames per block for every pass over frames: about 2.6 s at 16 kHz with the
@@ -21,6 +22,15 @@ BLOCK_FRAMES = 256
 SCORE_BLOCKS = 16
 # samples per block when writing: 512 KB of float64
 BLOCK_SAMPLES = 1 << 16
+# the longest utterance the recognizer is built to score (longer segments are
+# worth splitting upstream); windows that follow the signal within one
+# utterance, the endpoint smoothing and the delta regression, fit in it
+MAX_UTTERANCE_S = 30.0
+# the largest FFT size, set or auto: a block of BLOCK_FRAMES frames then holds
+# 64 MB of windowed frames and 64 MB of half spectra; it covers a 2,048 ms
+# frame at 16 kHz (683 ms at 48 kHz), and zero-padding further only
+# interpolates the spectrum
+MAX_FFT_SIZE = 1 << 15
 
 
 @dataclass
@@ -44,6 +54,107 @@ class AudioBuffer:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
+
+
+@dataclass(frozen=True)
+class FrameSpec:
+    """Framing, window and FFT-size rule, shared by endpointing, enhance and features.
+
+    Its fields declare every config section's framing fields (framing).
+    section names the config section the fields come from (each section's
+    frame property sets it), so errors name the key, such as
+    enhance.fft_size; it is not a config key and takes no part in equality.
+    """
+
+    frame_ms: float = ranged(25.0, f"(0, {MAX_UTTERANCE_S * 1000:g}]")  # fits in an utterance
+    overlap_fraction: float = ranged(0.5, "[0, 1)")
+    window_a: float = ranged(0.46, "[0, 0.5]")  # keeps (1 - a) - a*cos(...) nonnegative
+    fft_size: int | None = ranged(None, "[1, inf)")
+    section: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        check_ranges(self, self.section)
+        size = self.fft_size
+        if size is not None and size & (size - 1):
+            raise ConfigError(f"{self._key('fft_size')} must be a power of two, got {size}")
+
+    def _key(self, name: str) -> str:
+        return f"{self.section}.{name}" if self.section else name
+
+    def resolve(self, sample_rate_hz: int) -> tuple[int, int, int]:
+        """(frame_len, hop, fft_size) at the rate, by the rule segment documents.
+
+        fft_size is the field, or by default the next power of two covering
+        a frame. ConfigError, naming the key, if a frame is shorter than one
+        sample, fft_size is shorter than a frame, or the FFT size, set or
+        auto, exceeds MAX_FFT_SIZE.
+        """
+        frame_len = int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
+        frame = f"{self._key('frame_ms')} {self.frame_ms}"
+        if frame_len < 1:
+            raise ConfigError(f"{frame} is shorter than one sample at {sample_rate_hz} Hz")
+        # extreme overlap on tiny frames can round the hop to zero; keep it total
+        hop = max(frame_len - int(self.overlap_fraction * frame_len + 0.5), 1)
+        frame += f" ({frame_len} samples at {sample_rate_hz} Hz)"
+        fft_size = self.fft_size or 1 << (frame_len - 1).bit_length()
+        if fft_size < frame_len:
+            raise ConfigError(f"{self._key('fft_size')} {fft_size} is shorter than the frame "
+                              f"of {frame}")
+        if fft_size > MAX_FFT_SIZE:
+            cause = (f"{frame} needs a {fft_size}-point FFT, which" if self.fft_size is None
+                     else f"{self._key('fft_size')} {fft_size}")
+            raise ConfigError(f"{cause} exceeds MAX_FFT_SIZE ({MAX_FFT_SIZE})")
+        return frame_len, hop, fft_size
+
+    def frames_within(self, seconds: float, hop_at: tuple[int, int] | None = None) -> int:
+        """Frames whose starts fall within seconds, one hop apart.
+
+        hop_at is (hop, sample_rate_hz), the hop resolve gives at a rate: at
+        least one sample, so the count is at most seconds * rate + 1. Without
+        it the hop is frame_ms * (1 - overlap_fraction) milliseconds, and the
+        count grows without limit as overlap_fraction nears 1; a hop that
+        underflows to zero, or a count past sys.maxsize, counts sys.maxsize.
+        """
+        hop, per_second = hop_at or (self.frame_ms * (1.0 - self.overlap_fraction), 1000.0)
+        count = seconds * per_second / hop if hop else sys.maxsize
+        return int(min(count, sys.maxsize)) + 1
+
+    def segment(self, buf: AudioBuffer) -> "FrameSequence":
+        """Cut a buffer into fixed-length frames with fractional overlap.
+
+        frame_len = round(frame_ms * rate / 1000) and
+        hop = frame_len - round(overlap_fraction * frame_len). The trailing
+        partial frame is zero-padded; a buffer shorter than one frame yields a
+        single zero-padded frame. The frames are a read-only strided view of the
+        buffer's own samples, plus that one padded frame (see FrameSequence).
+        This is where a framing meets the buffer's rate: it is resolved and
+        checked once (resolve), and the frames carry their FFT size and window.
+        """
+        frame_len, hop, fft_size = self.resolve(buf.sample_rate_hz)
+        window = hamming_coefficients(frame_len, self.window_a)
+        return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz, fft_size, window)
+
+
+def framing(name: str):
+    """A config section's framing field name, declared as FrameSpec declares it."""
+    spec = FrameSpec.__dataclass_fields__[name]
+    return ranged(spec.default, spec.metadata["range"])
+
+
+@functools.lru_cache(maxsize=32)
+def hamming_coefficients(n: int, a: float) -> np.ndarray:
+    """Window weights w(k) = (1-a) - a*cos(2*pi*k/(n-1)) for k = 0..n-1.
+
+    Built once per argument pair; the shared result is read-only.
+    """
+    if n < 1:
+        raise ValueError("window length must be at least 1")
+    if n == 1:
+        weights = np.array([1.0 - 2.0 * a])
+    else:
+        weights = (1.0 - a) - a * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    weights.flags.writeable = False
+    return weights
 
 
 class FrameSequence:
@@ -74,11 +185,11 @@ class FrameSequence:
             self._inside = sliding_window_view(samples, frame_len)[::hop]
         else:
             self._inside = np.broadcast_to(0.0, (0, frame_len))  # read-only, as the view is
-        # count - inside is 0 or 1: only the last frame can run past the end
+        # count - inside is 0 or 1: only the last frame can run past the end;
+        # rest, the samples from frame inside's start on, fit in one frame
+        rest = samples[inside * hop :]
         self._tail = np.zeros((self._count - inside, frame_len))
-        if self._count > inside:
-            rest = samples[inside * hop :]
-            self._tail[0, : len(rest)] = rest
+        self._tail[:, : len(rest)] = rest
 
     def __len__(self) -> int:
         return self._count
@@ -101,27 +212,23 @@ class FrameSequence:
         first = max((lo - self.frame_len) // self.hop + 1, 0)
         return slice(first, min((hi - 1) // self.hop + 1, self._count))
 
-    def spectra(self, rows=slice(None), windowed=None) -> np.ndarray:
+    def spectra(self, rows: np.ndarray, windowed: np.ndarray) -> np.ndarray:
         """Windowed half spectra (fft_size // 2 + 1 bins) of the frames rows picks.
 
-        The one analysis transform; rows (a slice or an index array of frame
-        numbers) picks a block of frames. windowed is a (rows picked,
-        fft_size) buffer whose columns from frame_len on are zero: each
-        picked frame is windowed into the first frame_len columns of its
-        row, and the rest are never written, so rfft takes the buffer as it
-        stands instead of copying every block into a zero-padded array of
-        its own. A caller that walks many blocks makes the buffer once and
-        passes a slice of it per block; without one, a buffer is made for
-        the call. Each run of consecutive picked frames is read with run and
+        The one analysis transform; rows, an array of frame numbers, picks a
+        block of frames. windowed is a (len(rows), fft_size) buffer whose
+        columns from frame_len on are zero: each picked frame is windowed
+        into the first frame_len columns of its row, and the rest are never
+        written, so rfft takes the buffer as it stands instead of copying
+        every block into a zero-padded array of its own. A caller that walks
+        many blocks makes the buffer once and passes a slice of it per
+        block. Each run of consecutive picked frames is read with run and
         windowed into it, so none is gathered.
         """
-        picked = np.asarray(range(self._count)[rows] if isinstance(rows, slice) else rows)
-        if windowed is None:
-            windowed = np.zeros((len(picked), self.fft_size))
         head = windowed[:, : self.frame_len]
-        firsts = np.flatnonzero(np.diff(picked, prepend=-2) != 1).tolist()
-        for lo, hi in zip(firsts, firsts[1:] + [len(picked)]):
-            np.multiply(self.run(picked[lo], picked[hi - 1] + 1), self.window, out=head[lo:hi])
+        firsts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+        for lo, hi in zip(firsts, firsts[1:] + [len(rows)]):
+            np.multiply(self.run(rows[lo], rows[hi - 1] + 1), self.window, out=head[lo:hi])
         return np.fft.rfft(windowed, axis=-1)
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:

@@ -17,9 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameSequence, OverlapAdd, frame_blocks, frame_energies
+from .audio import (
+    AudioBuffer,
+    FrameSequence,
+    FrameSpec,
+    OverlapAdd,
+    frame_blocks,
+    frame_energies,
+    framing,
+)
 from .errors import ConfigError, check_ranges, ranged
-from .features import FrameSpec, check_fft_size, framing
 
 METHODS = ("spectral_subtraction", "wiener")
 
@@ -42,7 +49,7 @@ class EnhanceConfig:
 
     def __post_init__(self):
         check_ranges(self, "enhance")
-        check_fft_size(self.fft_size, "enhance.fft_size")
+        self.frame  # built for its check: FrameSpec refuses an fft_size not a power of two
 
     @property
     def frame(self) -> FrameSpec:

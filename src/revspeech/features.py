@@ -11,125 +11,26 @@ computes the rows of one product shape alike (OpenBLAS at the default sizes).
 import functools
 import hashlib
 import itertools
-import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import audio
 from .audio import (
     BLOCK_SAMPLES,
+    MAX_UTTERANCE_S,
     SCORE_BLOCKS,
     AudioBuffer,
-    FrameSequence,
+    FrameSpec,
     frame_blocks,
     frame_count,
     frame_groups,
+    framing,
 )
 from .errors import ConfigError, check_ranges, ranged
 
 ENERGY_FLOOR = 1e-10
-# the longest utterance the recognizer is built to score (longer segments are
-# worth splitting upstream); windows that follow the signal within one
-# utterance, the endpoint smoothing and the delta regression, fit in it
-MAX_UTTERANCE_S = 30.0
-# the largest FFT size, set or auto: a block of BLOCK_FRAMES frames then holds
-# 64 MB of windowed frames and 64 MB of half spectra; it covers a 2,048 ms
-# frame at 16 kHz (683 ms at 48 kHz), and zero-padding further only
-# interpolates the spectrum
-MAX_FFT_SIZE = 1 << 15
-
-
-def check_fft_size(fft_size: int | None, key: str) -> None:
-    """ConfigError unless fft_size, set under key, is auto (None) or a power of two."""
-    if fft_size is not None and fft_size & (fft_size - 1):
-        raise ConfigError(f"{key} must be a power of two, got {fft_size}")
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    """Framing, window and FFT-size rule, shared by endpointing, enhance and features.
-
-    Its fields declare every config section's framing fields (framing).
-    section names the config section the fields come from (each section's
-    frame property sets it), so errors at a rate name the key, such as
-    enhance.fft_size; it is not a config key and takes no part in equality.
-    """
-
-    frame_ms: float = ranged(25.0, f"(0, {MAX_UTTERANCE_S * 1000:g}]")  # fits in an utterance
-    overlap_fraction: float = ranged(0.5, "[0, 1)")
-    window_a: float = ranged(0.46, "[0, 0.5]")  # keeps (1 - a) - a*cos(...) nonnegative
-    fft_size: int | None = ranged(None, "[1, inf)")
-    section: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        check_ranges(self, self.section)
-        check_fft_size(self.fft_size, self._key("fft_size"))
-
-    def _key(self, name: str) -> str:
-        return f"{self.section}.{name}" if self.section else name
-
-    def resolve(self, sample_rate_hz: int) -> tuple[int, int, int]:
-        """(frame_len, hop, fft_size) at the rate, by the rule segment documents.
-
-        fft_size is the field, or by default the next power of two covering
-        a frame. ConfigError, naming the key, if a frame is shorter than one
-        sample, fft_size is shorter than a frame, or the FFT size, set or
-        auto, exceeds MAX_FFT_SIZE.
-        """
-        frame_len = int(self.frame_ms * sample_rate_hz / 1000 + 0.5)
-        frame = f"{self._key('frame_ms')} {self.frame_ms}"
-        if frame_len < 1:
-            raise ConfigError(f"{frame} is shorter than one sample at {sample_rate_hz} Hz")
-        # extreme overlap on tiny frames can round the hop to zero; keep it total
-        hop = max(frame_len - int(self.overlap_fraction * frame_len + 0.5), 1)
-        frame += f" ({frame_len} samples at {sample_rate_hz} Hz)"
-        fft_size = self.fft_size or 1 << (frame_len - 1).bit_length()
-        if fft_size < frame_len:
-            raise ConfigError(f"{self._key('fft_size')} {fft_size} is shorter than the frame "
-                              f"of {frame}")
-        if fft_size > MAX_FFT_SIZE:
-            cause = (f"{frame} needs a {fft_size}-point FFT, which" if self.fft_size is None
-                     else f"{self._key('fft_size')} {fft_size}")
-            raise ConfigError(f"{cause} exceeds MAX_FFT_SIZE ({MAX_FFT_SIZE})")
-        return frame_len, hop, fft_size
-
-    def frames_within(self, seconds: float, sample_rate_hz: int | None = None) -> int:
-        """Frames whose starts fall within seconds, frame_ms * (1 - overlap_fraction) apart.
-
-        That grows without limit as overlap_fraction nears 1; a hop that
-        underflows to zero, or a count past sys.maxsize, counts sys.maxsize.
-        At a rate the hop is resolve's, at least one sample, so the count is
-        at most seconds * rate + 1.
-        """
-        if sample_rate_hz is None:
-            hop_ms = self.frame_ms * (1.0 - self.overlap_fraction)
-            count = seconds * 1000.0 / hop_ms if hop_ms else sys.maxsize
-            return int(min(count, sys.maxsize)) + 1
-        _, hop, _ = self.resolve(sample_rate_hz)
-        return int(seconds * sample_rate_hz / hop) + 1
-
-    def segment(self, buf: AudioBuffer) -> FrameSequence:
-        """Cut a buffer into fixed-length frames with fractional overlap.
-
-        frame_len = round(frame_ms * rate / 1000) and
-        hop = frame_len - round(overlap_fraction * frame_len). The trailing
-        partial frame is zero-padded; a buffer shorter than one frame yields a
-        single zero-padded frame. The frames are a read-only strided view of the
-        buffer's own samples, plus that one padded frame (see FrameSequence).
-        This is where a framing meets the buffer's rate: it is resolved and
-        checked once (resolve), and the frames carry their FFT size and window.
-        """
-        frame_len, hop, fft_size = self.resolve(buf.sample_rate_hz)
-        window = hamming_coefficients(frame_len, self.window_a)
-        return FrameSequence(buf.samples, frame_len, hop, buf.sample_rate_hz, fft_size, window)
-
-
-def framing(name: str):
-    """A config section's framing field name, declared as FrameSpec declares it."""
-    spec = FrameSpec.__dataclass_fields__[name]
-    return ranged(spec.default, spec.metadata["range"])
 
 
 @dataclass
@@ -153,7 +54,6 @@ class FeatureConfig:
 
     def __post_init__(self):
         check_ranges(self, "features")
-        check_fft_size(self.fft_size, "features.fft_size")
         if self.num_ceps > self.num_filters:
             raise ConfigError("features.num_ceps must be <= features.num_filters")
         if self.high_freq_hz is not None and self.low_freq_hz >= self.high_freq_hz:
@@ -165,45 +65,44 @@ class FeatureConfig:
         return FrameSpec(self.frame_ms, self.overlap_fraction, self.window_a, self.fft_size,
                          section="features")
 
-    def check(self, sample_rate_hz: int | None = None) -> None:
+    def check(self, sample_rate_hz: int | None = None) -> tuple[int, int, int] | None:
         """ConfigError unless the regression's 2 * delta_window + 1 frames fit in one utterance.
 
         Given a rate, the framing must resolve at it (FrameSpec.resolve), the
         frames are counted at its hop, and every mel filter must cover an FFT
-        bin (filterbank).
+        bin (filterbank); the check then returns the resolved framing.
         """
         spec = self.frame
-        widest = (spec.frames_within(MAX_UTTERANCE_S, sample_rate_hz) - 1) // 2
+        resolved = None if sample_rate_hz is None else spec.resolve(sample_rate_hz)
+        hop_at = resolved and (resolved[1], sample_rate_hz)
+        widest = (spec.frames_within(MAX_UTTERANCE_S, hop_at) - 1) // 2
         if self.delta_window > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
             raise ConfigError(
                 f"features.delta_window must be <= {widest}{at}: its 2 * delta_window + 1 "
                 f"frames must fit in {MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
             )
-        if sample_rate_hz is not None:
-            frame_len, _, fft_size = spec.resolve(sample_rate_hz)
-            self.filterbank(sample_rate_hz, frame_len, fft_size)
+        if resolved:
+            self.filterbank(sample_rate_hz, resolved[0], resolved[2])
+        return resolved
 
     def filterbank(self, sample_rate_hz: int, frame_len: int, fft_size: int) -> np.ndarray:
         """mel_filter_weights for the framing resolved at the rate.
 
-        ConfigError if a filter covers no FFT bin, naming features.fft_size
-        and features.frame_ms with their values at the rate.
+        ConfigError if high_freq_hz, by default half the rate, exceeds it, or
+        if a filter covers no FFT bin, naming features.fft_size and
+        features.frame_ms with their values at the rate.
         """
-        high = self.resolve_high_freq(sample_rate_hz)
-        framing = (f"features.fft_size {fft_size} and features.frame_ms {self.frame_ms} "
-                   f"({frame_len} samples)")
-        return mel_filter_weights(
-            self.num_filters, fft_size, sample_rate_hz, self.low_freq_hz, high, framing
-        )
-
-    def resolve_high_freq(self, sample_rate_hz: int) -> float:
         high = self.high_freq_hz if self.high_freq_hz is not None else sample_rate_hz / 2
         if high > sample_rate_hz / 2:
             raise ConfigError(
                 f"features.high_freq_hz {high} exceeds Nyquist for rate {sample_rate_hz}"
             )
-        return high
+        framing = (f"features.fft_size {fft_size} and features.frame_ms {self.frame_ms} "
+                   f"({frame_len} samples)")
+        return mel_filter_weights(
+            self.num_filters, fft_size, sample_rate_hz, self.low_freq_hz, high, framing
+        )
 
     def fingerprint(self, sample_rate_hz: int) -> str:
         """Short hash of every field, in declaration order, and the sample rate.
@@ -246,22 +145,6 @@ def _preemphasize_in_place(y: np.ndarray, a: float) -> None:
     for hi in range(len(y), 1, -BLOCK_SAMPLES):
         lo = max(hi - BLOCK_SAMPLES, 1)
         y[lo:hi] -= a * y[lo - 1 : hi - 1]
-
-
-@functools.lru_cache(maxsize=32)
-def hamming_coefficients(n: int, a: float) -> np.ndarray:
-    """Window weights w(k) = (1-a) - a*cos(2*pi*k/(n-1)) for k = 0..n-1.
-
-    Built once per argument pair; the shared result is read-only.
-    """
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    if n == 1:
-        weights = np.array([1.0 - 2.0 * a])
-    else:
-        weights = (1.0 - a) - a * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
-    weights.flags.writeable = False
-    return weights
 
 
 def hz_to_mel(f: float) -> float:
@@ -432,9 +315,8 @@ def extract_batches(
                 f"inputs disagree on sample rate: {rate} Hz, then {buf.sample_rate_hz} Hz"
             )
         if rate is None:
-            cfg.check(buf.sample_rate_hz)
+            geometry = cfg.check(buf.sample_rate_hz)[:2]
             rate = buf.sample_rate_hz
-            geometry = spec.resolve(rate)[:2]
         return frame_count(len(buf.samples), *geometry)
 
     def with_deltas(ceps: np.ndarray, bounds: list[int]) -> tuple[FeatureMatrix, list[int]]:

@@ -157,7 +157,7 @@ def density_constants(model: GmmModel) -> tuple:
 
 
 def log_joint_densities(
-    model: GmmModel, rows: np.ndarray, squared=None, constants=None, out=None, scratch=None
+    model: GmmModel, rows: np.ndarray, squared: np.ndarray, constants=None, out=None, scratch=None
 ) -> np.ndarray:
     """log(w_j) + log N(x | mean_j, variance_j), shape (frames, components).
 
@@ -165,11 +165,12 @@ def log_joint_densities(
     The Mahalanobis term is expanded into matrix products with precisions
     P = 1/variance: sum (x-mu)^2 P = x^2 . P - 2 x . (mu P) + sum mu^2 P.
     Each of the two products runs once over all rows. squared is rows *
-    rows and constants are density_constants(model), each built here when
-    not given; a caller that scores the same rows more than once (EM's
-    iterations, several models) passes them. The products go into out and
-    scratch, two (frames, components) buffers made here when not given, and
-    the rest of the expression runs in out, term by term in the order above.
+    rows, which the caller squares, and constants are
+    density_constants(model), built here when not given; a caller that
+    scores the same rows more than once (EM's iterations, several models)
+    makes each once and passes it. The products go into out and scratch,
+    two (frames, components) buffers made here when not given, and the
+    rest of the expression runs in out, term by term in the order above.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     dim = x.shape[1]
@@ -178,8 +179,6 @@ def log_joint_densities(
     log_norm, precisions, scaled_means, mean_term, log_weights = (
         constants or density_constants(model)
     )
-    if squared is None:
-        squared = x * x
     out = np.matmul(squared, precisions.T, out=out)
     cross = np.matmul(x, scaled_means.T, out=scratch)
     np.multiply(2.0, cross, out=cross)

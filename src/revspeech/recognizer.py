@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, FrameSequence, frame_energies, reverse
+from .audio import (
+    MAX_UTTERANCE_S,
+    AudioBuffer,
+    FrameSequence,
+    FrameSpec,
+    frame_energies,
+    framing,
+    reverse,
+)
 from .enhance import EnhanceConfig, denoise_spans
 from .errors import (
     ConfigError,
@@ -24,15 +32,7 @@ from .errors import (
     check_ranges,
     ranged,
 )
-from .features import (
-    MAX_UTTERANCE_S,
-    FeatureConfig,
-    FeatureMatrix,
-    FrameSpec,
-    extract_batches,
-    framing,
-    stack_batches,
-)
+from .features import FeatureConfig, FeatureMatrix, extract_batches, stack_batches
 from .gmm import GmmModel, density_constants, log_joint_densities, logsumexp
 
 DIRECTIONS = ("forward", "reverse")
@@ -64,7 +64,9 @@ class EndpointConfig:
         would average whole utterances with the silence around them. Given a
         rate, the framing must also resolve at it (FrameSpec.resolve).
         """
-        widest = self.frame.frames_within(MAX_UTTERANCE_S, sample_rate_hz)
+        spec = self.frame
+        hop_at = sample_rate_hz and (spec.resolve(sample_rate_hz)[1], sample_rate_hz)
+        widest = spec.frames_within(MAX_UTTERANCE_S, hop_at)
         if self.smooth_frames > widest:
             at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
             raise ConfigError(

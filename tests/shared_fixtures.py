@@ -35,8 +35,7 @@ def transform_counts(monkeypatch):
     import collections
     import threading
 
-    from revspeech.audio import FrameSequence
-    from revspeech.features import FrameSpec
+    from revspeech.audio import FrameSequence, FrameSpec
 
     counts = collections.defaultdict(
         lambda: dict.fromkeys(("framings", "resolved", "analyzed", "synthesized"), 0)
@@ -58,7 +57,7 @@ def transform_counts(monkeypatch):
         counts[getattr(framing, "length", None)]["resolved"] += 1
         return resolve(self, sample_rate_hz)
 
-    def counting_spectra(self, rows=slice(None), windowed=None):
+    def counting_spectra(self, rows, windowed):
         out = spectra(self, rows, windowed)
         counts[self.num_samples]["analyzed"] += len(out)
         return out

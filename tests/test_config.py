@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from revspeech.audio import MAX_UTTERANCE_S, FrameSpec
 from revspeech.config import (
     _KEYS,
     ToolConfig,
@@ -19,7 +20,7 @@ from revspeech.config import (
 )
 from revspeech.enhance import EnhanceConfig
 from revspeech.errors import ConfigError
-from revspeech.features import MAX_UTTERANCE_S, FeatureConfig, FrameSpec
+from revspeech.features import FeatureConfig
 from revspeech.recognizer import EndpointConfig
 
 # key -> (type, declared range) of every key that declares one

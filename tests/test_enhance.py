@@ -18,7 +18,7 @@ from revspeech import (
     estimate_noise,
 )
 from revspeech import audio
-from revspeech.audio import frame_energies
+from revspeech.audio import frame_energies, hamming_coefficients
 from revspeech.enhance import (
     DD_SMOOTHING,
     POSTERIOR_SNR_CAP,
@@ -28,7 +28,6 @@ from revspeech.enhance import (
     denoise_spans,
 )
 from revspeech.errors import ConfigError
-from revspeech.features import hamming_coefficients
 
 
 def rms(x):
@@ -259,7 +258,7 @@ class TestAnalysisChain:
         rng = np.random.default_rng(12)
         buf = AudioBuffer(white_noise(rng, 0.5), SR)
         frames = EnhanceConfig().frame.segment(buf)
-        spectra = frames.spectra()
+        spectra = frames.spectra(np.arange(len(frames)), np.zeros((len(frames), 512)))
         every = padded_frames(buf.samples, frames.frame_len, frames.hop)
         full = np.fft.fft(every * hamming_coefficients(frames.frame_len, 0.46), n=512)
         flipped = np.conj(full[:, (512 - np.arange(512)) % 512])

@@ -140,3 +140,30 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_framing_is_defined_beside_the_frames_alone():
+    # the rule that cuts frames lives with the frames it cuts, so
+    # enhancement frames a recording without the MFCC module
+    package = Path(revspeech.__file__).resolve().parent
+    names = {"FrameSpec", "framing", "hamming_coefficients", "MAX_FFT_SIZE", "MAX_UTTERANCE_S"}
+    defined = {name: [] for name in names}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names.intersection(bound):
+                defined[name].append(path.name)
+    assert defined == {name: ["audio.py"] for name in names}
+    enhance = ast.parse((package / "enhance.py").read_text(encoding="utf-8"))
+    imported = [
+        node.module or alias.name
+        for node in ast.walk(enhance) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "features" not in imported, imported

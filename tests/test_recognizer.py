@@ -258,7 +258,7 @@ def scored_stacked(feats, vocab, limit):
         padded = np.zeros((-(-len(stacked) // limit) * limit, stacked.shape[1]))
         padded[: len(stacked)] = stacked
         frame_ll = {
-            label: logsumexp(log_joint_densities(model, padded)[: len(stacked)])
+            label: logsumexp(log_joint_densities(model, padded, padded * padded)[: len(stacked)])
             for label, model in vocab.entries.items()
         }
         lo = 0
@@ -277,7 +277,9 @@ def scored_alone(feats, vocab):
     expected = []
     for matrix in feats:
         scores = {
-            label: float(np.sum(logsumexp(log_joint_densities(model, matrix.rows))))
+            label: float(np.sum(logsumexp(
+                log_joint_densities(model, matrix.rows, matrix.rows * matrix.rows)
+            )))
             / matrix.num_frames
             for label, model in vocab.entries.items()
         }
@@ -455,7 +457,7 @@ class TestTranscribe:
         buf, _ = fixture_session
         expected = {d: transcribe(buf, fixture_vocabulary, d) for d in DIRECTIONS}
         # the threads race to build the shared, cached tables
-        for cached in (features.hamming_coefficients, features.mel_filter_weights,
+        for cached in (audio.hamming_coefficients, features.mel_filter_weights,
                        features._dct_basis):
             cached.cache_clear()
         jobs = [d for d in DIRECTIONS for _ in range(2)]
@@ -532,6 +534,10 @@ class TestTranscribe:
                 "framings": 2, "resolved": 2, "analyzed": frames_used + walked,
                 "synthesized": region_frames,
             }
+            # one resolution per check at the rate: the endpoint config's, and
+            # the feature config's in transcribe and at extract_batches' first
+            # buffer, which takes its frame length and hop from that check
+            assert transform_counts[None]["resolved"] == 3
             assert len(energy_passes) == passes
             assert region_frames < len(frames)
 
