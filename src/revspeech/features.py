@@ -1,7 +1,7 @@
 """MFCC front end: pre-emphasis, windowing, spectrum, mel filterbank, cepstra, deltas.
 
-Per-frame functions act on the last axis; extract_all runs them on blocks of
-frames gathered from many pieces, one matrix product per block. OpenBLAS may
+Per-frame functions act on the last axis; extract_batches runs them on blocks
+of frames gathered from many pieces, one matrix product per block. OpenBLAS may
 round rows differently in products of other heights, so every product runs on
 BLOCK_FRAMES rows, zero-padded: a piece's rows then equal the piece processed
 alone within 1e-12 of their largest value, and bit for bit wherever the BLAS
@@ -260,20 +260,13 @@ def extract(buf: AudioBuffer, cfg: FeatureConfig) -> FeatureMatrix:
     """Full pipeline: pre-emphasis, framing, window, spectrum, mel, DCT, deltas.
 
     Rows are frames; columns are num_ceps cepstra followed by their deltas
-    and delta-deltas (39 at defaults). This is extract_all of one buffer:
-    spectra, mel energies and cepstra are computed BLOCK_FRAMES frames at a
-    time, so besides the pre-emphasized copy only the cepstra and the rows
-    grow with the input.
+    and delta-deltas (39 at defaults). This is extract_batches of one buffer,
+    whose one batch holds its rows alone: spectra, mel energies and cepstra
+    are computed BLOCK_FRAMES frames at a time, so besides the pre-emphasized
+    copy only the cepstra and the rows grow with the input.
     """
-    (matrix,) = extract_all([buf], cfg)
+    ((matrix, _),) = extract_batches([buf], cfg)
     return matrix
-
-
-def extract_all(bufs: Iterable[AudioBuffer], cfg: FeatureConfig) -> Iterator[FeatureMatrix]:
-    """extract of each buffer in turn: each extract_batches batch cut into its pieces."""
-    for batch, bounds in extract_batches(bufs, cfg):
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield FeatureMatrix(batch.rows[lo:hi], hi - lo, batch.config_fingerprint)
 
 
 def extract_batches(
@@ -285,8 +278,8 @@ def extract_batches(
     batch's row count, so rows bounds[p] .. bounds[p + 1] - 1 are extract of
     the batch's buffer p (within rounding, see the module docstring). A batch
     holds at most SCORE_BLOCKS * BLOCK_FRAMES frames, or one longer buffer
-    (stack_batches). extract_all cuts the batches into one matrix per buffer,
-    and transcribe scores each as it comes.
+    (stack_batches). transcribe scores each batch as it comes, and extract
+    is the one-buffer case.
 
     One call serves one sample rate: a buffer at another rate than the first
     is a ConfigError. Cepstra are computed per extraction batch: consecutive

@@ -32,7 +32,7 @@ from .errors import (
     check_ranges,
     ranged,
 )
-from .features import FeatureConfig, FeatureMatrix, extract_batches, stack_batches
+from .features import FeatureConfig, FeatureMatrix, extract_batches
 from .gmm import GmmModel, density_constants, log_joint_densities, logsumexp
 
 DIRECTIONS = ("forward", "reverse")
@@ -57,18 +57,18 @@ class EndpointConfig:
     def frame(self) -> FrameSpec:
         return FrameSpec(self.frame_ms, self.overlap_fraction, section="endpoint")
 
-    def check(self, sample_rate_hz: int | None = None) -> None:
-        """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of frames (at the rate's hop).
+    def check(self, frames: FrameSequence | None = None) -> None:
+        """ConfigError unless smooth_frames fits in MAX_UTTERANCE_S of frames (at the frames' hop).
 
         The smoothing follows the energy within an utterance; a wider window
-        would average whole utterances with the silence around them. Given a
-        rate, the framing must also resolve at it (FrameSpec.resolve).
+        would average whole utterances with the silence around them. Given
+        the frames this config's framing cut (FrameSpec.segment, which
+        resolved it at their rate), the frames are counted at their hop.
         """
-        spec = self.frame
-        hop_at = sample_rate_hz and (spec.resolve(sample_rate_hz)[1], sample_rate_hz)
-        widest = spec.frames_within(MAX_UTTERANCE_S, hop_at)
+        hop_at = None if frames is None else (frames.hop, frames.sample_rate_hz)
+        widest = self.frame.frames_within(MAX_UTTERANCE_S, hop_at)
         if self.smooth_frames > widest:
-            at = "" if sample_rate_hz is None else f" at {sample_rate_hz} Hz"
+            at = "" if frames is None else f" at {frames.sample_rate_hz} Hz"
             raise ConfigError(
                 f"endpoint.smooth_frames must be <= {widest}{at}, the endpoint frames in "
                 f"{MAX_UTTERANCE_S:g} s, the longest utterance (MAX_UTTERANCE_S)"
@@ -130,30 +130,15 @@ def classify_segment(
 ) -> tuple[str, float, float]:
     """Best label by average per-frame log-likelihood, with runner-up margin.
 
-    Ties break toward the lexicographically smallest label.
+    Ties break toward the lexicographically smallest label. The matrix is
+    checked against the vocabulary, then scored as one batch of one piece
+    by the scorer transcribe uses (_scored).
     """
-    (result,) = classify_segments([features], vocab)
+    if features.num_frames == 0:
+        raise ValueError("cannot classify an empty feature matrix")
+    _check_features(vocab, features.config_fingerprint, features.dim)
+    (result,) = _scored([(features.rows, [0, features.num_frames])], vocab)
     return result
-
-
-def classify_segments(
-    features: Iterable[FeatureMatrix], vocab: Vocabulary
-) -> Iterator[tuple[str, float, float]]:
-    """classify_segment of each feature matrix in turn, a batch at a time.
-
-    Each matrix is checked against the vocabulary as it is drawn, then
-    scored by the scorer transcribe uses (_scored), each matrix one piece:
-    consecutive matrices with at most SCORE_BLOCKS * BLOCK_FRAMES rows in
-    all are stacked and scored as one batch (features.stack_batches).
-    """
-
-    def checked(matrix: FeatureMatrix) -> tuple[np.ndarray, list[int]]:
-        if matrix.num_frames == 0:
-            raise ValueError("cannot classify an empty feature matrix")
-        _check_features(vocab, matrix.config_fingerprint, matrix.dim)
-        return matrix.rows, [0, matrix.num_frames]
-
-    return _scored(stack_batches(map(checked, features)), vocab)
 
 
 def _check_features(vocab: Vocabulary, fingerprint: str, dim: int, source: str = "") -> None:
@@ -229,8 +214,8 @@ def segment_utterances(
             no region stands out from the rest.
     """
     cfg = cfg or EndpointConfig()
-    cfg.check(buf.sample_rate_hz)
     frames = cfg.frame.segment(buf)
+    cfg.check(frames)
     return _find_regions(frames, frame_energies(frames), cfg)
 
 
@@ -295,9 +280,9 @@ def transcribe(
     direction="reverse" reads the buffer through audio.reverse, a read-only
     view, not a copy; segment times then refer to the reversed timeline
     (forward time is duration minus the mirrored bounds). Before any signal
-    work the configs are checked at the buffer's rate
-    (EndpointConfig.check, FeatureConfig.check, then the enhancement
-    framing as FrameSpec.segment cuts it), then the
+    work the configs are checked at the buffer's rate (the endpoint
+    framing as FrameSpec.segment cuts it, EndpointConfig.check of those
+    frames, FeatureConfig.check, then the enhancement framing), then the
     feature fingerprint at that rate and the feature width against the
     vocabulary. The noise profile
     comes from the whole recording, but only the endpointed regions are
@@ -330,14 +315,14 @@ def transcribe(
     work = reverse(buf) if direction == "reverse" else buf
     # refuse configs unfit for this rate, then models of another config,
     # rate or width, before any signal work
-    endpoint_cfg.check(sr)
+    endpoint_frames = endpoint_cfg.frame.segment(work)
+    endpoint_cfg.check(endpoint_frames)
     feature_cfg.check(sr)
     frames = enhance_cfg.frame.segment(work)
     _check_features(vocab, feature_cfg.fingerprint(sr), 3 * feature_cfg.num_ceps,
                     f" of the {sr} Hz recording")
     # endpoint on the raw signal: enhancement flattens the silence/speech
     # energy contrast the percentile threshold relies on
-    endpoint_frames = endpoint_cfg.frame.segment(work)
     energies = frame_energies(endpoint_frames)
     regions = _find_regions(endpoint_frames, energies, endpoint_cfg)
     spans = [(int(start_s * sr + 0.5), int(end_s * sr + 0.5)) for start_s, end_s in regions]

@@ -145,9 +145,10 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
     report accounts for every segment on both sides.
 
     Forward segments must be in time order and must not overlap, though
-    they may touch, as transcribe emits them (else ValueError). So the ones
-    a reverse segment overlaps are one run, bisected by end and by start,
-    and the nearest on either side are the run's two neighbours.
+    they may touch, as transcribe emits them, and there must be at least one
+    when there are reverse segments (else ValueError). So the ones a reverse
+    segment overlaps are one run, bisected by end and by start, and the
+    nearest on either side are the run's two neighbours.
     """
     if abs(fwd.source_duration_s - rev.source_duration_s) > 1e-3:
         raise ValueError(
@@ -158,14 +159,14 @@ def pair_segments(fwd: Transcript, rev: Transcript) -> list[ReversalPair]:
     segments = fwd.segments
     if any(b.start_s < a.end_s for a, b in zip(segments, segments[1:])):
         raise ValueError("forward segments must be in time order and must not overlap")
+    if rev.segments and not segments:
+        raise ValueError(f"no forward segment to pair with; reverse segments: {len(rev.segments)}")
     starts = [seg.start_s for seg in segments]
     ends = [seg.end_s for seg in segments]
 
     pairs = []
     used = set()
     for rseg in rev.segments:
-        if not segments:
-            break  # no forward segments at all; nothing to pair against
         lo, hi = duration - rseg.end_s, duration - rseg.start_s
 
         def key(idx: int) -> tuple[float, float, int]:

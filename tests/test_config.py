@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from revspeech.audio import MAX_UTTERANCE_S, FrameSpec
+from revspeech.audio import MAX_UTTERANCE_S, AudioBuffer, FrameSpec
 from revspeech.config import (
     _KEYS,
     ToolConfig,
@@ -150,16 +150,17 @@ class TestParseConfig:
     @pytest.mark.parametrize("rate, hop", [(16000, 1), (8000, 1), (44100, 1)])
     def test_windows_bounded_again_at_the_real_hop(self, rate, hop):
         # at an overlap this close to 1 the nominal hop is 2.5 ns, so the
-        # rate-free bounds admit about 1.2e10 frames; the hop frame_geometry
+        # rate-free bounds admit about 1.2e10 frames; the hop FrameSpec.resolve
         # gives is at least one sample, which bounds both windows at a rate
         frames = int(30.0 * rate / hop) + 1
         endpoint = EndpointConfig(overlap_fraction=0.9999999, smooth_frames=10**10)
         feature = FeatureConfig(overlap_fraction=0.9999999, delta_window=10**9)
         with pytest.raises(ConfigError, match=f"smooth_frames must be <= {frames} at {rate} Hz"):
-            endpoint.check(rate)
+            endpoint.check(endpoint.frame.segment(AudioBuffer([0.0], rate)))
         with pytest.raises(ConfigError, match=f"delta_window must be <= {(frames - 1) // 2} at"):
             feature.check(rate)
-        EndpointConfig(overlap_fraction=0.9999999, smooth_frames=frames).check(rate)
+        fitting = EndpointConfig(overlap_fraction=0.9999999, smooth_frames=frames)
+        fitting.check(fitting.frame.segment(AudioBuffer([0.0], rate)))
         FeatureConfig(overlap_fraction=0.9999999, delta_window=(frames - 1) // 2).check(rate)
 
     def test_endpoint_edge_values_accepted(self):

@@ -17,7 +17,7 @@ from oracles import (
     overlap_add_normalized,
     padded_frames,
 )
-from revspeech import AudioBuffer, FeatureConfig, extract, reverse
+from revspeech import AudioBuffer, FeatureConfig, FeatureMatrix, extract, reverse
 from revspeech import audio, features
 from revspeech.errors import ConfigError
 from revspeech.audio import MAX_FFT_SIZE, FrameSpec, OverlapAdd, hamming_coefficients
@@ -46,6 +46,13 @@ def spectra_of(frames, part=slice(None)):
     """frames.spectra of the frames part picks (all by default), into a buffer of its own."""
     rows = np.arange(len(frames))[part]
     return frames.spectra(rows, np.zeros((len(rows), frames.fft_size)))
+
+
+def batched_pieces(bufs, cfg):
+    """Each buffer's matrix, cut at its bounds from the extract_batches batch that holds it."""
+    return [FeatureMatrix(batch.rows[lo:hi], hi - lo, batch.config_fingerprint)
+            for batch, bounds in features.extract_batches(bufs, cfg)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def brute_force_dft_magnitude(frame, fft_size):
@@ -358,7 +365,7 @@ def test_batches_equal_each_piece_alone(lengths, rate, block, overlap, preemphas
         patch.setattr(audio, "BLOCK_FRAMES", block)
         alone = [extract_alone(buf, cfg) for buf in bufs]
         single = [extract(buf, cfg) for buf in bufs]
-        batched = list(features.extract_all(iter(bufs), cfg))
+        batched = batched_pieces(iter(bufs), cfg)
     assert len(batched) == len(alone)
     for buf, got, one, want in zip(bufs, batched, single, alone):
         assert got.config_fingerprint == cfg.fingerprint(buf.sample_rate_hz)
@@ -374,7 +381,7 @@ def test_one_sample_rate_per_call(rates):
     # error wherever it comes
     bufs = (AudioBuffer(np.full(800, 0.1), rate) for rate in rates)
     with pytest.raises(ConfigError, match="disagree on sample rate"):
-        list(features.extract_all(bufs, FeatureConfig()))
+        list(features.extract_batches(bufs, FeatureConfig()))
 
 
 # a take shorter than one frame, word-length takes, and takes of more than
@@ -395,7 +402,7 @@ TAKE_LENGTHS = st.one_of(
 @example(lengths=[20_200, 31_400, 4_000], rate=16000, seed=0)
 @example(lengths=[102_600, 51_400, 20_200, 31_400, 150], rate=16000, seed=1)
 def test_reused_block_buffers_leave_no_stale_rows(lengths, rate, seed):
-    # extract_all writes every batch into the same padded buffer, windowed
+    # extract_batches writes every batch into the same padded buffer, windowed
     # frames and power spectra, at the real BLOCK_FRAMES, and stacks up to
     # SCORE_BLOCKS batches' cepstra for the deltas; a row left over from an
     # earlier batch or block, or one out of place, would change a take's
@@ -403,7 +410,7 @@ def test_reused_block_buffers_leave_no_stale_rows(lengths, rate, seed):
     rng = np.random.default_rng(seed)
     bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), rate) for n in lengths]
     cfg = FeatureConfig()
-    batched = list(features.extract_all(iter(bufs), cfg))
+    batched = batched_pieces(iter(bufs), cfg)
     assert len(batched) == len(bufs)
     for buf, got in zip(bufs, batched):
         np.testing.assert_array_equal(got.rows, extract(buf, cfg).rows)
@@ -415,13 +422,13 @@ def test_concurrent_calls_share_no_buffers():
     lengths = rng.integers(100, 20_000, 60).tolist() + [60_000]
     bufs = [AudioBuffer(rng.uniform(-0.5, 0.5, n), 16000) for n in lengths]
     cfg = FeatureConfig()
-    alone = [m.rows for m in features.extract_all(bufs, cfg)]
+    alone = [m.rows for m in batched_pieces(bufs, cfg)]
     start = threading.Barrier(2)
     results = [None, None]
 
     def worker(k):
         start.wait(timeout=60)
-        results[k] = [m.rows for m in features.extract_all(bufs[k:] + bufs[:k], cfg)]
+        results[k] = [m.rows for m in batched_pieces(bufs[k:] + bufs[:k], cfg)]
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
     for thread in threads:

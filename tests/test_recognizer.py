@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from revspeech import audio, features
 from revspeech.audio import SCORE_BLOCKS
 from revspeech.gmm import log_joint_densities, logsumexp
-from revspeech.recognizer import DIRECTIONS, classify_segments
+from revspeech.recognizer import DIRECTIONS, _scored
 from revspeech.errors import FingerprintMismatchError, InsufficientDataError, VocabularyError
 
 FRAME_S = 0.025
@@ -162,7 +162,7 @@ class TestClassifySegment:
         vocab = Vocabulary.from_models([make_model("a", 0.0), make_model("b", 1.0)])
         feats = FeatureMatrix(np.zeros((4, 2)), 4, "fp")
         with pytest.raises(FingerprintMismatchError, match="dimension 2, .* have 3"):
-            list(classify_segments([feats], vocab))
+            classify_segment(feats, vocab)
 
     def test_empty_features_rejected(self):
         vocab = Vocabulary.from_models([make_model("a", 0.0), make_model("b", 1.0)])
@@ -230,11 +230,13 @@ def mixed_vocabulary(fingerprint):
 
 
 def batch_scored(feats, vocab, block=None):
-    """classify_segments of the matrices, with BLOCK_FRAMES patched to block if given."""
+    """_scored of the matrices, each one piece, stacked up to the row limit as
+    features.stack_batches stacks them, with BLOCK_FRAMES patched to block if given."""
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(audio, "BLOCK_FRAMES", block)
-        return list(classify_segments(iter(feats), vocab))
+        pieces = ((matrix.rows, [0, matrix.num_frames]) for matrix in feats)
+        return list(_scored(features.stack_batches(pieces), vocab))
 
 
 def scored_stacked(feats, vocab, limit):
@@ -351,6 +353,14 @@ class TestSegmentUtterances:
         assert len(regions) == 1
         assert abs(regions[0][0] - 1.0) <= FRAME_S
 
+    def test_resolves_its_framing_only_where_it_frames(self, transform_counts):
+        # the config is checked on the frames FrameSpec.segment cut, at
+        # their hop, so the framing is resolved once, there
+        buf = rising_take()
+        segment_utterances(buf)
+        assert dict(transform_counts) == {len(buf.samples): {
+            "framings": 1, "resolved": 1, "analyzed": 0, "synthesized": 0,
+        }}
 
     def test_fewer_frames_than_the_smoothing_window(self):
         # 995 samples are 4 frames at the defaults, against 5 smoothing frames
@@ -534,10 +544,11 @@ class TestTranscribe:
                 "framings": 2, "resolved": 2, "analyzed": frames_used + walked,
                 "synthesized": region_frames,
             }
-            # one resolution per check at the rate: the endpoint config's, and
-            # the feature config's in transcribe and at extract_batches' first
-            # buffer, which takes its frame length and hop from that check
-            assert transform_counts[None]["resolved"] == 3
+            # one resolution per feature check at the rate, in transcribe and
+            # at extract_batches' first buffer, which takes its frame length
+            # and hop from that check; the endpoint config is checked on the
+            # frames it cut, so its framing resolves only in segment
+            assert transform_counts[None]["resolved"] == 2
             assert len(energy_passes) == passes
             assert region_frames < len(frames)
 

@@ -273,8 +273,6 @@ def scan_pairs(fwd, rev):
             gap = max(fseg.start_s - hi, lo - fseg.end_s, 0.0)
             if overlap > best_overlap or (overlap == best_overlap and gap < best_gap):
                 best_idx, best_overlap, best_gap = idx, overlap, gap
-        if best_idx is None:
-            continue
         note = "" if best_overlap > 0 else "no temporal overlap; paired with nearest"
         used.add(best_idx)
         pairs.append(ReversalPair(fwd.segments[best_idx], rseg, None, note))
@@ -301,7 +299,7 @@ def reverse_grid_segments():
     [seg(1.0, 2.0, "f0"), seg(2.0, 3.0, "f1"), seg(4.0, 5.0, "f2")],
     [seg(7.5, 8.5, "r0", direction="reverse"), seg(6.25, 6.75, "r1", direction="reverse")],
 )
-@example([], [seg(1.0, 2.0, "r0", direction="reverse")])
+@example([], [seg(1.0, 2.0, "r0", direction="reverse")])  # refused: nothing to pair with
 @example([seg(1.0, 2.0, "f0")], [])
 @example(  # a reverse segment exactly between two forward ones
     [seg(1.5, 2.0, "f0"), seg(4.0, 5.0, "f1")],
@@ -309,6 +307,10 @@ def reverse_grid_segments():
 )
 def test_pairing_matches_the_scan(fwd_segs, rev_segs):
     fwd, rev = fwd_transcript(10.0, *fwd_segs), rev_transcript(10.0, *rev_segs)
+    if rev_segs and not fwd_segs:
+        with pytest.raises(ValueError, match=f"reverse segments: {len(rev_segs)}$"):
+            pair_segments(fwd, rev)
+        return
 
     def ids(pairs):
         return [(id(p.forward_segment), id(p.reverse_segment), p.category, p.note)
@@ -403,6 +405,13 @@ class TestBuildReport:
                     CATEGORY_INCONGRUENT,
                     CATEGORY_EXPANSIVE,
                 )
+
+    def test_reverse_segments_without_forward_ones_are_refused(self):
+        # a report of no pairs would drop every reverse segment and read
+        # "None detected", where the report accounts for both sides
+        rev = rev_transcript(3.0, mirrored(3.0, 0.2, 0.7, "reject"))
+        with pytest.raises(ValueError, match="no forward segment .* reverse segments: 1$"):
+            build_report(fwd_transcript(3.0), rev, LEXICON, {})
 
 
 class TestRender:
